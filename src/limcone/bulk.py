@@ -14,8 +14,14 @@ Two tables feed everything downstream:
 Products are evaluated level by level with one batched matrix multiply
 per letter (one multiplication per enumerated word in total), along
 with the reversed inverse products needed by the split-spectrum rule.
-Everything is deterministic: fixed enumeration order, fixed reduction
-order, no threading.
+Element products come from one prefix-tree iterator, `word_products`,
+which element_spectra and the CLI `spectra` dump share.  It streams the
+top level through the kernel in blocks of _BLOCK_PARENTS parents, so at
+N = 12 the 708,588 top-level products are never held at once and the
+Cartan table is written into arrays allocated up front.  Everything is
+deterministic: fixed enumeration order, fixed reduction order, no
+threading, and the kernels act row by row, so blocking does not change
+a single bit.
 """
 
 from dataclasses import dataclass
@@ -27,7 +33,7 @@ from . import words
 from .errors import InvalidParameterError
 from .spectra import batched_cartan, batched_jordan
 
-__all__ = ["ClassSpectra", "ElementSpectra", "class_spectra", "element_spectra"]
+__all__ = ["ClassSpectra", "ElementSpectra", "class_spectra", "element_spectra", "word_products"]
 
 
 @dataclass(frozen=True)
@@ -90,26 +96,52 @@ def class_spectra(rep, n_max: int) -> ClassSpectra:
     return ClassSpectra(n_max, jor, mult, logm)
 
 
+# parents per block of the streamed top level: 3 * 2^14 d = 3 products are
+# 3.5 MB per stack, against 51 MB for the whole of level 12
+_BLOCK_PARENTS = 1 << 14
+
+
+def word_products(rep, n_max: int):
+    """Forward and inverse products of every reduced word of length
+    1..n_max, in enumeration order.
+
+    Yields (n, lo, fwd, bwd): the products of rows lo, lo + 1, ... of
+    words.word_level_array(k, n), as (rows, d, d) stacks.  Every level
+    below n_max comes whole, because it holds the parents of the next; the
+    top level comes in blocks of _BLOCK_PARENTS parents, so its full stacks
+    are never held.  One batched multiply per word and direction.
+    """
+    k = rep.num_generators
+    stack = rep.letter_matrices()
+    inv_stack = np.ascontiguousarray(stack[_swap_index(k)])
+    fwd = bwd = None
+    for n in range(1, n_max + 1):
+        last = words.word_level_array(k, n)[:, -1]
+        if n == 1:
+            fwd, bwd = stack[last], inv_stack[last]
+            yield 1, 0, fwd, bwd
+            continue
+        block = _BLOCK_PARENTS if n == n_max else len(fwd)
+        for p0 in range(0, len(fwd), block):
+            parents = np.arange(p0, min(p0 + block, len(fwd))).repeat(2 * k - 1)
+            lo = p0 * (2 * k - 1)
+            tail = last[lo:lo + len(parents)]
+            child_fwd = fwd[parents] @ stack[tail]
+            child_bwd = inv_stack[tail] @ bwd[parents]
+            yield n, lo, child_fwd, child_bwd
+        fwd, bwd = child_fwd, child_bwd
+
+
 @lru_cache(maxsize=4)
 def element_spectra(rep, n_max: int) -> ElementSpectra:
     """Cartan projections of every reduced word of length 1..n_max."""
     if n_max < 1:
         raise InvalidParameterError("need n_max >= 1")
-    k = rep.num_generators
-    stack = rep.letter_matrices()
-    inv_stack = np.ascontiguousarray(stack[_swap_index(k)])
-    carts, lens = [], []
-    fwd = bwd = None
-    for n in range(1, n_max + 1):
-        W = words.word_level_array(k, n)
-        if n == 1:
-            fwd = stack.copy()
-            bwd = inv_stack.copy()
-        else:
-            parents = np.repeat(np.arange(len(words.word_level_array(k, n - 1))), 2 * k - 1)
-            last = W[:, -1]
-            fwd = fwd[parents] @ stack[last]
-            bwd = inv_stack[last] @ bwd[parents]
-        carts.append(batched_cartan(fwd, bwd))
-        lens.append(np.full(len(W), n, dtype=np.int64))
-    return ElementSpectra(n_max, np.concatenate(carts), np.concatenate(lens))
+    sizes = [words.count_words(rep.num_generators, n) for n in range(1, n_max + 1)]
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    cartan = np.empty((starts[-1], rep.dim))
+    for n, lo, fwd, bwd in word_products(rep, n_max):
+        row = starts[n - 1] + lo
+        cartan[row:row + len(fwd)] = batched_cartan(fwd, bwd)
+    lengths = np.repeat(np.arange(1, n_max + 1, dtype=np.int64), sizes)
+    return ElementSpectra(n_max, cartan, lengths)

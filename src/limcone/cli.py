@@ -106,23 +106,11 @@ def _cmd_spectra(args, out):
     rep = _load(args)
     from .spectra import batched_cartan, batched_jordan
 
-    stack = rep.letter_matrices()
-    inv_stack = np.ascontiguousarray(stack[np.arange(2 * rep.num_generators) ^ 1])
     d = rep.dim
     header = ["word", "len"] + [f"a{i+1}" for i in range(d)] + [f"l{i+1}" for i in range(d)]
     rows = []
-    fwd = bwd = None
-    for n in range(1, args.max_len + 1):
-        W = words.word_level_array(rep.num_generators, n)
-        if n == 1:
-            fwd, bwd = stack.copy(), inv_stack.copy()
-        else:
-            parents = np.repeat(
-                np.arange(len(words.word_level_array(rep.num_generators, n - 1))),
-                2 * rep.num_generators - 1,
-            )
-            fwd = fwd[parents] @ stack[W[:, -1]]
-            bwd = inv_stack[W[:, -1]] @ bwd[parents]
+    for n, lo, fwd, bwd in bulk.word_products(rep, args.max_len):
+        W = words.word_level_array(rep.num_generators, n)[lo:lo + len(fwd)]
         a = batched_cartan(fwd, bwd)
         l = batched_jordan(fwd, bwd)
         for j, row in enumerate(W):

@@ -14,7 +14,7 @@ scale.  The lowest fifth of the grid is dropped as transient.
 Cone geometry lives on the projective slice of the Weyl chamber.  For
 d = 3 the chamber directions form the segment v2 / (v1 - v3) in
 [-1/3, 1/3] (walls at the endpoints), so hulls are intervals in that
-gap coordinate; stored sample directions are L1-normalized.  Hausdorff
+gap coordinate; hull directions are L1-normalized.  Hausdorff
 distances are Euclidean along the slice line, scaled by sqrt(3/2), the
 speed of t -> ((1 - t)/2, t, (-1 - t)/2).
 """
@@ -198,13 +198,12 @@ def gap_slice_coord(vectors) -> np.ndarray:
 class ConeHull:
     """Convex hull of projectivized chamber directions.
 
-    samples are L1-normalized representatives; hull holds the extreme
-    directions (for d = 3 the two endpoints of the slice interval, for
-    d = 2 the single direction).  interval is the gap-coordinate range.
+    hull holds the extreme directions, L1-normalized (for d = 3 the two
+    endpoints of the slice interval, for d = 2 the single direction).
+    interval is the gap-coordinate range.
     """
 
     dim: int
-    samples: np.ndarray
     hull: np.ndarray
     max_norm_used: float
     interval: tuple
@@ -235,15 +234,11 @@ class ConeHull:
 
 def _hull_from_vectors(vectors, max_norm, dim):
     t = gap_slice_coord(vectors)
-    l1 = vectors / np.abs(vectors).sum(axis=1, keepdims=True)
-    samples = np.unique(np.round(l1, 12), axis=0)
     i0, i1 = int(np.argmin(t)), int(np.argmax(t))
     lo, hi = float(t[i0]), float(t[i1])
-    if hi - lo < 1e-14:
-        hull = l1[i0][None]
-    else:
-        hull = np.stack([l1[i0], l1[i1]])
-    return ConeHull(dim, samples, hull, float(max_norm), (lo, hi))
+    ends = vectors[[i0]] if hi - lo < 1e-14 else vectors[[i0, i1]]
+    hull = ends / np.abs(ends).sum(axis=1, keepdims=True)
+    return ConeHull(dim, hull, float(max_norm), (lo, hi))
 
 
 def limit_cone(rep, N: int) -> ConeHull:

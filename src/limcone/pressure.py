@@ -269,7 +269,7 @@ def gibbs_direction(rep, phi0, n, weight_hook=None) -> np.ndarray:
     x = w.log_mult[n] - w.values[n]
     x = x - x.max()
     g = np.exp(x)
-    return (lam * g[:, None]).sum(axis=0) / (n * g.sum())
+    return (g @ lam) / (n * g.sum())
 
 
 def pressure_derivative_check(rep, phi0, phi1, n, h_step=1e-3):

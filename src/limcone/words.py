@@ -190,6 +190,9 @@ def _word_level(k: int, n: int):
     return np.concatenate([prev[parents], ext.reshape(-1, 1)], axis=1)
 
 
+_SCAN_ROWS = 1 << 15
+
+
 @lru_cache(maxsize=64)
 def _class_level(k: int, n: int):
     """Canonical cyclically reduced words of length n and their
@@ -197,7 +200,10 @@ def _class_level(k: int, n: int):
 
     Filters the reduced-word level: keep words that are cyclically
     reduced and minimal among all their rotations.  The rotation scan is
-    vectorized over the whole level.
+    vectorized over blocks of _SCAN_ROWS rows (rows are independent), so
+    its temporaries stay near a megabyte instead of several times the
+    level; at n = 12 whole-level temporaries grew the heap by about 30 MB
+    that the allocator then kept.
     """
     if n < 1:
         raise InvalidParameterError("cyclic length must be >= 1")
@@ -206,14 +212,16 @@ def _class_level(k: int, n: int):
     m = len(W)
     keep = np.ones(m, dtype=bool)
     n_fixed = np.ones(m, dtype=np.int64)              # rotations equal to w
-    rows = np.arange(m)
-    for r in range(1, n):
-        R = np.concatenate([W[:, r:], W[:, :r]], axis=1)
-        neq = R != W
-        any_neq = neq.any(axis=1)
-        first = np.argmax(neq, axis=1)
-        keep &= ~(any_neq & (R[rows, first] < W[rows, first]))
-        n_fixed += ~any_neq
+    for lo in range(0, m, _SCAN_ROWS):
+        B = W[lo:lo + _SCAN_ROWS]
+        rows = np.arange(len(B))
+        for r in range(1, n):
+            R = np.concatenate([B[:, r:], B[:, :r]], axis=1)
+            neq = R != B
+            any_neq = neq.any(axis=1)
+            first = np.argmax(neq, axis=1)
+            keep[lo:lo + len(B)] &= ~(any_neq & (R[rows, first] < B[rows, first]))
+            n_fixed[lo:lo + len(B)] += ~any_neq
     mult = n // n_fixed                                # primitive period
     return W[keep], mult[keep]
 
