@@ -9,89 +9,16 @@ flow.  On top of that sit two independent routes to the same growth
 quantities: definition-level counting estimators and a thermodynamic
 route through periodic-orbit pressure, convex duality and Legendre-type
 reconstruction of the growth indicator.
+
+The public names are those of each module's __all__.
 """
 
-from .errors import (
-    BracketFailureError,
-    DegenerateConeError,
-    InsufficientDataError,
-    InvalidInputError,
-    InvalidParameterError,
-    LimconeError,
-    NotInDualConeError,
-    NotOnBoundaryError,
-    PerturbationFailedError,
-    SpectralFailureError,
-    UndefinedGapError,
-)
-from .words import (
-    ConjugacyClass,
-    Word,
-    canonical_conj,
-    count_words,
-    enumerate_conj_classes,
-    enumerate_words,
-    evaluate,
-    format_word,
-    parse_word,
-    reduce,
-    rotate,
-)
-from .reps import (
-    Representation,
-    dual_rep,
-    load_rep,
-    make_schottky,
-    perturb,
-    save_rep,
-    sym_power_embed,
-)
-from .spectra import (
-    CartanVector,
-    Functional,
-    cartan,
-    gap_ratio,
-    is_proximal,
-    jordan,
-    power_consistency,
-)
-from .counting import (
-    NEG_INFINITY,
-    ConeHull,
-    ExponentEstimate,
-    GrowthIndicatorSample,
-    OrbitCountTable,
-    asymptotic_cone,
-    critical_exponent_direct,
-    growth_indicator_direct,
-    is_neg_infinity,
-    limit_cone,
-    orbit_count_ratio,
-    wall_margins,
-)
-from .pressure import (
-    PressureTable,
-    entropy_of_state,
-    extrapolated_pressure,
-    gibbs_direction,
-    level_pressure,
-    pressure_derivative_check,
-    pressure_root,
-    pressure_table,
-    word_length_weight,
-)
-from .growth import (
-    BoundaryPoint,
-    ConcavityReport,
-    DualBody,
-    GrowthForm,
-    boundary_curve,
-    boundary_point,
-    concavity_audit,
-    continuity_scan,
-    growth_form,
-    psi_from_duality,
-    refinement_error,
-)
+from .errors import *
+from .words import *
+from .reps import *
+from .spectra import *
+from .counting import *
+from .pressure import *
+from .growth import *
 
 __version__ = "0.1.0"

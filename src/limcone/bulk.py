@@ -1,6 +1,8 @@
-"""Bulk spectral data for a representation, cached per (rep, depth).
+"""Bulk spectral data for a representation.
 
-Two tables feed everything downstream:
+Two tables feed everything downstream.  Each is cached whole per
+(rep, n_max), four entries per table, so a scan over fresh
+representations keeps at most four of each alive:
 
 * class spectra: for each cyclic length n, the Jordan projections of
   the canonical conjugacy-class words together with their periodic-point
@@ -11,17 +13,17 @@ Two tables feed everything downstream:
 * element spectra: Cartan projections and lengths of every reduced word
   up to a cap, for the definition-level counting estimators.
 
-Products are evaluated level by level with one batched matrix multiply
-per letter (one multiplication per enumerated word in total), along
-with the reversed inverse products needed by the split-spectrum rule.
-Element products come from one prefix-tree iterator, `word_products`,
-which element_spectra and the CLI `spectra` dump share.  It streams the
-top level through the kernel in blocks of _BLOCK_PARENTS parents, so at
-N = 12 the 708,588 top-level products are never held at once and the
-Cartan table is written into arrays allocated up front.  Everything is
-deterministic: fixed enumeration order, fixed reduction order, no
-threading, and the kernels act row by row, so blocking does not change
-a single bit.
+Every product comes with the reversed inverse product that the
+split-spectrum rule needs.  Class products are built per class word,
+one batched multiply per letter position.  Element products come level
+by level from one prefix-tree iterator, `word_products` (one
+multiplication per enumerated word in total), which element_spectra and
+the CLI `spectra` dump share.  It streams the top level through the
+kernel in blocks of _BLOCK_PARENTS parents, so at N = 12 the 708,588
+top-level products are never held at once and the Cartan table is
+written into arrays allocated up front.  Everything is deterministic:
+fixed enumeration order, fixed reduction order, no threading, and the
+kernels act row by row, so blocking does not change a single bit.
 """
 
 from dataclasses import dataclass
@@ -42,7 +44,6 @@ class ClassSpectra:
 
     n_max: int
     jordan: dict        # n -> (B_n, d) float array
-    mult: dict          # n -> (B_n,) int array
     log_mult: dict      # n -> (B_n,) float array
 
     def all_jordan(self, n_min: int = 1) -> np.ndarray:
@@ -63,37 +64,31 @@ class ElementSpectra:
     lengths: np.ndarray  # (M,)
 
 
-@lru_cache(maxsize=512)
-def _class_level_spectra(rep, n: int):
-    W, mult = words.class_level_arrays(rep.num_generators, n)
-    stack = rep.letter_matrices()
-    inv_stack = np.ascontiguousarray(stack[_swap_index(rep.num_generators)])
-    fwd = stack[W[:, 0]]
-    bwd = inv_stack[W[:, -1]]
-    for j in range(1, n):
-        fwd = fwd @ stack[W[:, j]]
-        bwd = bwd @ inv_stack[W[:, -1 - j]]
-    lam = batched_jordan(fwd, bwd)
-    return lam, mult
-
-
 def _swap_index(k):
     # letter l -> inverse letter, as an index permutation
     idx = np.arange(2 * k)
     return idx ^ 1
 
 
+@lru_cache(maxsize=4)
 def class_spectra(rep, n_max: int) -> ClassSpectra:
-    """Jordan projections and multiplicities for all classes of cyclic
-    length 1..n_max."""
+    """Jordan projections and log multiplicities for all classes of
+    cyclic length 1..n_max."""
     if n_max < 2:
         raise InvalidParameterError("need n_max >= 2")
-    jor, mult, logm = {}, {}, {}
+    stack = rep.letter_matrices()
+    inv_stack = np.ascontiguousarray(stack[_swap_index(rep.num_generators)])
+    jor, logm = {}, {}
     for n in range(1, n_max + 1):
-        lam, m = _class_level_spectra(rep, n)
-        jor[n], mult[n] = lam, m
-        logm[n] = np.log(m.astype(float))
-    return ClassSpectra(n_max, jor, mult, logm)
+        W, mult = words.class_level_arrays(rep.num_generators, n)
+        fwd = stack[W[:, 0]]
+        bwd = inv_stack[W[:, -1]]
+        for j in range(1, n):
+            fwd = fwd @ stack[W[:, j]]
+            bwd = bwd @ inv_stack[W[:, -1 - j]]
+        jor[n] = batched_jordan(fwd, bwd)
+        logm[n] = np.log(mult.astype(float))
+    return ClassSpectra(n_max, jor, logm)
 
 
 # parents per block of the streamed top level: 3 * 2^14 d = 3 products are
@@ -111,6 +106,8 @@ def word_products(rep, n_max: int):
     top level comes in blocks of _BLOCK_PARENTS parents, so its full stacks
     are never held.  One batched multiply per word and direction.
     """
+    if n_max < 1:
+        raise InvalidParameterError("need n_max >= 1")
     k = rep.num_generators
     stack = rep.letter_matrices()
     inv_stack = np.ascontiguousarray(stack[_swap_index(k)])
@@ -135,10 +132,8 @@ def word_products(rep, n_max: int):
 @lru_cache(maxsize=4)
 def element_spectra(rep, n_max: int) -> ElementSpectra:
     """Cartan projections of every reduced word of length 1..n_max."""
-    if n_max < 1:
-        raise InvalidParameterError("need n_max >= 1")
     sizes = [words.count_words(rep.num_generators, n) for n in range(1, n_max + 1)]
-    starts = np.concatenate([[0], np.cumsum(sizes)])
+    starts = np.cumsum([0] + sizes)
     cartan = np.empty((starts[-1], rep.dim))
     for n, lo, fwd, bwd in word_products(rep, n_max):
         row = starts[n - 1] + lo

@@ -3,7 +3,8 @@
 Each subcommand reads a representation file, runs one experiment and
 writes the documented CSV or JSON output, printing a one-line scalar
 summary.  Exit codes: 0 success, 2 file errors, 3 precondition
-violations, 4 numerical failures.  Partially written outputs are
+violations (including malformed functionals, probes and lengths),
+4 numerical failures.  Partially written outputs are
 removed on failure.  All numeric output carries 17 significant digits
 and is bitwise reproducible for a fixed seed, independent of the
 worker-thread count.
@@ -89,7 +90,23 @@ def _phi_from_args(values, dim):
     coeffs = np.array([float(x) for x in values])
     if len(coeffs) != dim:
         raise InvalidParameterError(f"phi needs {dim} coefficients, got {len(coeffs)}")
+    if not np.isfinite(coeffs).all():
+        raise InvalidParameterError("phi coefficients must be finite")
     return Functional(coeffs)
+
+
+def _probes_from_args(values, dim):
+    """Unit probe directions from the repeated --probe arguments."""
+    probes = []
+    for p in values:
+        p = np.asarray(p, dtype=float)
+        if len(p) != dim:
+            raise InvalidParameterError(f"probe needs {dim} coordinates, got {len(p)}")
+        norm = np.linalg.norm(p)
+        if not (np.isfinite(p).all() and norm > 0):
+            raise InvalidParameterError("probe must be finite and nonzero")
+        probes.append(p / norm)
+    return probes
 
 
 def _load(args):
@@ -187,11 +204,10 @@ def _cmd_boundary(args, out):
 
 def _cmd_psi(args, out):
     rep = _load(args)
+    probes = _probes_from_args(args.probe, rep.dim)
     body = growth.boundary_curve(
         rep, resolution=args.resolution, n_max=args.n_max, threads=args.threads
     )
-    probes = [np.asarray(p, dtype=float) for p in args.probe]
-    probes = [p / np.linalg.norm(p) for p in probes]
     rows = []
     last = None
     for p in probes:
@@ -246,8 +262,7 @@ def _cmd_counting_check(args, out):
 
 def _cmd_perturb_scan(args, out):
     rep = _load(args)
-    probes = [np.asarray(p, dtype=float) for p in args.probe]
-    probes = [p / np.linalg.norm(p) for p in probes]
+    probes = _probes_from_args(args.probe, rep.dim)
     rows = growth.continuity_scan(
         rep, [float(e) for e in args.epsilons], args.seed, probes,
         n_max=args.n_max, resolution=args.resolution,

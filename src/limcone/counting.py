@@ -5,8 +5,10 @@ the precise-counting ratio table.
 Exponents are least-squares slopes of log N(s) against s on a uniform
 threshold grid.  Only complete thresholds enter: every item of length
 n contributes value at least n * r_min with r_min the smallest observed
-value-per-letter rate, so thresholds up to (N + 1) * r_min cannot be
-reached by anything longer than the enumeration cap.  Capping instead
+value-per-letter rate, so thresholds below (N + 1) * r_min cannot be
+reached by anything longer than the enumeration cap.  The grid stops
+strictly below that cap: a word of length N + 1 can take the value cap
+itself, and a threshold there would miss it.  Capping instead
 at "max value minus one letter increment" leaves the top of the grid
 badly undercounted and drags the slope down by over 10 percent at desk
 scale.  The lowest fifth of the grid is dropped as transient.
@@ -19,7 +21,7 @@ distances are Euclidean along the slice line, scaled by sqrt(3/2), the
 speed of t -> ((1 - t)/2, t, (-1 - t)/2).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,11 +46,10 @@ __all__ = [
     "growth_indicator_direct",
     "OrbitCountTable",
     "orbit_count_ratio",
-    "wall_margins",
-    "word_length_values",
 ]
 
 _GRID_POINTS = 48
+_RATIO_POINTS = 24
 _DROP_FRACTION = 0.2
 _SLICE_SPEED = np.sqrt(1.5)
 
@@ -74,11 +75,6 @@ def is_neg_infinity(x) -> bool:
     return x is NEG_INFINITY
 
 
-def word_length_values(lengths, spectra):
-    """Counting-side test hook: value = word length."""
-    return np.asarray(lengths, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # exponent regression
 # ---------------------------------------------------------------------------
@@ -91,12 +87,15 @@ class ExponentEstimate:
     std_error: float
     thresholds: np.ndarray
     counts: np.ndarray
-    mode: str
-    length_cap: int
 
-    @property
-    def log_counts(self):
-        return np.log(self.counts)
+
+def _threshold_grid(lo, values, lengths, N, points):
+    """`points` uniform thresholds from lo up to, and strictly below, the
+    completeness cap (N + 1) * min(values / lengths)."""
+    cap = (N + 1) * float((values / lengths).min())
+    if cap <= lo:
+        raise InsufficientDataError("no complete thresholds above the smallest value")
+    return np.linspace(lo, cap, points, endpoint=False)
 
 
 def _slope_fit(values, lengths, N, completeness_values=None, completeness_lengths=None):
@@ -108,12 +107,7 @@ def _slope_fit(values, lengths, N, completeness_values=None, completeness_length
     """
     cv = values if completeness_values is None else completeness_values
     cl = lengths if completeness_lengths is None else completeness_lengths
-    r_min = float((cv / cl).min())
-    cap = (N + 1) * r_min
-    lo = float(values.min())
-    if cap <= lo:
-        raise InsufficientDataError("no complete thresholds above the smallest value")
-    grid = np.linspace(lo, cap, _GRID_POINTS)
+    grid = _threshold_grid(float(values.min()), cv, cl, N, _GRID_POINTS)
     grid = grid[int(_DROP_FRACTION * _GRID_POINTS):]
     sorted_vals = np.sort(values)
     counts = np.searchsorted(sorted_vals, grid, side="right")
@@ -178,7 +172,7 @@ def critical_exponent_direct(rep, phi, N, mode, weight_hook=None) -> ExponentEst
     else:
         raise InvalidParameterError(f"unknown mode {mode!r}")
     slope, se, grid, counts = _slope_fit(values, lengths, N)
-    return ExponentEstimate(slope, se, grid, counts, mode, N)
+    return ExponentEstimate(slope, se, grid, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +220,6 @@ class ConeHull:
         b0, b1 = other.interval
         return _SLICE_SPEED * max(abs(a0 - b0), abs(a1 - b1))
 
-    def contains(self, other: "ConeHull", tol: float = 1e-9) -> bool:
-        a0, a1 = self.interval
-        b0, b1 = other.interval
-        return a0 <= b0 + tol and b1 <= a1 + tol
-
 
 def _hull_from_vectors(vectors, max_norm, dim):
     t = gap_slice_coord(vectors)
@@ -273,15 +262,6 @@ def asymptotic_cone(rep, N: int, norm_floor: float) -> ConeHull:
     return _hull_from_vectors(es.cartan[keep], norms[keep].max(), rep.dim)
 
 
-def wall_margins(rep, N: int) -> np.ndarray:
-    """min over classes of (lambda_i - lambda_(i+1)) / |lambda| for each
-    simple root i; positive stable values witness wall avoidance."""
-    lam = class_spectra(rep, N).all_jordan()
-    norms = np.linalg.norm(lam, axis=1)
-    gaps = -np.diff(lam, axis=1)
-    return (gaps / norms[:, None]).min(axis=0)
-
-
 # ---------------------------------------------------------------------------
 # growth indicator by direct counting
 # ---------------------------------------------------------------------------
@@ -293,8 +273,6 @@ class GrowthIndicatorSample:
 
     direction: np.ndarray
     value: object               # float or NEG_INFINITY
-    method: str
-    params: dict
     std_error: float = float("nan")
 
 
@@ -314,17 +292,16 @@ def growth_indicator_direct(rep, v, half_angle: float, N: int) -> GrowthIndicato
     with np.errstate(invalid="ignore", divide="ignore"):
         cosang = (es.cartan @ coords) / norms
     inside = cosang >= np.cos(half_angle)
-    params = {"length_cap": N, "half_angle": half_angle}
     if not inside.any():
-        return GrowthIndicatorSample(coords, NEG_INFINITY, "direct-count", params)
+        return GrowthIndicatorSample(coords, NEG_INFINITY)
     try:
         slope, se, _, _ = _slope_fit(
             norms[inside], lengths[inside], N,
             completeness_values=norms, completeness_lengths=lengths,
         )
     except InsufficientDataError:
-        return GrowthIndicatorSample(coords, NEG_INFINITY, "direct-count", params)
-    return GrowthIndicatorSample(coords, slope, "direct-count", params, se)
+        return GrowthIndicatorSample(coords, NEG_INFINITY)
+    return GrowthIndicatorSample(coords, slope, se)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +317,6 @@ class OrbitCountTable:
     ratios: np.ndarray
     h: float
     h_std_error: float
-    gap_index: int
 
     def trend_toward_one(self) -> bool:
         """Is the last third of the table closer to 1 than the first?"""
@@ -352,10 +328,9 @@ class OrbitCountTable:
         return last < first
 
 
-def orbit_count_ratio(rep, i: int, N: int, mode: str = "element",
-                      grid_points: int = 24) -> OrbitCountTable:
+def orbit_count_ratio(rep, i: int, N: int) -> OrbitCountTable:
     """Counting check for the eigenvalue-gap functional lambda_i -
-    lambda_(i+1): estimate its exponent h, then tabulate
+    lambda_(i+1): estimate its exponent h in element mode, then tabulate
     h t e^(-h t) #{classes : gap <= t} over complete thresholds."""
     phi = Functional.gap(rep.dim, i)
     cs = class_spectra(rep, N)
@@ -363,10 +338,9 @@ def orbit_count_ratio(rep, i: int, N: int, mode: str = "element",
     gaps = lam[:, i - 1] - lam[:, i]
     if gaps.min() <= 0:
         raise NotInDualConeError("gap functional vanishes on an enumerated class")
-    est = critical_exponent_direct(rep, phi, N, mode)
+    est = critical_exponent_direct(rep, phi, N, "element")
     lengths = cs.lengths().astype(float)
-    cap = (N + 1) * float((gaps / lengths).min())
-    ts = np.linspace(float(gaps.min()), cap, grid_points)
+    ts = _threshold_grid(float(gaps.min()), gaps, lengths, N, _RATIO_POINTS)
     counts = np.searchsorted(np.sort(gaps), ts, side="right")
     ratios = est.value * ts * np.exp(-est.value * ts) * counts
-    return OrbitCountTable(ts, ratios, est.value, est.std_error, i)
+    return OrbitCountTable(ts, ratios, est.value, est.std_error)

@@ -45,7 +45,6 @@ __all__ = [
     "boundary_curve",
     "psi_from_duality",
     "growth_form",
-    "refinement_error",
     "ConcavityReport",
     "concavity_audit",
     "ContinuityRow",
@@ -53,6 +52,7 @@ __all__ = [
 ]
 
 _ENDPOINT_SLOPE_FACTOR = 1.5
+_EDGE_MARGIN = 0.05     # fraction of the dual-cone window left untraced at each end
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,6 @@ class BoundaryPoint:
     gibbs_dir: np.ndarray        # unit tangency direction
     gibbs_norm: float            # norm of the raw Gibbs mean per unit time
     entropy: float               # functional evaluated on the raw Gibbs mean
-    n_used: int
 
     @property
     def gibbs_vector(self) -> np.ndarray:
@@ -89,28 +88,6 @@ class DualBody:
     def functionals(self) -> np.ndarray:
         return np.stack([bp.functional.coeffs for bp in self.boundary])
 
-    def convexity_report(self, probe_count: int = 9, tol: float = 1e-6):
-        """Weak and strict convex-position checks of the traced curve:
-        each interior functional must dominate the lower envelope of its
-        neighbours on probe chamber vectors."""
-        if len(self.boundary) < 3:
-            return True, not self.degenerate
-        tg = [gap_slice_coord(bp.gibbs_vector[None])[0] for bp in self.boundary]
-        lo, hi = min(tg), max(tg)
-        probes = [_chamber_direction(t) for t in np.linspace(lo, hi, probe_count)]
-        weak = strict = True
-        for i in range(1, len(self.boundary) - 1):
-            phi = self.boundary[i].functional
-            nbr_lo = self.boundary[i - 1].functional
-            nbr_hi = self.boundary[i + 1].functional
-            for v in probes:
-                env = min(nbr_lo(v), nbr_hi(v))
-                if phi(v) < env - tol:
-                    weak = False
-                if phi(v) <= env:
-                    strict = False
-        return weak, strict
-
 
 @dataclass(frozen=True)
 class GrowthForm:
@@ -119,13 +96,9 @@ class GrowthForm:
     tau: np.ndarray              # unit growth direction
 
 
-def _chamber_direction(t: float, d: int = 3) -> np.ndarray:
-    """Unit chamber vector with gap coordinate t (d = 3), or the single
-    chamber direction for d = 2."""
-    if d == 2:
-        v = np.array([1.0, -1.0])
-    else:
-        v = np.array([(1.0 - t) / 2.0, t, (-1.0 - t) / 2.0])
+def _chamber_direction(t: float) -> np.ndarray:
+    """Unit chamber vector with gap coordinate t (d = 3)."""
+    v = np.array([(1.0 - t) / 2.0, t, (-1.0 - t) / 2.0])
     return v / np.linalg.norm(v)
 
 
@@ -146,7 +119,7 @@ def boundary_point(rep, u, tol: float = 1e-6, n_max: int = DEFAULT_N_MAX) -> Bou
     phi = s_star * un
     g = gibbs_direction(rep, phi, n_max)
     gn = float(np.linalg.norm(g))
-    return BoundaryPoint(un, float(s_star), phi, g / gn, gn, float(phi.coeffs @ g), n_max)
+    return BoundaryPoint(un, float(s_star), phi, g / gn, gn, float(phi.coeffs @ g))
 
 
 def _dual_window(rep, n_max):
@@ -163,10 +136,11 @@ def _dual_window(rep, n_max):
 
 
 def boundary_curve(rep, resolution: int = 16, n_max: int = DEFAULT_N_MAX,
-                   inset: float = 0.05, allow_degenerate: bool = False,
-                   threads: int = 1, tol: float = 1e-6) -> DualBody:
+                   allow_degenerate: bool = False, threads: int = 1) -> DualBody:
     """Trace the dual-body boundary at `resolution` directions sampled
-    uniformly by angle strictly inside the dual cone estimate.
+    uniformly by angle strictly inside the dual cone estimate, kept a
+    fixed 5 percent of the window width away from each end.  Each
+    pressure root is found to within 1e-6.
 
     Individual direction failures are recorded as gaps; more than 20
     percent failing aborts.  A representation whose sampled limit cone
@@ -175,7 +149,7 @@ def boundary_curve(rep, resolution: int = 16, n_max: int = DEFAULT_N_MAX,
     set it to keep the unperturbed baseline usable).
     """
     if rep.dim == 2:
-        bp = boundary_point(rep, Functional(np.array([1.0, -1.0])), tol, n_max)
+        bp = boundary_point(rep, Functional(np.array([1.0, -1.0])), n_max=n_max)
         rays = (Functional(np.array([1.0, -1.0])),)
         return DualBody((bp,), (0.0,), rays, (), False)
     if rep.dim != 3:
@@ -189,13 +163,13 @@ def boundary_curve(rep, resolution: int = 16, n_max: int = DEFAULT_N_MAX,
             " (pass allow_degenerate=True to trace it anyway)"
         )
     width = hi - lo
-    lo_i, hi_i = lo + inset * width, hi - inset * width
+    lo_i, hi_i = lo + _EDGE_MARGIN * width, hi - _EDGE_MARGIN * width
     thetas = np.linspace(lo_i, hi_i, resolution)
 
     def trace(theta):
         u = Functional(np.cos(theta) * _U1 + np.sin(theta) * _U2)
         try:
-            return boundary_point(rep, u, tol, n_max)
+            return boundary_point(rep, u, n_max=n_max)
         except LimconeError:
             return None
 
@@ -273,20 +247,6 @@ def growth_form(body: DualBody) -> GrowthForm:
     return GrowthForm(theta, h, theta.coeffs / h)
 
 
-def refinement_error(coarse: DualBody, fine: DualBody) -> float:
-    """Largest functional distance from a coarse boundary point to the
-    angle-interpolated fine curve; the resolution error scale."""
-    if len(fine) < 2:
-        return 0.0
-    th_f = np.array(fine.thetas)
-    comps = fine.functionals()
-    err = 0.0
-    for th, bp in zip(coarse.thetas, coarse.boundary):
-        interp = np.array([np.interp(th, th_f, comps[:, j]) for j in range(comps.shape[1])])
-        err = max(err, float(np.linalg.norm(bp.functional.coeffs - interp)))
-    return err
-
-
 # ---------------------------------------------------------------------------
 # concavity audit
 # ---------------------------------------------------------------------------
@@ -303,10 +263,6 @@ class ConcavityReport:
     @property
     def concave_ok(self) -> bool:
         return self.concave_pairs == self.pairs_tested
-
-    @property
-    def strict_fraction(self) -> float:
-        return self.strict_pairs / self.pairs_tested if self.pairs_tested else 0.0
 
 
 def concavity_audit(body: DualBody, samples: int = 32, seed: int = 0,

@@ -45,7 +45,6 @@ from .errors import (
     NotInDualConeError,
     NotOnBoundaryError,
 )
-from .spectra import Functional
 
 __all__ = [
     "PressureTable",
@@ -187,7 +186,6 @@ class PressureTable:
     z; extrapolated is then the level pressure P_(n_max)(t).
     """
 
-    weight_id: str
     t: float
     levels: dict
     extrapolated: float
@@ -230,8 +228,7 @@ def pressure_table(rep, phi, t, n_max=DEFAULT_N_MAX, weight_hook=None) -> Pressu
     cycle = _cycle_pressure(w, t)
     osc = cycle is None
     extrap = levels[n_max] if osc else cycle[0]
-    weight_id = "hook" if weight_hook is not None else f"phi{tuple(np.round(phi.coeffs, 12))}"
-    return PressureTable(weight_id, float(t), levels, float(extrap), n_max, osc)
+    return PressureTable(float(t), levels, float(extrap), n_max, osc)
 
 
 def extrapolated_pressure(rep, phi, t=1.0, n_max=DEFAULT_N_MAX, weight_hook=None) -> float:

@@ -26,7 +26,6 @@ from .errors import InvalidInputError, InvalidParameterError
 __all__ = [
     "Word",
     "ConjugacyClass",
-    "inverse_letter",
     "reduce",
     "rotate",
     "canonical_conj",
@@ -37,10 +36,6 @@ __all__ = [
     "parse_word",
     "format_word",
 ]
-
-
-def inverse_letter(letter: int) -> int:
-    return letter ^ 1
 
 
 def _validate_letters(letters, k=None):

@@ -1,0 +1,29 @@
+"""Every public module-level function of the package has a caller or a
+test: its name appears in another package module (not the re-exporting
+__init__), in tests/ or in perfbench/."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "limcone"
+
+
+def public_functions(path):
+    tree = ast.parse(path.read_text())
+    return [node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+def test_public_functions_are_used():
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    others = modules + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    texts = {p: p.read_text() for p in others}
+    unused = []
+    for module in modules:
+        for name in public_functions(module):
+            pattern = re.compile(rf"\b{name}\b")
+            if not any(pattern.search(text) for p, text in texts.items() if p != module):
+                unused.append(f"{module.name}:{name}")
+    assert not unused, f"public functions with no caller or test: {unused}"

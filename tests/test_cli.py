@@ -1,0 +1,81 @@
+"""Command line contract: exit codes, removal of partial output, and
+bitwise reproducible files."""
+
+import pytest
+
+from limcone import cli, save_rep
+
+
+@pytest.fixture(scope="module")
+def reps(tmp_path_factory, s2, f3, p3):
+    d = tmp_path_factory.mktemp("reps")
+    paths = {}
+    for name, rep in (("s2", s2), ("f3", f3), ("p3", p3)):
+        paths[name] = str(d / f"{name}.rep")
+        save_rep(rep, paths[name])
+    return paths
+
+
+def run(tmp_path, reps, rep, *argv, out="out.txt", pre=()):
+    path = tmp_path / out
+    return cli.main([*pre, *argv[:1], "--rep", reps[rep], "--out", str(path), *argv[1:]]), path
+
+
+def test_missing_rep_file(tmp_path):
+    out = tmp_path / "out.csv"
+    rc = cli.main(["cone", "--rep", str(tmp_path / "absent.rep"), "--out", str(out)])
+    assert rc == cli.EXIT_FILE and not out.exists()
+
+
+@pytest.mark.parametrize("rep,argv", [
+    ("p3", ["psi", "--probe", "1", "-1"]),
+    ("p3", ["psi", "--probe", "0", "0", "0"]),
+    ("p3", ["psi", "--probe", "1", "nan", "-1"]),
+    ("p3", ["perturb-scan", "--epsilons", "0.01", "--probe", "1", "-1"]),
+    ("s2", ["spectra", "--max-len", "0"]),
+    ("s2", ["spectra", "--max-len", "-2"]),
+    ("s2", ["entropy", "--phi", "1", "-1"]),
+    ("p3", ["exponent", "--phi", "1", "nan", "-1"]),
+    ("p3", ["pressure", "--phi", "1", "nan", "-1"]),
+], ids=["psi-short-probe", "psi-zero-probe", "psi-nan-probe", "scan-short-probe",
+        "spectra-len-0", "spectra-len-neg", "entropy-off-boundary", "exponent-nan-phi",
+        "pressure-nan-phi"])
+def test_precondition_exit(tmp_path, reps, rep, argv):
+    rc, out = run(tmp_path, reps, rep, *argv)
+    assert rc == cli.EXIT_PRECONDITION and not out.exists()
+
+
+def test_degenerate_cone_is_numerical(tmp_path, reps):
+    rc, out = run(tmp_path, reps, "f3", "boundary")
+    assert rc == cli.EXIT_NUMERICAL and not out.exists()
+
+
+def test_partial_output_removed(tmp_path, reps):
+    # the level-pressure CSV is written before the root finds the
+    # functional negative on a class
+    json_out = tmp_path / "root.json"
+    rc, out = run(tmp_path, reps, "s2", "pressure", "--phi", "-1", "1",
+                  "--json-out", str(json_out))
+    assert rc == cli.EXIT_PRECONDITION
+    assert not out.exists() and not json_out.exists()
+
+
+def test_pressure_files_reproducible(tmp_path, reps):
+    files = []
+    for i in range(2):
+        json_out = tmp_path / f"root{i}.json"
+        rc, out = run(tmp_path, reps, "p3", "pressure", "--phi", "1", "0", "-1",
+                      "--json-out", str(json_out), out=f"p{i}.csv")
+        assert rc == 0
+        files.append((out.read_bytes(), json_out.read_bytes()))
+    assert files[0] == files[1]
+
+
+def test_boundary_reproducible_across_runs_and_threads(tmp_path, reps):
+    outs = []
+    for i, threads in enumerate(("1", "1", "2")):
+        rc, out = run(tmp_path, reps, "p3", "boundary", out=f"b{i}.json",
+                      pre=("--threads", threads))
+        assert rc == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == outs[2]

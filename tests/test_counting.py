@@ -1,0 +1,75 @@
+"""Definition-level counting: the complete-threshold window, cone hulls
+and the direct growth indicator.
+
+The word-length weight is the exact seam: on F_2 there are 2 * 3^m - 2
+reduced words of length 1..m, so the element count at threshold s is
+2 * 3^floor(s) - 2 at every threshold the window admits, and the slope
+tends to log 3.
+"""
+
+import numpy as np
+import pytest
+
+from limcone import (
+    InsufficientDataError,
+    InvalidParameterError,
+    asymptotic_cone,
+    critical_exponent_direct,
+    growth_indicator_direct,
+    limit_cone,
+)
+
+LOG3 = np.log(3.0)
+
+
+def word_length(lengths, spectra):
+    return lengths
+
+
+@pytest.fixture(scope="module")
+def element_estimate(s2):
+    return critical_exponent_direct(s2, None, 12, "element", weight_hook=word_length)
+
+
+class TestCompleteWindow:
+    def test_word_length_counts_exact(self, element_estimate):
+        # the top threshold stays below (N + 1) * r_min = 13, where words
+        # of length 13 (not enumerated) would start to count
+        s = element_estimate.thresholds
+        assert s.max() < 13
+        assert np.array_equal(element_estimate.counts, 2 * 3 ** np.floor(s).astype(np.int64) - 2)
+
+    def test_word_length_slope(self, s2, element_estimate):
+        assert abs(element_estimate.value - LOG3) < 0.005
+        conj = critical_exponent_direct(s2, None, 12, "conjugacy", weight_hook=word_length)
+        assert conj.value < LOG3
+
+
+class TestCones:
+    def test_symmetric_square_cone_is_a_ray(self, f3):
+        cone = limit_cone(f3, 12)
+        assert len(cone.hull) == 1
+        assert cone.width < 1e-12
+
+    def test_perturbed_cone_has_width(self, p3):
+        cone = limit_cone(p3, 12)
+        assert len(cone.hull) == 2
+        assert cone.width > 0.01
+
+    def test_floor_above_every_norm(self, p3):
+        with pytest.raises(InsufficientDataError):
+            asymptotic_cone(p3, 6, 1e6)
+
+
+class TestDirectIndicator:
+    @pytest.mark.parametrize("v", [[2.0, 0.0, -2.0], [1.0, 0.0, 0.0]])
+    def test_rejects_bad_direction(self, p3, v):
+        with pytest.raises(InvalidParameterError):
+            growth_indicator_direct(p3, np.array(v), 0.1, 8)
+
+    @pytest.mark.parametrize("half_angle", [0.0, -0.1, np.pi / 4 + 1e-3])
+    def test_rejects_bad_half_angle(self, p3, half_angle):
+        v = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
+        with pytest.raises(InvalidParameterError):
+            growth_indicator_direct(p3, v, half_angle, 8)
+
