@@ -14,16 +14,21 @@ representations keeps at most four of each alive:
   up to a cap, for the definition-level counting estimators.
 
 Every product comes with the reversed inverse product that the
-split-spectrum rule needs.  Class products are built per class word,
-one batched multiply per letter position.  Element products come level
-by level from one prefix-tree iterator, `word_products` (one
-multiplication per enumerated word in total), which element_spectra and
-the CLI `spectra` dump share.  It streams the top level through the
-kernel in blocks of _BLOCK_PARENTS parents, so at N = 12 the 708,588
-top-level products are never held at once and the Cartan table is
-written into arrays allocated up front.  Everything is deterministic:
-fixed enumeration order, fixed reduction order, no threading, and the
-kernels act row by row, so blocking does not change a single bit.
+split-spectrum rule needs.  All products come from one engine,
+`_tree_products`, which walks a prefix tree depth by depth with one
+batched multiply per tree node and direction: the forward product
+extends its parent's on the right, the inverse product on the left.
+Element products walk the tree of reduced words (`word_products`, shared
+by element_spectra and the CLI `spectra` dump); class products walk the
+tree of class-word prefixes (words.class_tree), whose 95,768 nodes at
+k = 2, N = 12 replace the 728,868 letter products of multiplying each
+of the 69,996 class words from scratch.  The engine streams the top
+depth through the kernel in row blocks, so at N = 12 the 708,588
+top-level element products are never held at once and the Cartan table
+is written into arrays allocated up front.  Everything is
+deterministic: fixed enumeration order, fixed association order, no
+threading, and the kernels act row by row, so blocking does not change
+a single bit.
 """
 
 from dataclasses import dataclass
@@ -64,10 +69,58 @@ class ElementSpectra:
     lengths: np.ndarray  # (M,)
 
 
-def _swap_index(k):
-    # letter l -> inverse letter, as an index permutation
-    idx = np.arange(2 * k)
-    return idx ^ 1
+# the top depth streams in blocks of the children of _BLOCK_PARENTS full
+# reduced-word parents: 3 * 2^12 d = 3 products are 0.9 MB per stack,
+# against 51 MB for the whole of element level 12 and 3.2 MB for class
+# level 12, whose blocks ride on the depth-11 stacks
+_BLOCK_PARENTS = 1 << 12
+
+
+def _tree_products(rep, edges, n_max: int):
+    """Forward and inverse products of the nodes of a prefix tree.
+
+    edges yields, for depth 1..n_max in turn, (parents, last): the row of
+    each node's parent one depth up (0, the identity root, at depth 1) and
+    the node's last letter.  Yields (n, lo, fwd, bwd): the products of rows
+    lo, lo + 1, ... of depth n as (rows, d, d) stacks, fwd = fwd[parent] @
+    letter and bwd = letter^-1 @ bwd[parent].  Every depth below n_max
+    comes whole, because it holds the parents of the next; depth n_max
+    comes in row blocks, so its full stacks are never held.
+    """
+    k = rep.num_generators
+    stack = rep.letter_matrices()
+    inv_stack = np.ascontiguousarray(stack[np.arange(2 * k) ^ 1])
+    fwd = bwd = np.eye(rep.dim)[None]
+    for n, (parents, last) in enumerate(edges, 1):
+        block = _BLOCK_PARENTS * (2 * k - 1) if n == n_max else len(last)
+        for lo in range(0, len(last), block):
+            up, tail = parents[lo:lo + block], last[lo:lo + block]
+            child_fwd = fwd[up] @ stack[tail]
+            child_bwd = inv_stack[tail] @ bwd[up]
+            yield n, lo, child_fwd, child_bwd
+        fwd, bwd = child_fwd, child_bwd
+
+
+def _word_edges(k, n_max):
+    """Edges of the reduced-word tree, one depth at a time: row i of
+    level n extends row i // (2k - 1) of level n - 1 (the root, for n = 1)."""
+    for n in range(1, n_max + 1):
+        last = words.word_level_array(k, n)[:, -1]
+        branching = 2 * k if n == 1 else 2 * k - 1      # children per parent
+        yield np.arange(len(last), dtype=np.int32) // branching, last
+
+
+def word_products(rep, n_max: int):
+    """Forward and inverse products of every reduced word of length
+    1..n_max, in enumeration order.
+
+    Yields (n, lo, fwd, bwd): the products of rows lo, lo + 1, ... of
+    words.word_level_array(k, n), as (rows, d, d) stacks; levels below
+    n_max come whole and level n_max in blocks (see _tree_products).
+    """
+    if n_max < 1:
+        raise InvalidParameterError("need n_max >= 1")
+    return _tree_products(rep, _word_edges(rep.num_generators, n_max), n_max)
 
 
 @lru_cache(maxsize=4)
@@ -76,57 +129,17 @@ def class_spectra(rep, n_max: int) -> ClassSpectra:
     cyclic length 1..n_max."""
     if n_max < 2:
         raise InvalidParameterError("need n_max >= 2")
-    stack = rep.letter_matrices()
-    inv_stack = np.ascontiguousarray(stack[_swap_index(rep.num_generators)])
-    jor, logm = {}, {}
-    for n in range(1, n_max + 1):
-        W, mult = words.class_level_arrays(rep.num_generators, n)
-        fwd = stack[W[:, 0]]
-        bwd = inv_stack[W[:, -1]]
-        for j in range(1, n):
-            fwd = fwd @ stack[W[:, j]]
-            bwd = bwd @ inv_stack[W[:, -1 - j]]
-        jor[n] = batched_jordan(fwd, bwd)
-        logm[n] = np.log(mult.astype(float))
-    return ClassSpectra(n_max, jor, logm)
-
-
-# parents per block of the streamed top level: 3 * 2^14 d = 3 products are
-# 3.5 MB per stack, against 51 MB for the whole of level 12
-_BLOCK_PARENTS = 1 << 14
-
-
-def word_products(rep, n_max: int):
-    """Forward and inverse products of every reduced word of length
-    1..n_max, in enumeration order.
-
-    Yields (n, lo, fwd, bwd): the products of rows lo, lo + 1, ... of
-    words.word_level_array(k, n), as (rows, d, d) stacks.  Every level
-    below n_max comes whole, because it holds the parents of the next; the
-    top level comes in blocks of _BLOCK_PARENTS parents, so its full stacks
-    are never held.  One batched multiply per word and direction.
-    """
-    if n_max < 1:
-        raise InvalidParameterError("need n_max >= 1")
     k = rep.num_generators
-    stack = rep.letter_matrices()
-    inv_stack = np.ascontiguousarray(stack[_swap_index(k)])
-    fwd = bwd = None
-    for n in range(1, n_max + 1):
-        last = words.word_level_array(k, n)[:, -1]
-        if n == 1:
-            fwd, bwd = stack[last], inv_stack[last]
-            yield 1, 0, fwd, bwd
-            continue
-        block = _BLOCK_PARENTS if n == n_max else len(fwd)
-        for p0 in range(0, len(fwd), block):
-            parents = np.arange(p0, min(p0 + block, len(fwd))).repeat(2 * k - 1)
-            lo = p0 * (2 * k - 1)
-            tail = last[lo:lo + len(parents)]
-            child_fwd = fwd[parents] @ stack[tail]
-            child_bwd = inv_stack[tail] @ bwd[parents]
-            yield n, lo, child_fwd, child_bwd
-        fwd, bwd = child_fwd, child_bwd
+    edges, index = words.class_tree(k, n_max)
+    blocks = {n: [] for n in range(1, n_max + 1)}
+    for n, lo, fwd, bwd in _tree_products(rep, edges, n_max):
+        rows = index[n - 1]
+        a, b = np.searchsorted(rows, (lo, lo + len(fwd)))
+        rows = rows[a:b] - lo
+        blocks[n].append(batched_jordan(fwd[rows], bwd[rows]))
+    jor = {n: np.concatenate(parts) for n, parts in blocks.items()}
+    logm = {n: np.log(words.class_level_arrays(k, n)[1].astype(float)) for n in jor}
+    return ClassSpectra(n_max, jor, logm)
 
 
 @lru_cache(maxsize=4)

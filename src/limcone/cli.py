@@ -87,7 +87,10 @@ class _Output:
 
 
 def _phi_from_args(values, dim):
-    coeffs = np.array([float(x) for x in values])
+    try:
+        coeffs = np.array([float(x) for x in values])
+    except ValueError as exc:
+        raise InvalidParameterError(f"phi coefficients must be numbers: {exc}") from exc
     if len(coeffs) != dim:
         raise InvalidParameterError(f"phi needs {dim} coefficients, got {len(coeffs)}")
     if not np.isfinite(coeffs).all():

@@ -226,14 +226,11 @@ def growth_form(body: DualBody) -> GrowthForm:
     """
     norms = np.array([bp.functional.norm() for bp in body.boundary])
     i = int(np.argmin(norms))
-    if len(body.boundary) < 3 or i in (0, len(norms) - 1):
-        phi = body.boundary[i].functional
-        h = float(norms[i])
-        return GrowthForm(phi, h, phi.coeffs / h)
-    x = np.array(body.thetas[i - 1 : i + 2])
-    y = norms[i - 1 : i + 2]
-    coef = np.polyfit(x, y, 2)
-    if coef[0] <= 0:
+    interior = 0 < i < len(norms) - 1
+    if interior:
+        x = np.array(body.thetas[i - 1 : i + 2])
+        coef = np.polyfit(x, norms[i - 1 : i + 2], 2)
+    if not interior or coef[0] <= 0:
         phi = body.boundary[i].functional
         h = float(norms[i])
         return GrowthForm(phi, h, phi.coeffs / h)

@@ -223,6 +223,8 @@ def level_pressure(rep, phi, t, n, weight_hook=None) -> float:
 
 def pressure_table(rep, phi, t, n_max=DEFAULT_N_MAX, weight_hook=None) -> PressureTable:
     _require_levels(n_max, lo=3)
+    if not np.isfinite(t):
+        raise InvalidParameterError("t must be finite")
     w = _Weights(rep, phi, n_max, weight_hook)
     levels = {n: w.level(n, t) for n in range(2, n_max + 1)}
     cycle = _cycle_pressure(w, t)

@@ -372,25 +372,20 @@ def _public_spectrum(m, top_fn) -> np.ndarray:
     """Full log spectrum of a single matrix, sum-normalised to zero.
 
     Determinants of extreme matrices are not floating-computable, so
-    nothing here divides by det: the top d - 1 values come from the
-    one-sided solver (near machine relative accuracy), the bottom one
-    from the LU inverse (degrades like eps * cond), and the final
-    mean-subtraction absorbs the overall scale exactly.  Bulk paths get
-    sharper bottom halves from exact generator-inverse products.
+    nothing here divides by det or assumes one: the top ceil(d/2) values
+    come from the one-sided solver (near machine relative accuracy), the
+    bottom floor(d/2) from the LU inverse (degrades like eps * cond), and
+    the final mean-subtraction absorbs the overall scale exactly.  Bulk
+    paths get sharper bottom halves from exact generator-inverse products.
     """
     d = m.shape[0]
     try:
-        if d <= 3:
-            minv = np.linalg.inv(m)
-            lead = top_fn(m[None], d - 1)[0]
-            bottom = -top_fn(minv[None], 1)[0]
-            out = np.concatenate([lead, bottom])
-        else:
-            minv = np.linalg.inv(m)
-            h = d // 2
-            out = _split_spectrum(top_fn(m[None], h), top_fn(minv[None], h), d)[0]
+        minv = np.linalg.inv(m)
+        lead = top_fn(m[None], d - d // 2)[0]
+        bottom = -top_fn(minv[None], d // 2)[0][::-1]
     except np.linalg.LinAlgError as exc:
         raise SpectralFailureError("matrix is numerically singular") from exc
+    out = np.concatenate([lead, bottom])
     if not np.isfinite(out).all():
         raise SpectralFailureError("spectrum overflow or singular input")
     out = np.minimum.accumulate(out)      # exact ties at working precision

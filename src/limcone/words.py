@@ -11,9 +11,11 @@ symbolic stand-in for the geodesic flow; a class whose cyclic word has
 primitive period p accounts for p distinct periodic sequences of its
 length, and that multiplicity is carried alongside the canonical word.
 
-The module keeps two process-wide caches of pure combinatorics, both
+The module keeps three process-wide caches of pure combinatorics, all
 independent of any representation: the tree of reduced words organised
-by level, and the canonical class words with their multiplicities.
+by level, the canonical class words with their multiplicities, and the
+prefix tree of those class words (`class_tree`), along which
+limcone.bulk builds one product per distinct prefix.
 """
 
 from dataclasses import dataclass
@@ -219,6 +221,38 @@ def _class_level(k: int, n: int):
             n_fixed[lo:lo + len(B)] += ~any_neq
     mult = n // n_fixed                                # primitive period
     return W[keep], mult[keep]
+
+
+@lru_cache(maxsize=64)
+def class_tree(k: int, n_max: int):
+    """Prefix tree of the canonical class words of length 1..n_max.
+
+    Returns (edges, index).  edges[j - 1] = (parents, last) for depth j:
+    the sorted distinct j-prefixes of the class words, each given by the
+    row of its (j-1)-prefix one depth up (the root, for j = 1) and its last
+    letter.  index[n - 1] holds the rows of the level-n class words, in
+    class_level_arrays order, among the depth-n prefixes.  Prefixes are
+    sorted as base-2k integer codes, first letter most significant, which
+    is the lexicographic order of the words; the codes fit int64 while
+    (2k)^n_max < 2^63.  Built bottom-up: the depth-j prefixes are the
+    level-j class words together with the parents of depth j + 1.
+    """
+    base = 2 * k
+    if n_max < 1 or base ** n_max >= 2 ** 63:
+        raise InvalidParameterError("need 1 <= n_max with (2k)^n_max < 2^63")
+    parents, last, index = [None] * n_max, [None] * n_max, [None] * n_max
+    below = np.zeros(0, dtype=np.int64)                # depth j + 1 prefix codes
+    for j in range(n_max, 0, -1):
+        W = _class_level(k, j)[0].astype(np.int64)
+        codes = W @ base ** np.arange(j - 1, -1, -1, dtype=np.int64)
+        nodes = np.unique(np.concatenate([codes, below // base]))
+        index[j - 1] = np.searchsorted(nodes, codes).astype(np.int32)
+        last[j - 1] = (nodes % base).astype(np.int8)
+        if j < n_max:
+            parents[j] = np.searchsorted(nodes, below // base).astype(np.int32)
+        below = nodes
+    parents[0] = np.zeros(len(below), dtype=np.int32)
+    return tuple(zip(parents, last)), tuple(index)
 
 
 def enumerate_words(k: int, n: int):

@@ -1,8 +1,10 @@
 """Every public module-level function of the package has a caller or a
 test: its name appears in another package module (not the re-exporting
-__init__), in tests/ or in perfbench/."""
+__init__), in tests/ or in perfbench/.  Every name the traced benchmark
+run patches exists."""
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -27,3 +29,12 @@ def test_public_functions_are_used():
             if not any(pattern.search(text) for p, text in texts.items() if p != module):
                 unused.append(f"{module.name}:{name}")
     assert not unused, f"public functions with no caller or test: {unused}"
+
+
+def test_trace_attach_points_resolve():
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{mod}.{attr}" for mod, attr, _ in tracing.ATTACH_POINTS
+               if getattr(importlib.import_module("limcone." + mod), attr, None) is None]
+    assert not missing, f"attach points the traced run cannot patch: {missing}"

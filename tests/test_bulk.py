@@ -71,6 +71,11 @@ def plain_element_spectra(rep, n_max):
     return np.concatenate(carts)
 
 
+def plain_class_spectra(rep, n_max):
+    """Per-class letter loop: every class word multiplied from scratch."""
+    return {n: batched_jordan(*class_products(rep, n)) for n in range(1, n_max + 1)}
+
+
 @pytest.fixture(scope="module", params=["s2", "f3", "p3"])
 def rep(request):
     return request.getfixturevalue(request.param)
@@ -238,6 +243,26 @@ class TestWordProducts:
         cart = bulk.element_spectra(p3, 5).cartan
         jor = np.concatenate([batched_jordan(f, b) for _, _, f, b in bulk.word_products(p3, 5)])
         assert np.array_equal(got, np.hstack([cart, jor]))
+
+
+class TestClassSpectra:
+    def test_tree_equals_per_class_loop(self, rep):
+        cs = bulk.class_spectra(rep, 12)
+        for n, expect in plain_class_spectra(rep, 12).items():
+            assert np.abs(cs.jordan[n] - expect).max() < 1e-13, n
+            mult = words.class_level_arrays(rep.num_generators, n)[1]
+            assert np.array_equal(cs.log_mult[n], np.log(mult.astype(float)))
+
+    def test_top_depth_blocks(self, p3, monkeypatch):
+        # forced small blocks stream the top depth in many pieces
+        monkeypatch.setattr(bulk, "_BLOCK_PARENTS", 7)
+        bulk.class_spectra.cache_clear()
+        try:
+            cs = bulk.class_spectra(p3, 8)
+        finally:
+            bulk.class_spectra.cache_clear()
+        for n, expect in plain_class_spectra(p3, 8).items():
+            assert np.abs(cs.jordan[n] - expect).max() < 1e-13, n
 
 
 def test_class_scan_blocks_match_whole_level(monkeypatch):

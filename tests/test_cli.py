@@ -37,9 +37,11 @@ def test_missing_rep_file(tmp_path):
     ("s2", ["entropy", "--phi", "1", "-1"]),
     ("p3", ["exponent", "--phi", "1", "nan", "-1"]),
     ("p3", ["pressure", "--phi", "1", "nan", "-1"]),
+    ("p3", ["exponent", "--phi", "1", "abc", "-1"]),
+    ("p3", ["pressure", "--phi", "1", "0", "-1", "--t", "nan"]),
 ], ids=["psi-short-probe", "psi-zero-probe", "psi-nan-probe", "scan-short-probe",
         "spectra-len-0", "spectra-len-neg", "entropy-off-boundary", "exponent-nan-phi",
-        "pressure-nan-phi"])
+        "pressure-nan-phi", "exponent-text-phi", "pressure-nan-t"])
 def test_precondition_exit(tmp_path, reps, rep, argv):
     rc, out = run(tmp_path, reps, rep, *argv)
     assert rc == cli.EXIT_PRECONDITION and not out.exists()

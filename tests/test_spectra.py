@@ -265,3 +265,13 @@ class TestPowerConsistency:
     def test_power_precondition(self):
         with pytest.raises(InvalidParameterError):
             power_consistency(np.eye(2), 0)
+
+
+@pytest.mark.parametrize("fn", [cartan, jordan])
+def test_d5_scalar_rescaling(fn):
+    # the middle value of odd d once came from a zero sum that assumes |det| = 1
+    e = np.exp([2.0, 1.0, 0.0, -1.0, -2.0])
+    q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(5, 5)))
+    for m in (np.diag(e), q @ np.diag(e) @ q.T):
+        for scale in (1.0, 3.0, 0.2):
+            assert np.abs(fn(scale * m).coords - [2, 1, 0, -1, -2]).max() < 1e-12

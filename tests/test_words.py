@@ -11,6 +11,7 @@ import pytest
 from limcone import (
     ConjugacyClass,
     InvalidInputError,
+    InvalidParameterError,
     Word,
     canonical_conj,
     count_words,
@@ -23,7 +24,7 @@ from limcone import (
     reduce,
     rotate,
 )
-from limcone.words import class_level_arrays, _class_level, _word_level
+from limcone.words import class_level_arrays, class_tree, _class_level, _word_level
 
 
 def rescan_reduce(letters):
@@ -223,3 +224,34 @@ class TestTextForms:
     def test_parse_unknown(self, s2):
         with pytest.raises(InvalidInputError):
             parse_word("axb", s2.labels)
+
+
+class TestClassTree:
+    @pytest.mark.parametrize("k,n_max", [(2, 10), (3, 6)])
+    def test_parent_walk_spells_the_class_words(self, k, n_max):
+        edges, index = class_tree(k, n_max)
+        assert not edges[0][0].any()              # depth 1 hangs from the root
+        for n in range(1, n_max + 1):
+            rows, letters = index[n - 1], []
+            for parents, last in edges[n - 1::-1]:
+                letters.append(last[rows])
+                rows = parents[rows]
+            assert np.array_equal(np.stack(letters[::-1], axis=1), class_level_arrays(k, n)[0])
+
+    def test_nodes_are_the_distinct_prefixes(self):
+        edges, _ = class_tree(2, 7)
+        words = [w for n in range(1, 8) for w in class_level_arrays(2, n)[0].tolist()]
+        for j, (parents, last) in enumerate(edges, 1):
+            assert len(last) == len({tuple(w[:j]) for w in words if len(w) >= j})
+
+    def test_node_counts_at_twelve(self):
+        edges, index = class_tree(2, 12)
+        assert [len(last) for _, last in edges] == [
+            4, 8, 18, 40, 101, 249, 654, 1707, 4558, 12131, 31928, 44370]
+        assert sum(len(rows) for rows in index) == 69996
+        size = sum(p.nbytes + l.nbytes for p, l in edges) + sum(i.nbytes for i in index)
+        assert size < 1 << 20
+
+    def test_codes_must_fit_int64(self):
+        with pytest.raises(InvalidParameterError):
+            class_tree(2, 32)
