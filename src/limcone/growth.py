@@ -267,7 +267,9 @@ def concavity_audit(body: DualBody, samples: int = 32, seed: int = 0,
     """Sample direction pairs inside the traced window and check
     midpoint concavity of the reconstructed indicator, recording strict
     margins; probe the slope growth toward the window edges (the
-    vertical-tangent trend)."""
+    vertical-tangent trend).  A pair is concave when its worst margin is
+    at least -tol and strict when it exceeds tol, so rounding-level
+    margins count as neither violations nor strict ones."""
     if samples < 16:
         raise InvalidParameterError("need at least 16 sample pairs")
     if len(body.boundary) == 1:
@@ -302,7 +304,7 @@ def concavity_audit(body: DualBody, samples: int = 32, seed: int = 0,
         min_margin = min(min_margin, worst)
         if worst >= -tol:
             concave += 1
-        if worst > 0:
+        if worst > tol:
             strict += 1
     # slope trend toward each window edge
     mid = 0.5 * (lo + hi)

@@ -71,11 +71,14 @@ def word_length_weight(n, lam):
 
 
 class _Weights:
-    """Per-level weight values with log multiplicities."""
+    """Per-level weight values with log multiplicities for levels
+    1..n_max.  Shallower tables are read off the cached DEFAULT_N_MAX
+    one: its levels are bitwise those of a table built to n_max, and a
+    table per n_max would rebuild every class product."""
 
     def __init__(self, rep, phi, n_max, weight_hook=None):
         self.n_max = n_max
-        cs = class_spectra(rep, n_max)
+        cs = class_spectra(rep, max(n_max, DEFAULT_N_MAX))
         self.values = {}
         self.log_mult = cs.log_mult
         self.jordan = cs.jordan

@@ -15,7 +15,11 @@ The module keeps three process-wide caches of pure combinatorics, all
 independent of any representation: the tree of reduced words organised
 by level, the canonical class words with their multiplicities, and the
 prefix tree of those class words (`class_tree`), along which
-limcone.bulk builds one product per distinct prefix.
+limcone.bulk builds one product per distinct prefix.  Both class caches
+compare words as base-2k integer codes, first letter most significant,
+so code order is lexicographic word order and a rotation is two integer
+operations.  The codes fit int64 while (2k)^n < 2^63; longer class
+levels raise InvalidParameterError.
 """
 
 from dataclasses import dataclass
@@ -190,37 +194,58 @@ def _word_level(k: int, n: int):
 _SCAN_ROWS = 1 << 15
 
 
+def _codes(W, base):
+    """Base-`base` integer codes of the rows of W, first letter most
+    significant, so code order is lexicographic word order."""
+    codes = np.zeros(len(W), dtype=np.int64)
+    for col in W.T:
+        codes *= base
+        codes += col
+    return codes
+
+
+def _check_codes_fit(k, n):
+    if n < 1 or (2 * k) ** n >= 2 ** 63:
+        raise InvalidParameterError("need 1 <= n with (2k)^n < 2^63")
+
+
 @lru_cache(maxsize=64)
 def _class_level(k: int, n: int):
     """Canonical cyclically reduced words of length n and their
     multiplicities (number of distinct rotations).
 
     Filters the reduced-word level: keep words that are cyclically
-    reduced and minimal among all their rotations.  The rotation scan is
-    vectorized over blocks of _SCAN_ROWS rows (rows are independent), so
-    its temporaries stay near a megabyte instead of several times the
-    level; at n = 12 whole-level temporaries grew the heap by about 30 MB
-    that the allocator then kept.
+    reduced and minimal among all their rotations.  Each word is compared
+    as its base-2k code c (see _codes): rotation r, which moves the first
+    r letters to the end, has code (c % B^(n-r)) B^r + c // B^(n-r) with
+    B = 2k.  A word is canonical iff no rotation has a smaller code, and
+    its multiplicity is n over the number of rotations with an equal one.
+    After each r only the words not yet beaten are kept, so later
+    rotations touch the survivors alone.  The codes fit int64 while
+    (2k)^n < 2^63, which bounds n (a level that long could not be
+    enumerated anyway).  The scan runs over blocks of _SCAN_ROWS rows
+    (rows are independent), so its temporaries stay near a megabyte; at
+    n = 12 whole-level temporaries grew the heap by about 30 MB that the
+    allocator then kept.
     """
-    if n < 1:
-        raise InvalidParameterError("cyclic length must be >= 1")
+    _check_codes_fit(k, n)
+    base = 2 * k
     W = _word_level(k, n)
-    W = W[W[:, -1] != (W[:, 0] ^ 1)] if n > 1 else W
-    m = len(W)
-    keep = np.ones(m, dtype=bool)
-    n_fixed = np.ones(m, dtype=np.int64)              # rotations equal to w
-    for lo in range(0, m, _SCAN_ROWS):
+    rows, mults = [], []
+    for lo in range(0, len(W), _SCAN_ROWS):
         B = W[lo:lo + _SCAN_ROWS]
-        rows = np.arange(len(B))
+        alive = np.flatnonzero(B[:, -1] != (B[:, 0] ^ 1))    # cyclically reduced
+        code = _codes(B[alive], base)
+        n_fixed = np.ones(len(alive), dtype=np.int64)         # rotations equal to w
         for r in range(1, n):
-            R = np.concatenate([B[:, r:], B[:, :r]], axis=1)
-            neq = R != B
-            any_neq = neq.any(axis=1)
-            first = np.argmax(neq, axis=1)
-            keep[lo:lo + len(B)] &= ~(any_neq & (R[rows, first] < B[rows, first]))
-            n_fixed[lo:lo + len(B)] += ~any_neq
-    mult = n // n_fixed                                # primitive period
-    return W[keep], mult[keep]
+            head = base ** (n - r)
+            rot = (code % head) * base ** r + code // head
+            n_fixed += rot == code
+            unbeaten = rot >= code
+            alive, code, n_fixed = alive[unbeaten], code[unbeaten], n_fixed[unbeaten]
+        rows.append(lo + alive)
+        mults.append(n // n_fixed)                           # primitive period
+    return W[np.concatenate(rows)], np.concatenate(mults)
 
 
 @lru_cache(maxsize=64)
@@ -232,19 +257,17 @@ def class_tree(k: int, n_max: int):
     row of its (j-1)-prefix one depth up (the root, for j = 1) and its last
     letter.  index[n - 1] holds the rows of the level-n class words, in
     class_level_arrays order, among the depth-n prefixes.  Prefixes are
-    sorted as base-2k integer codes, first letter most significant, which
-    is the lexicographic order of the words; the codes fit int64 while
+    sorted as base-2k integer codes (see _codes), which is the
+    lexicographic order of the words; the codes fit int64 while
     (2k)^n_max < 2^63.  Built bottom-up: the depth-j prefixes are the
     level-j class words together with the parents of depth j + 1.
     """
+    _check_codes_fit(k, n_max)
     base = 2 * k
-    if n_max < 1 or base ** n_max >= 2 ** 63:
-        raise InvalidParameterError("need 1 <= n_max with (2k)^n_max < 2^63")
     parents, last, index = [None] * n_max, [None] * n_max, [None] * n_max
     below = np.zeros(0, dtype=np.int64)                # depth j + 1 prefix codes
     for j in range(n_max, 0, -1):
-        W = _class_level(k, j)[0].astype(np.int64)
-        codes = W @ base ** np.arange(j - 1, -1, -1, dtype=np.int64)
+        codes = _codes(_class_level(k, j)[0], base)
         nodes = np.unique(np.concatenate([codes, below // base]))
         index[j - 1] = np.searchsorted(nodes, codes).astype(np.int32)
         last[j - 1] = (nodes % base).astype(np.int8)

@@ -1,6 +1,8 @@
 """Convex duality layer: the traced dual-body boundary, psi by duality,
 the growth form, the concavity audit and the deformation scan."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,17 @@ def test_boundary_functionals_have_unit_root(p3, body):
 def test_concavity_audit(body):
     report = concavity_audit(body)
     assert report.pairs_tested > 0 and report.concave_ok
+
+
+def test_strict_pairs_ignore_rounding(body):
+    # some p3 margins are 1e-16 or 0 by rounding alone; scaling every
+    # functional by 1 + O(1e-15) flips their sign but not the count
+    strict = concavity_audit(body).strict_pairs
+    for j in range(-4, 5):
+        scaled = dataclasses.replace(body, boundary=tuple(
+            dataclasses.replace(bp, functional=(1 + j * 1e-15) * bp.functional)
+            for bp in body.boundary))
+        assert concavity_audit(scaled).strict_pairs == strict, j
 
 
 def test_psi_at_cone_ends_and_centre(p3, body):

@@ -22,11 +22,13 @@ from limcone import (
     gibbs_direction,
     jordan,
     level_pressure,
+    perturb,
     pressure_derivative_check,
     pressure_root,
     pressure_table,
     word_length_weight,
 )
+from limcone.bulk import class_spectra
 from limcone.pressure import pressure_root_detail
 
 LOG3 = np.log(3.0)
@@ -280,6 +282,14 @@ class TestCycleExpansion:
         assert set(detail.level_roots) == {9, 10, 11, 12}
         for n, r in detail.level_roots.items():
             assert abs(level_pressure(rep, phi, r, n)) < 1e-9
+
+    def test_level_pressures_share_one_class_table(self, s2):
+        rep = perturb(s2, 0.02, 9)                # fresh: no cached table yet
+        phi = Functional([1.0, -1.0])
+        before = class_spectra.cache_info().misses
+        for n in range(9, 13):
+            level_pressure(rep, phi, 1.0, n)
+        assert class_spectra.cache_info().misses - before <= 1
 
     def test_no_positive_zero_falls_back_to_top_level(self, s2):
         # Z_n is negligible for n >= 2, so 1/zeta_4 is close to the degree-4

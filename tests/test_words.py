@@ -4,6 +4,8 @@ Letters: generator i is 2i, its inverse 2i+1 ("a"=0, "A"=1, "b"=2, ...).
 """
 
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +61,35 @@ def brute_classes(k, n):
             continue
         canon.add(min(w[j:] + w[:j] for j in range(n)))
     return canon
+
+
+def plain_class_level(k, n):
+    """Reference rotation scan: compare each cyclically reduced word with
+    every rotation letter by letter, at the first differing position."""
+    W = _word_level(k, n)
+    W = W[W[:, -1] != (W[:, 0] ^ 1)] if n > 1 else W
+    rows = np.arange(len(W))
+    keep = np.ones(len(W), dtype=bool)
+    n_fixed = np.ones(len(W), dtype=np.int64)
+    for r in range(1, n):
+        R = np.concatenate([W[:, r:], W[:, :r]], axis=1)
+        neq = R != W
+        any_neq = neq.any(axis=1)
+        first = np.argmax(neq, axis=1)
+        keep &= ~(any_neq & (R[rows, first] < W[rows, first]))
+        n_fixed += ~any_neq
+    mult = n // n_fixed
+    return W[keep], mult[keep]
+
+
+def trace_power(k, n):
+    """tr A^n for the 2k x 2k non-backtracking matrix A: the number of
+    cyclically reduced words of length n."""
+    return (2 * k - 1) ** n + k + (k - 1) * (-1) ** n
+
+
+def euler_phi(m):
+    return sum(math.gcd(m, j) == 1 for j in range(1, m + 1))
 
 
 class TestReduce:
@@ -143,6 +174,48 @@ class TestConjClasses:
                 if w[-1] != w[0] ^ 1
             )
             assert int(mult.sum()) == brute
+
+    @pytest.mark.parametrize("k,n_top", [(2, 12), (3, 7)])
+    def test_exact_counts(self, k, n_top):
+        # multiplicities count periodic points, classes count necklaces
+        # (Burnside over the cyclic group of rotations)
+        for n in range(1, n_top + 1):
+            W, mult = class_level_arrays(k, n)
+            assert int(mult.sum()) == trace_power(k, n)
+            fixed = sum(euler_phi(n // d) * trace_power(k, d) for d in range(1, n + 1) if n % d == 0)
+            assert fixed % n == 0 and len(W) == fixed // n
+
+    @pytest.mark.parametrize("k,n_top", [(2, 12), (3, 7)])
+    def test_matches_plain_rotation_scan(self, k, n_top):
+        for n in range(1, n_top + 1):
+            W, mult = _class_level(k, n)
+            W0, mult0 = plain_class_level(k, n)
+            assert W.dtype == W0.dtype and mult.dtype == mult0.dtype
+            assert np.array_equal(W, W0) and np.array_equal(mult, mult0), n
+
+    def test_level_codes_must_fit_int64(self, monkeypatch):
+        # checked before any word is enumerated: such a level would not fit
+        # in memory, so enumerating it fails the test instead
+        def refuse(k, n):
+            pytest.fail(f"enumerated words of length {n}")
+
+        monkeypatch.setattr("limcone.words._word_level", refuse)
+        for k, n in [(2, 32), (3, 25), (4, 21)]:
+            assert (2 * k) ** n >= 2 ** 63 > (2 * k) ** (n - 1)
+            with pytest.raises(InvalidParameterError):
+                _class_level(k, n)
+
+    def test_scan_memory_stays_blocked(self):
+        # whole-level temporaries would peak at 30-60 MB; the blocked scan
+        # holds little beyond its output
+        _word_level(2, 12)
+        tracemalloc.start()
+        try:
+            _class_level.__wrapped__(2, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_multiplicity_of_power(self):
         # (ab)^3 has primitive period 2
