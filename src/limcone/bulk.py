@@ -2,7 +2,10 @@
 
 Two tables feed everything downstream.  Each is cached whole per
 (rep, n_max), four entries per table, so a scan over fresh
-representations keeps at most four of each alive:
+representations keeps at most four of each alive.  A caller that needs
+levels 1..n of the class table, not a table of depth n, can read them
+off live_class_spectra, the deepest class table of the representation
+still alive:
 
 * class spectra: for each cyclic length n, the Jordan projections of
   the canonical conjugacy-class words together with their periodic-point
@@ -33,6 +36,7 @@ a single bit.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -40,7 +44,14 @@ from . import words
 from .errors import InvalidParameterError
 from .spectra import batched_cartan, batched_jordan
 
-__all__ = ["ClassSpectra", "ElementSpectra", "class_spectra", "element_spectra", "word_products"]
+__all__ = [
+    "ClassSpectra",
+    "ElementSpectra",
+    "class_spectra",
+    "live_class_spectra",
+    "element_spectra",
+    "word_products",
+]
 
 
 @dataclass(frozen=True)
@@ -139,7 +150,23 @@ def class_spectra(rep, n_max: int) -> ClassSpectra:
         blocks[n].append(batched_jordan(fwd[rows], bwd[rows]))
     jor = {n: np.concatenate(parts) for n, parts in blocks.items()}
     logm = {n: np.log(words.class_level_arrays(k, n)[1].astype(float)) for n in jor}
-    return ClassSpectra(n_max, jor, logm)
+    cs = ClassSpectra(n_max, jor, logm)
+    held = _deepest_class_spectra.get(rep)
+    if held is None or held.n_max < n_max:
+        _deepest_class_spectra[rep] = cs
+    return cs
+
+
+# rep -> its deepest class table, for as long as anything holds that table
+_deepest_class_spectra = WeakValueDictionary()
+
+
+def live_class_spectra(rep):
+    """The deepest class table built for rep, if anything still holds it,
+    else None.  Its levels 1..m are bitwise those of a table built to m:
+    each class product follows the same prefix path, and the kernels act
+    row by row."""
+    return _deepest_class_spectra.get(rep)
 
 
 @lru_cache(maxsize=4)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bulk import class_spectra
+from .bulk import class_spectra, live_class_spectra
 from .errors import (
     BracketFailureError,
     InvalidParameterError,
@@ -72,13 +72,14 @@ def word_length_weight(n, lam):
 
 class _Weights:
     """Per-level weight values with log multiplicities for levels
-    1..n_max.  Shallower tables are read off the cached DEFAULT_N_MAX
-    one: its levels are bitwise those of a table built to n_max, and a
-    table per n_max would rebuild every class product."""
+    1..n_max, read off a live deeper class table when there is one, so
+    level_pressure after a depth-N root or table builds nothing."""
 
     def __init__(self, rep, phi, n_max, weight_hook=None):
         self.n_max = n_max
-        cs = class_spectra(rep, max(n_max, DEFAULT_N_MAX))
+        cs = live_class_spectra(rep)
+        if cs is None or cs.n_max < n_max:
+            cs = class_spectra(rep, n_max)
         self.values = {}
         self.log_mult = cs.log_mult
         self.jordan = cs.jordan

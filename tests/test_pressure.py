@@ -22,12 +22,14 @@ from limcone import (
     gibbs_direction,
     jordan,
     level_pressure,
+    make_schottky,
     perturb,
     pressure_derivative_check,
     pressure_root,
     pressure_table,
     word_length_weight,
 )
+from limcone import words
 from limcone.bulk import class_spectra
 from limcone.pressure import pressure_root_detail
 
@@ -287,9 +289,33 @@ class TestCycleExpansion:
         rep = perturb(s2, 0.02, 9)                # fresh: no cached table yet
         phi = Functional([1.0, -1.0])
         before = class_spectra.cache_info().misses
-        for n in range(9, 13):
+        for n in range(12, 8, -1):                # levels 9..12, deepest first
             level_pressure(rep, phi, 1.0, n)
         assert class_spectra.cache_info().misses - before <= 1
+
+    def test_shared_levels_equal_own_tables(self, s2):
+        rep = perturb(s2, 0.02, 10)
+        phi = Functional([1.0, -1.0])
+        shared = [level_pressure(rep, phi, 0.7, n) for n in (10, 8, 6)]
+        class_spectra.cache_clear()               # no deeper table alive now
+        own = [level_pressure(rep, phi, 0.7, n) for n in (10, 8, 6)]
+        assert shared == own
+
+    def test_never_builds_deeper_than_asked(self, monkeypatch):
+        # k = 3: a table to N = 12 would enumerate 6 * 5^11 words at its top
+        rep = make_schottky([2.0, 2.5, 3.0], [0.0, np.pi / 3, 2 * np.pi / 3])
+        phi = Functional([1.0, -1.0])
+        plain = words._word_level
+
+        def capped(k, n):
+            assert n <= 5, f"enumerated words of length {n}"
+            return plain(k, n)
+
+        monkeypatch.setattr(words, "_word_level", capped)
+        words._class_level.cache_clear()
+        table = pressure_table(rep, phi, 1.0, n_max=5)
+        assert level_pressure(rep, phi, 1.0, 5) == table.levels[5]
+        assert np.isfinite(gibbs_direction(rep, phi, 5)).all()
 
     def test_no_positive_zero_falls_back_to_top_level(self, s2):
         # Z_n is negligible for n >= 2, so 1/zeta_4 is close to the degree-4
