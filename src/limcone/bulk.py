@@ -62,13 +62,11 @@ class ClassSpectra:
     jordan: dict        # n -> (B_n, d) float array
     log_mult: dict      # n -> (B_n,) float array
 
-    def all_jordan(self, n_min: int = 1) -> np.ndarray:
-        return np.concatenate([self.jordan[n] for n in range(n_min, self.n_max + 1)])
+    def all_jordan(self) -> np.ndarray:
+        return np.concatenate([self.jordan[n] for n in range(1, self.n_max + 1)])
 
-    def lengths(self, n_min: int = 1) -> np.ndarray:
-        return np.concatenate(
-            [np.full(len(self.jordan[n]), n) for n in range(n_min, self.n_max + 1)]
-        )
+    def lengths(self) -> np.ndarray:
+        return np.concatenate([np.full(len(self.jordan[n]), n) for n in range(1, self.n_max + 1)])
 
 
 @dataclass(frozen=True)
@@ -131,6 +129,7 @@ def word_products(rep, n_max: int):
     """
     if n_max < 1:
         raise InvalidParameterError("need n_max >= 1")
+    words._check_level_rows(rep.num_generators, n_max)     # before any lower level
     return _tree_products(rep, _word_edges(rep.num_generators, n_max), n_max)
 
 
@@ -172,10 +171,11 @@ def live_class_spectra(rep):
 @lru_cache(maxsize=4)
 def element_spectra(rep, n_max: int) -> ElementSpectra:
     """Cartan projections of every reduced word of length 1..n_max."""
+    products = word_products(rep, n_max)
     sizes = [words.count_words(rep.num_generators, n) for n in range(1, n_max + 1)]
     starts = np.cumsum([0] + sizes)
     cartan = np.empty((starts[-1], rep.dim))
-    for n, lo, fwd, bwd in word_products(rep, n_max):
+    for n, lo, fwd, bwd in products:
         row = starts[n - 1] + lo
         cartan[row:row + len(fwd)] = batched_cartan(fwd, bwd)
     lengths = np.repeat(np.arange(1, n_max + 1, dtype=np.int64), sizes)

@@ -208,9 +208,10 @@ def _cmd_boundary(args, out):
 def _cmd_psi(args, out):
     rep = _load(args)
     probes = _probes_from_args(args.probe, rep.dim)
-    body = growth.boundary_curve(
-        rep, resolution=args.resolution, n_max=args.n_max, threads=args.threads
-    )
+    if args.method in ("duality", "both"):
+        body = growth.boundary_curve(
+            rep, resolution=args.resolution, n_max=args.n_max, threads=args.threads
+        )
     rows = []
     last = None
     for p in probes:

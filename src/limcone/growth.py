@@ -11,10 +11,11 @@ the boundary.  Each traced point carries its Gibbs direction (the
 tangency direction of the boundary functional) and the entropy value
 psi takes there.
 
-psi itself is reconstructed as the lower envelope min_phi phi(v) over
-the traced boundary, hence concave by construction and an overestimate
-at finite resolution.  Outside the traced angular window the envelope
-is meaningless (the true function has vertical tangents at the cone
+psi itself is the lower envelope min_phi phi(v) over the traced
+boundary, evaluated at a whole stack of directions by one matrix
+product; it is concave by construction and an overestimate at finite
+resolution.  Outside the traced angular window the envelope is
+meaningless (the true function has vertical tangents at the cone
 boundary), so evaluations whose minimum sits at a curve endpoint and is
 still descending there return the explicit minus-infinity marker
 instead of an extrapolation.
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import NEG_INFINITY, gap_slice_coord, is_neg_infinity, limit_cone
+from .counting import NEG_INFINITY, gap_slice_coord, limit_cone
 from .bulk import class_spectra
 from .errors import (
     DegenerateConeError,
@@ -53,6 +54,7 @@ __all__ = [
 
 _ENDPOINT_SLOPE_FACTOR = 1.5
 _EDGE_MARGIN = 0.05     # fraction of the dual-cone window left untraced at each end
+_MARGIN_TOL = 1e-6      # audit margins within this of 0 are rounding, not strict
 
 
 @dataclass(frozen=True)
@@ -96,10 +98,11 @@ class GrowthForm:
     tau: np.ndarray              # unit growth direction
 
 
-def _chamber_direction(t: float) -> np.ndarray:
-    """Unit chamber vector with gap coordinate t (d = 3)."""
-    v = np.array([(1.0 - t) / 2.0, t, (-1.0 - t) / 2.0])
-    return v / np.linalg.norm(v)
+def _chamber_direction(t) -> np.ndarray:
+    """Unit chamber vectors with gap coordinates t (d = 3) on a new last axis."""
+    t = np.asarray(t, dtype=float)
+    v = np.stack([(1.0 - t) / 2.0, t, (-1.0 - t) / 2.0], axis=-1)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 # orthonormal basis of the sum-zero plane for d = 3
@@ -107,7 +110,7 @@ _U1 = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
 _U2 = np.array([1.0, -2.0, 1.0]) / np.sqrt(6.0)
 
 
-def boundary_point(rep, u, tol: float = 1e-6, n_max: int = DEFAULT_N_MAX) -> BoundaryPoint:
+def boundary_point(rep, u, n_max: int = DEFAULT_N_MAX) -> BoundaryPoint:
     """Scale the direction u onto the boundary of the dual body.
 
     The returned functional is s* u with s* the pressure root of u, so
@@ -115,7 +118,7 @@ def boundary_point(rep, u, tol: float = 1e-6, n_max: int = DEFAULT_N_MAX) -> Bou
     """
     u = u if isinstance(u, Functional) else Functional(np.asarray(u, dtype=float))
     un = Functional(u.coeffs / u.norm())
-    s_star = pressure_root(rep, un, tol=tol, n_max=n_max)
+    s_star = pressure_root(rep, un, n_max=n_max)
     phi = s_star * un
     g = gibbs_direction(rep, phi, n_max)
     gn = float(np.linalg.norm(g))
@@ -192,27 +195,34 @@ def boundary_curve(rep, resolution: int = 16, n_max: int = DEFAULT_N_MAX,
     return DualBody(points, kept, rays, gaps, degenerate)
 
 
-def psi_from_duality(body: DualBody, v):
-    """Growth indicator by duality: the minimum of the traced boundary
-    functionals at v.
+def _envelope(F, V):
+    """Lower envelope min_i F_i . v of the functional rows F at every
+    direction v of the stack V (shape (..., d)), as one product.
 
-    Exact up to curve resolution inside the traced window.  When the
-    minimum sits at a curve endpoint and the values are still falling
-    into it faster than the curvature scale, the true infimum lies
-    beyond the window and the minus-infinity marker is returned rather
-    than an extrapolated value.
+    Where the minimum sits at a curve endpoint and the values still fall
+    into it faster than _ENDPOINT_SLOPE_FACTOR times the median |second
+    difference| along the curve, the true infimum lies beyond the traced
+    window: the result there is NaN, standing for minus infinity.
     """
-    coords = np.asarray(getattr(v, "coords", v), dtype=float)
-    vals = np.array([bp.functional(coords) for bp in body.boundary])
+    V = np.asarray(V, dtype=float)
+    vals = F @ V.reshape(-1, V.shape[-1]).T              # (m, q)
     m = len(vals)
-    i = int(np.argmin(vals))
-    if m <= 2 or 0 < i < m - 1:
-        return float(vals[i])
-    slope_in = vals[1] - vals[0] if i == 0 else vals[-2] - vals[-1]
-    curvature = np.median(np.abs(np.diff(vals, 2))) if m >= 3 else 0.0
-    if slope_in > _ENDPOINT_SLOPE_FACTOR * curvature + 1e-15:
-        return NEG_INFINITY
-    return float(vals[i])
+    i, psi = np.argmin(vals, axis=0), np.min(vals, axis=0)
+    if m > 2:
+        slope_in = np.where(i == 0, vals[1] - vals[0], vals[-2] - vals[-1])
+        curvature = np.median(np.abs(np.diff(vals, 2, axis=0)), axis=0)
+        falling = slope_in > _ENDPOINT_SLOPE_FACTOR * curvature + 1e-15
+        psi[((i == 0) | (i == m - 1)) & falling] = np.nan
+    return psi.reshape(V.shape[:-1])
+
+
+def psi_from_duality(body: DualBody, v):
+    """Growth indicator by duality: the lower envelope of the traced
+    boundary functionals at v, one row of _envelope.  Exact up to curve
+    resolution inside the traced window; beyond it the minus-infinity
+    marker is returned rather than an extrapolated value."""
+    val = float(_envelope(body.functionals(), getattr(v, "coords", v)))
+    return NEG_INFINITY if np.isnan(val) else val
 
 
 def growth_form(body: DualBody) -> GrowthForm:
@@ -262,68 +272,44 @@ class ConcavityReport:
         return self.concave_pairs == self.pairs_tested
 
 
-def concavity_audit(body: DualBody, samples: int = 32, seed: int = 0,
-                    tol: float = 1e-6) -> ConcavityReport:
+def concavity_audit(body: DualBody, samples: int = 32, seed: int = 0) -> ConcavityReport:
     """Sample direction pairs inside the traced window and check
     midpoint concavity of the reconstructed indicator, recording strict
     margins; probe the slope growth toward the window edges (the
-    vertical-tangent trend).  A pair is concave when its worst margin is
-    at least -tol and strict when it exceeds tol, so rounding-level
-    margins count as neither violations nor strict ones."""
+    vertical-tangent trend).  Every value is read off one envelope
+    evaluation over the traced functionals; a pair counts only when its
+    ends and its three midpoints are all finite.  A pair is concave when
+    its worst margin is at least -_MARGIN_TOL and strict when it exceeds
+    _MARGIN_TOL, so rounding-level margins count as neither violations
+    nor strict ones."""
     if samples < 16:
         raise InvalidParameterError("need at least 16 sample pairs")
     if len(body.boundary) == 1:
         # single-point body: psi is linear, concavity holds with equality
         return ConcavityReport(samples, samples, 0, 0.0, True, ())
-    tg = np.array([gap_slice_coord(bp.gibbs_vector[None])[0] for bp in body.boundary])
+    F = body.functionals()
+    tg = gap_slice_coord(np.stack([bp.gibbs_vector for bp in body.boundary]))
     lo, hi = tg.min(), tg.max()
     span = hi - lo
     lo_i, hi_i = lo + 0.05 * span, hi - 0.05 * span
-    rng = np.random.default_rng(seed)
-    tested = concave = strict = 0
-    min_margin = np.inf
-    for _ in range(samples):
-        ta, tb = rng.uniform(lo_i, hi_i, 2)
-        va, vb = _chamber_direction(ta), _chamber_direction(tb)
-        pa, pb = psi_from_duality(body, va), psi_from_duality(body, vb)
-        if is_neg_infinity(pa) or is_neg_infinity(pb):
-            continue
-        margins = []
-        ok = True
-        for t in (0.25, 0.5, 0.75):
-            vm = t * va + (1 - t) * vb
-            pm = psi_from_duality(body, vm)
-            if is_neg_infinity(pm):
-                ok = False
-                break
-            margins.append(pm - (t * pa + (1 - t) * pb))
-        if not ok:
-            continue
-        tested += 1
-        worst = min(margins)
-        min_margin = min(min_margin, worst)
-        if worst >= -tol:
-            concave += 1
-        if worst > tol:
-            strict += 1
+    ends = _chamber_direction(np.random.default_rng(seed).uniform(lo_i, hi_i, (samples, 2)))
+    pa, pb = _envelope(F, ends).T
+    w = np.array([[0.25], [0.5], [0.75]])
+    pm = _envelope(F, w[..., None] * ends[:, 0] + (1 - w[..., None]) * ends[:, 1])
+    worst = (pm - (w * pa + (1 - w) * pb)).min(axis=0)
+    worst = worst[~np.isnan(worst)]                    # pairs with all five finite
+    concave, strict = int((worst >= -_MARGIN_TOL).sum()), int((worst > _MARGIN_TOL).sum())
     # slope trend toward each window edge
-    mid = 0.5 * (lo + hi)
-    trends, slopes_record = [], []
-    for edge in (lo_i, hi_i):
-        ts = np.linspace(mid, edge, 7)
-        vals = [psi_from_duality(body, _chamber_direction(t)) for t in ts]
-        pairs = [
-            abs((b - a) / (t1 - t0))
-            for a, b, t0, t1 in zip(vals, vals[1:], ts, ts[1:])
-            if not (is_neg_infinity(a) or is_neg_infinity(b)) and t1 != t0
-        ]
-        slopes_record.append(tuple(pairs))
-        if len(pairs) >= 3:
-            s = pairs[-3:]
-            trends.append(s[0] <= s[1] + 1e-12 and s[1] <= s[2] + 1e-12)
+    ts = np.linspace(0.5 * (lo + hi), [lo_i, hi_i], 7, axis=1)
+    slopes = []
+    for t, p in zip(ts, _envelope(F, _chamber_direction(ts))):
+        dt, dp = np.diff(t), np.diff(p)
+        keep = ~np.isnan(dp) & (dt != 0)
+        slopes.append(tuple(np.abs(dp[keep] / dt[keep])))
+    trends = [s[-3] <= s[-2] + 1e-12 and s[-2] <= s[-1] + 1e-12 for s in slopes if len(s) >= 3]
     trend = bool(trends) and all(trends)
-    return ConcavityReport(tested, concave, strict, float(min_margin), trend,
-                           tuple(slopes_record))
+    return ConcavityReport(len(worst), concave, strict, float(worst.min(initial=np.inf)),
+                           trend, tuple(slopes))
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +330,7 @@ class ContinuityRow:
 def _analysis(rep, n_max, resolution, probes):
     cone = limit_cone(rep, n_max)
     body = boundary_curve(rep, resolution=resolution, n_max=n_max, allow_degenerate=True)
-    form = growth_form(body)
-    psis = []
-    for p in probes:
-        val = psi_from_duality(body, p)
-        psis.append(np.nan if is_neg_infinity(val) else val)
-    return cone, form, np.array(psis)
+    return cone, growth_form(body), _envelope(body.functionals(), probes)
 
 
 def continuity_scan(rep, epsilons, seed: int, probes, n_max: int = DEFAULT_N_MAX,

@@ -63,6 +63,7 @@ __all__ = [
 DEFAULT_N_MAX = 12
 _T_MAX = 1e3
 _MAX_STEPS = 50
+_BOUNDARY_TOL = 1e-3     # |root - 1| allowed for a functional called on the boundary
 
 
 def word_length_weight(n, lam):
@@ -292,17 +293,17 @@ def pressure_derivative_check(rep, phi0, phi1, n, h_step=1e-3):
     return analytic, numeric
 
 
-def entropy_of_state(rep, phi0, n=DEFAULT_N_MAX, weight_hook=None, boundary_tol=1e-3) -> float:
+def entropy_of_state(rep, phi0, n=DEFAULT_N_MAX, weight_hook=None) -> float:
     """Metric-entropy value attached to a boundary functional: the Gibbs
     mean of the weight per unit symbolic time, which for a matrix weight
     equals phi0(gibbs_direction).
 
     Requires phi0 certified on the unit-exponent boundary: the pressure
-    root along its ray must equal 1 within boundary_tol.
+    root along its ray must equal 1 within _BOUNDARY_TOL.
     """
     _require_levels(n, lo=4)
     root = pressure_root(rep, phi0, n_max=n, weight_hook=weight_hook)
-    if abs(root - 1.0) > boundary_tol:
+    if abs(root - 1.0) > _BOUNDARY_TOL:
         raise NotOnBoundaryError(
             f"pressure root along the ray is {root:.6f}, not 1: functional not on the boundary"
         )

@@ -19,7 +19,8 @@ limcone.bulk builds one product per distinct prefix.  Both class caches
 compare words as base-2k integer codes, first letter most significant,
 so code order is lexicographic word order and a rotation is two integer
 operations.  The codes fit int64 while (2k)^n < 2^63; longer class
-levels raise InvalidParameterError.
+levels raise InvalidParameterError, and so does any word level of more
+than 2^24 words, which would not fit in memory.
 """
 
 from dataclasses import dataclass
@@ -173,14 +174,27 @@ def _extension_table(k: int):
     )
 
 
+# largest word level built (k = 3, n = 10 has 11.7M rows); k = 2 stops at n = 14
+_LEVEL_ROWS = 1 << 24
+
+
+def _check_level_rows(k, n):
+    if count_words(k, n) > _LEVEL_ROWS:
+        raise InvalidParameterError(
+            f"{count_words(k, n)} reduced words of length {n} exceed the {_LEVEL_ROWS}-row budget"
+        )
+
+
 @lru_cache(maxsize=64)
 def _word_level(k: int, n: int):
     """All reduced words of length n as an int8 array, in lexicographic
-    order.  Level n is built by extending level n-1, so rows stay sorted."""
+    order.  Level n is built by extending level n-1, so rows stay sorted.
+    A level of more than _LEVEL_ROWS words is refused before any is built."""
     if k < 2:
         raise InvalidParameterError("need k >= 2 generators")
     if n < 0:
         raise InvalidParameterError("negative word length")
+    _check_level_rows(k, n)
     if n == 0:
         return np.zeros((1, 0), dtype=np.int8)
     if n == 1:
@@ -311,8 +325,6 @@ def evaluate(rep, w) -> np.ndarray:
     by level instead; see limcone.bulk.
     """
     letters = w.letters if isinstance(w, (Word, ConjugacyClass)) else tuple(w)
-    if isinstance(w, ConjugacyClass):
-        letters = w.word.letters
     stack = rep.letter_matrices()
     _validate_letters(letters, rep.num_generators)
     out = np.eye(rep.dim)

@@ -3,7 +3,7 @@ bitwise reproducible files."""
 
 import pytest
 
-from limcone import cli, save_rep
+from limcone import cli, save_rep, words
 
 
 @pytest.fixture(scope="module")
@@ -81,3 +81,31 @@ def test_boundary_reproducible_across_runs_and_threads(tmp_path, reps):
         assert rc == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_direct_psi_needs_no_dual_body(tmp_path, reps):
+    # f3's sampled cone is one ray, so its dual boundary cannot be traced;
+    # the direct count does not use it
+    rc, out = run(tmp_path, reps, "f3", "psi", "--method", "direct", "--probe", "1", "0", "-1")
+    assert rc == 0
+    header, row = out.read_text().splitlines()
+    assert header == "dir_1,dir_2,dir_3,psi"
+    assert float(row.split(",")[-1]) == pytest.approx(0.53858, abs=1e-5)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectra", "--max-len", "20"],
+    ["pressure", "--phi", "1", "-1", "--n-max", "20"],
+], ids=["spectra", "pressure"])
+def test_word_levels_over_budget_exit(tmp_path, reps, monkeypatch, argv):
+    # the top level is refused before any lower level is built
+    build = words._word_level
+
+    def top_only(k, n):
+        if n < 20:
+            pytest.fail(f"enumerated words of length {n}")
+        return build.__wrapped__(k, n)
+
+    monkeypatch.setattr(words, "_word_level", top_only)
+    rc, out = run(tmp_path, reps, "s2", *argv)
+    assert rc == cli.EXIT_PRECONDITION and not out.exists()

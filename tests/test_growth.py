@@ -14,7 +14,9 @@ from limcone import (
     concavity_audit,
     continuity_scan,
     growth_form,
+    is_neg_infinity,
     limit_cone,
+    perturb,
     pressure_root,
     psi_from_duality,
     sym_power_embed,
@@ -79,3 +81,124 @@ def test_boundary_curve_preconditions(p3, s2):
         boundary_curve(p3, 7)
     with pytest.raises(InvalidParameterError):
         boundary_curve(sym_power_embed(s2, 4), 16)
+
+
+# ---------------------------------------------------------------------------
+# the envelope product against the per-functional loops it replaced
+# ---------------------------------------------------------------------------
+
+def plain_chamber_direction(t):
+    v = np.array([(1.0 - t) / 2.0, t, (-1.0 - t) / 2.0])
+    return v / np.linalg.norm(v)
+
+
+def plain_psi_from_duality(body, v):
+    """One boundary functional at a time, with the endpoint rule inline."""
+    coords = np.asarray(getattr(v, "coords", v), dtype=float)
+    vals = np.array([bp.functional(coords) for bp in body.boundary])
+    m = len(vals)
+    i = int(np.argmin(vals))
+    if m <= 2 or 0 < i < m - 1:
+        return float(vals[i])
+    slope_in = vals[1] - vals[0] if i == 0 else vals[-2] - vals[-1]
+    curvature = np.median(np.abs(np.diff(vals, 2))) if m >= 3 else 0.0
+    if slope_in > 1.5 * curvature + 1e-15:
+        return NEG_INFINITY
+    return float(vals[i])
+
+
+def plain_concavity_audit(body, samples=32, seed=0, tol=1e-6):
+    """One pair and one point at a time: (tested, concave, strict,
+    min_margin, trend, edge_slopes)."""
+    if len(body.boundary) == 1:
+        return samples, samples, 0, 0.0, True, ()
+    tg = np.array([bp.gibbs_vector[1] / (bp.gibbs_vector[0] - bp.gibbs_vector[2])
+                   for bp in body.boundary])
+    lo, hi = tg.min(), tg.max()
+    span = hi - lo
+    lo_i, hi_i = lo + 0.05 * span, hi - 0.05 * span
+    rng = np.random.default_rng(seed)
+    tested = concave = strict = 0
+    min_margin = np.inf
+    for _ in range(samples):
+        ta, tb = rng.uniform(lo_i, hi_i, 2)
+        va, vb = plain_chamber_direction(ta), plain_chamber_direction(tb)
+        pa, pb = plain_psi_from_duality(body, va), plain_psi_from_duality(body, vb)
+        if is_neg_infinity(pa) or is_neg_infinity(pb):
+            continue
+        margins = []
+        ok = True
+        for t in (0.25, 0.5, 0.75):
+            pm = plain_psi_from_duality(body, t * va + (1 - t) * vb)
+            if is_neg_infinity(pm):
+                ok = False
+                break
+            margins.append(pm - (t * pa + (1 - t) * pb))
+        if not ok:
+            continue
+        tested += 1
+        worst = min(margins)
+        min_margin = min(min_margin, worst)
+        if worst >= -tol:
+            concave += 1
+        if worst > tol:
+            strict += 1
+    mid = 0.5 * (lo + hi)
+    trends, slopes_record = [], []
+    for edge in (lo_i, hi_i):
+        ts = np.linspace(mid, edge, 7)
+        vals = [plain_psi_from_duality(body, plain_chamber_direction(t)) for t in ts]
+        pairs = [
+            abs((b - a) / (t1 - t0))
+            for a, b, t0, t1 in zip(vals, vals[1:], ts, ts[1:])
+            if not (is_neg_infinity(a) or is_neg_infinity(b)) and t1 != t0
+        ]
+        slopes_record.append(tuple(pairs))
+        if len(pairs) >= 3:
+            s = pairs[-3:]
+            trends.append(s[0] <= s[1] + 1e-12 and s[1] <= s[2] + 1e-12)
+    trend = bool(trends) and all(trends)
+    return tested, concave, strict, float(min_margin), trend, tuple(slopes_record)
+
+
+@pytest.fixture(scope="module", params=[
+    ("p3", 16), ("p3", 64), ("f3-0.03-7", 16), ("f3-0.03-7", 64),
+    ("f3-0.08-3", 16), ("f3-0.08-3", 64), ("s2", 16),
+], ids=lambda p: f"{p[0]}-res{p[1]}")
+def traced(request, s2, f3, p3):
+    name, resolution = request.param
+    rep = {"s2": s2, "p3": p3, "f3-0.03-7": perturb(f3, 0.03, 7),
+           "f3-0.08-3": perturb(f3, 0.08, 3)}[name]
+    return rep, boundary_curve(rep, resolution)
+
+
+def test_envelope_matches_per_functional_loop(traced):
+    rep, body = traced
+    if rep.dim == 2:
+        angles = np.linspace(-np.pi, np.pi, 301)
+        probes = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    else:
+        lo, hi = limit_cone(rep, 12).interval
+        probes = [plain_chamber_direction(t) for t in np.linspace(lo - 0.01, hi + 0.01, 301)]
+    finite = 0
+    for v in probes:
+        want, got = plain_psi_from_duality(body, v), psi_from_duality(body, v)
+        if is_neg_infinity(want):
+            assert got is NEG_INFINITY, v
+        else:
+            assert isinstance(got, float) and abs(got - want) <= 1e-15, v
+            finite += 1
+    assert finite > 0
+
+
+def test_audit_matches_looped_audit(traced):
+    _, body = traced
+    for seed in range(6):
+        tested, concave, strict, margin, trend, slopes = plain_concavity_audit(body, seed=seed)
+        report = concavity_audit(body, seed=seed)
+        assert (report.pairs_tested, report.concave_pairs, report.strict_pairs,
+                report.vertical_tangent_trend) == (tested, concave, strict, trend), seed
+        assert abs(report.min_margin - margin) <= 1e-15, seed
+        assert [len(s) for s in report.edge_slopes] == [len(s) for s in slopes], seed
+        for got, want in zip(report.edge_slopes, slopes):
+            assert np.allclose(got, want, rtol=0, atol=1e-12), seed

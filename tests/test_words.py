@@ -149,6 +149,16 @@ class TestEnumeration:
             _word_level.cache_clear()
             _class_level.cache_clear()
 
+    def test_levels_over_row_budget_refused(self, monkeypatch):
+        # checked before recursing: k = 2, n = 16 would take over 2 GB
+        def refuse(k, n):
+            pytest.fail(f"enumerated words of length {n}")
+
+        monkeypatch.setattr("limcone.words._word_level", refuse)
+        for k, n in [(2, 15), (2, 16), (3, 11)]:
+            with pytest.raises(InvalidParameterError):
+                _word_level.__wrapped__(k, n)
+
 
 class TestConjClasses:
     def test_counts(self):
