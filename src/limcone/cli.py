@@ -19,16 +19,12 @@ import numpy as np
 
 from . import bulk, counting, growth, pressure, words
 from .errors import (
-    BracketFailureError,
-    DegenerateConeError,
     InsufficientDataError,
     InvalidInputError,
     InvalidParameterError,
     LimconeError,
     NotInDualConeError,
     NotOnBoundaryError,
-    PerturbationFailedError,
-    SpectralFailureError,
     UndefinedGapError,
 )
 from .reps import load_rep
@@ -45,12 +41,6 @@ _PRECONDITION = (
     NotOnBoundaryError,
     InsufficientDataError,
     UndefinedGapError,
-)
-_NUMERICAL = (
-    SpectralFailureError,
-    BracketFailureError,
-    DegenerateConeError,
-    PerturbationFailedError,
 )
 
 
@@ -362,13 +352,9 @@ def main(argv=None) -> int:
         out.cleanup()
         print(f"precondition error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except _NUMERICAL as exc:
-        out.cleanup()
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except LimconeError as exc:
         out.cleanup()
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return 0
 

@@ -238,11 +238,13 @@ def limit_cone(rep, N: int) -> ConeHull:
     if rep.dim > 3:
         raise InvalidParameterError("cone hulls implemented for d <= 3")
     lam = class_spectra(rep, N).all_jordan()
-    norms = np.linalg.norm(lam, axis=1)
+    norms = np.sqrt(np.einsum("ij,ij->i", lam, lam))
     keep = norms >= 1e-6
     if not keep.any():
         raise DegenerateConeError("all sampled spectra are elliptic")
-    return _hull_from_vectors(lam[keep], norms.max(), rep.dim)
+    if not keep.all():          # copy the table only when spectra drop out
+        lam = lam[keep]
+    return _hull_from_vectors(lam, norms.max(), rep.dim)
 
 
 def asymptotic_cone(rep, N: int, norm_floor: float) -> ConeHull:

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import NEG_INFINITY, gap_slice_coord, limit_cone
-from .bulk import class_spectra
+from .counting import NEG_INFINITY, ConeHull, gap_slice_coord, limit_cone
+from .bulk import class_spectra  # unused here; perfbench/tracing.py patches it
 from .errors import (
     DegenerateConeError,
     InsufficientDataError,
@@ -55,6 +55,7 @@ __all__ = [
 _ENDPOINT_SLOPE_FACTOR = 1.5
 _EDGE_MARGIN = 0.05     # fraction of the dual-cone window left untraced at each end
 _MARGIN_TOL = 1e-6      # audit margins within this of 0 are rounding, not strict
+_DEGENERATE_WIDTH = 1e-9  # sampled cones narrower than this (gap coordinate) are one ray
 
 
 @dataclass(frozen=True)
@@ -64,23 +65,18 @@ class BoundaryPoint:
     direction: Functional        # unit-norm input direction
     s_star: float                # scale putting the direction on the boundary
     functional: Functional       # s_star * direction
-    gibbs_dir: np.ndarray        # unit tangency direction
-    gibbs_norm: float            # norm of the raw Gibbs mean per unit time
+    gibbs_vector: np.ndarray     # raw Gibbs mean per unit time (tangency direction)
     entropy: float               # functional evaluated on the raw Gibbs mean
-
-    @property
-    def gibbs_vector(self) -> np.ndarray:
-        return self.gibbs_dir * self.gibbs_norm
 
 
 @dataclass(frozen=True)
 class DualBody:
     """Ordered sample of the dual-body boundary (d = 3: by angle in the
-    two-dimensional dual; d = 2: a single point)."""
+    dual plane, inside the polar of `cone`; d = 2: a single point)."""
 
     boundary: tuple              # BoundaryPoints ordered by angle
     thetas: tuple                # curve parameter per point (d = 3)
-    dual_cone_rays: tuple        # Functionals spanning the dual cone estimate
+    cone: ConeHull               # sampled limit cone; the traced window is its polar
     gaps: tuple                  # parameters of failed directions
     degenerate: bool             # sampled cone had (numerically) empty interior
 
@@ -121,28 +117,14 @@ def boundary_point(rep, u, n_max: int = DEFAULT_N_MAX) -> BoundaryPoint:
     s_star = pressure_root(rep, un, n_max=n_max)
     phi = s_star * un
     g = gibbs_direction(rep, phi, n_max)
-    gn = float(np.linalg.norm(g))
-    return BoundaryPoint(un, float(s_star), phi, g / gn, gn, float(phi.coeffs @ g))
-
-
-def _dual_window(rep, n_max):
-    """Angular window of functional directions positive on the sampled
-    cone, from the polar of its extreme directions."""
-    lam = class_spectra(rep, n_max).all_jordan()
-    t = gap_slice_coord(lam)
-    i0, i1 = int(np.argmin(t)), int(np.argmax(t))
-    degenerate = (t[i1] - t[i0]) < 1e-9
-    angles = [float(np.arctan2(lam[i] @ _U2, lam[i] @ _U1)) for i in (i0, i1)]
-    lo = max(a - np.pi / 2 for a in angles)
-    hi = min(a + np.pi / 2 for a in angles)
-    return lo, hi, degenerate
+    return BoundaryPoint(un, float(s_star), phi, g, float(phi.coeffs @ g))
 
 
 def boundary_curve(rep, resolution: int = 16, n_max: int = DEFAULT_N_MAX,
                    allow_degenerate: bool = False, threads: int = 1) -> DualBody:
-    """Trace the dual-body boundary at `resolution` directions sampled
-    uniformly by angle strictly inside the dual cone estimate, kept a
-    fixed 5 percent of the window width away from each end.  Each
+    """Trace the dual-body boundary at `resolution` directions, evenly
+    spaced by angle over the polar of limit_cone(rep, n_max) but kept a
+    fixed 5 percent of that window's width away from each end.  Each
     pressure root is found to within 1e-6.
 
     Individual direction failures are recorded as gaps; more than 20
@@ -153,13 +135,15 @@ def boundary_curve(rep, resolution: int = 16, n_max: int = DEFAULT_N_MAX,
     """
     if rep.dim == 2:
         bp = boundary_point(rep, Functional(np.array([1.0, -1.0])), n_max=n_max)
-        rays = (Functional(np.array([1.0, -1.0])),)
-        return DualBody((bp,), (0.0,), rays, (), False)
+        return DualBody((bp,), (0.0,), limit_cone(rep, n_max), (), False)
     if rep.dim != 3:
         raise InvalidParameterError("boundary_curve is implemented for d in {2, 3}")
     if resolution < 8:
         raise InvalidParameterError("need resolution >= 8")
-    lo, hi, degenerate = _dual_window(rep, n_max)
+    cone = limit_cone(rep, n_max)
+    angles = np.arctan2(cone.hull @ _U2, cone.hull @ _U1)
+    lo, hi = angles.max() - np.pi / 2, angles.min() + np.pi / 2
+    degenerate = cone.width < _DEGENERATE_WIDTH
     if degenerate and not allow_degenerate:
         raise DegenerateConeError(
             "sampled limit cone is a single ray; dual body boundary is flat"
@@ -188,11 +172,7 @@ def boundary_curve(rep, resolution: int = 16, n_max: int = DEFAULT_N_MAX,
             f"{len(gaps)} of {resolution} boundary directions failed"
         )
     kept = tuple(float(th) for th, bp in zip(thetas, results) if bp is not None)
-    rays = (
-        Functional(np.cos(lo) * _U1 + np.sin(lo) * _U2),
-        Functional(np.cos(hi) * _U1 + np.sin(hi) * _U2),
-    )
-    return DualBody(points, kept, rays, gaps, degenerate)
+    return DualBody(points, kept, cone, gaps, degenerate)
 
 
 def _envelope(F, V):
@@ -328,9 +308,8 @@ class ContinuityRow:
 
 
 def _analysis(rep, n_max, resolution, probes):
-    cone = limit_cone(rep, n_max)
     body = boundary_curve(rep, resolution=resolution, n_max=n_max, allow_degenerate=True)
-    return cone, growth_form(body), _envelope(body.functionals(), probes)
+    return body.cone, growth_form(body), _envelope(body.functionals(), probes)
 
 
 def continuity_scan(rep, epsilons, seed: int, probes, n_max: int = DEFAULT_N_MAX,
@@ -338,22 +317,25 @@ def continuity_scan(rep, epsilons, seed: int, probes, n_max: int = DEFAULT_N_MAX
     """Rebuild cone, indicator and growth form on perturb(rep, eps, seed)
     for each eps and report deltas against the unperturbed baseline.
 
-    Probes must lie inside the baseline limit cone with a 10 percent
-    angular margin (a degenerate baseline cone admits only its own ray).
+    Every eps must be finite and >= 0 and every probe inside the baseline
+    limit cone with a 10 percent angular margin (a degenerate baseline
+    cone admits only its own ray), checked before anything is traced.
     A failing ladder step is marked and the scan continues.
     """
+    if not all(eps >= 0 and np.isfinite(2.0 * eps) for eps in epsilons):
+        raise InvalidParameterError("epsilons must be finite and >= 0")
     probes = [np.asarray(getattr(p, "coords", p), dtype=float) for p in probes]
     base_cone = limit_cone(rep, n_max)
     lo, hi = base_cone.interval
     width = hi - lo
     for p in probes:
         tp = float(gap_slice_coord(p[None])[0])
-        if width < 1e-9:
+        if width < _DEGENERATE_WIDTH:
             if abs(tp - 0.5 * (lo + hi)) > 1e-6:
                 raise InvalidParameterError("probe outside the degenerate cone ray")
         elif not (lo + 0.1 * width <= tp <= hi - 0.1 * width):
             raise InvalidParameterError("probe outside the cone hull margin")
-    base_cone, base_form, base_psi = _analysis(rep, n_max, resolution, probes)
+    _, base_form, base_psi = _analysis(rep, n_max, resolution, probes)
     rows = []
     for eps in epsilons:
         try:

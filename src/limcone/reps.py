@@ -170,10 +170,14 @@ def perturb(rep: Representation, epsilon: float, seed: int) -> Representation:
     Deterministic in the seed.  With eps = 0 the input is returned
     unchanged (bit for bit).  Raises PerturbationFailedError when the
     perturbed determinant has no real d-th root of the right sign (even
-    d, negative determinant); retry with another seed.
+    d, negative determinant); retry with another seed.  Raises
+    InvalidParameterError for eps that is negative, not finite, or so
+    large that the noise range 2 eps overflows.
     """
     if epsilon < 0:
         raise InvalidParameterError("epsilon must be >= 0")
+    if not np.isfinite(2.0 * epsilon):
+        raise InvalidParameterError("epsilon must be finite, with a finite noise range 2 eps")
     if epsilon == 0:
         return rep
     rng = np.random.default_rng(seed)

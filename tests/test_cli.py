@@ -3,7 +3,14 @@ bitwise reproducible files."""
 
 import pytest
 
-from limcone import cli, save_rep, words
+from limcone import (
+    BracketFailureError,
+    PerturbationFailedError,
+    SpectralFailureError,
+    cli,
+    save_rep,
+    words,
+)
 
 
 @pytest.fixture(scope="module")
@@ -39,9 +46,13 @@ def test_missing_rep_file(tmp_path):
     ("p3", ["pressure", "--phi", "1", "nan", "-1"]),
     ("p3", ["exponent", "--phi", "1", "abc", "-1"]),
     ("p3", ["pressure", "--phi", "1", "0", "-1", "--t", "nan"]),
+    ("p3", ["perturb-scan", "--epsilons", "-0.01", "--probe", "1", "0", "-1"]),
+    ("p3", ["perturb-scan", "--epsilons", "nan", "--probe", "1", "0", "-1"]),
+    ("p3", ["perturb-scan", "--epsilons", "0.01", "1e308", "--probe", "1", "0", "-1"]),
 ], ids=["psi-short-probe", "psi-zero-probe", "psi-nan-probe", "scan-short-probe",
         "spectra-len-0", "spectra-len-neg", "entropy-off-boundary", "exponent-nan-phi",
-        "pressure-nan-phi", "exponent-text-phi", "pressure-nan-t"])
+        "pressure-nan-phi", "exponent-text-phi", "pressure-nan-t", "scan-negative-eps",
+        "scan-nan-eps", "scan-overflowing-eps"])
 def test_precondition_exit(tmp_path, reps, rep, argv):
     rc, out = run(tmp_path, reps, rep, *argv)
     assert rc == cli.EXIT_PRECONDITION and not out.exists()
@@ -49,6 +60,17 @@ def test_precondition_exit(tmp_path, reps, rep, argv):
 
 def test_degenerate_cone_is_numerical(tmp_path, reps):
     rc, out = run(tmp_path, reps, "f3", "boundary")
+    assert rc == cli.EXIT_NUMERICAL and not out.exists()
+
+
+@pytest.mark.parametrize("error", [BracketFailureError, SpectralFailureError,
+                                   PerturbationFailedError])
+def test_numerical_failures_exit_4(tmp_path, reps, monkeypatch, error):
+    def fail(rep, N):
+        raise error("injected")
+
+    monkeypatch.setattr("limcone.counting.limit_cone", fail)
+    rc, out = run(tmp_path, reps, "p3", "cone")
     assert rc == cli.EXIT_NUMERICAL and not out.exists()
 
 

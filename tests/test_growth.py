@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from limcone import (
+    DegenerateConeError,
     Functional,
     InvalidParameterError,
     NEG_INFINITY,
@@ -74,6 +75,15 @@ def test_continuity_scan_at_zero_deformation(p3):
     assert not row.failed
     assert row.hausdorff == row.dpsi_max == row.dh == row.dtheta == 0.0
     assert row.dpsi == (0.0,)
+
+
+def test_near_single_ray_cone_is_degenerate(f3):
+    # a two-row hull 1.3e-10 wide is still one ray for tracing
+    rep = perturb(f3, 1e-10, 1)
+    cone = limit_cone(rep, 12)
+    assert len(cone.hull) == 2 and 1e-10 < cone.width < 1e-9
+    with pytest.raises(DegenerateConeError):
+        boundary_curve(rep, 16)
 
 
 def test_boundary_curve_preconditions(p3, s2):
@@ -202,3 +212,12 @@ def test_audit_matches_looped_audit(traced):
         assert [len(s) for s in report.edge_slopes] == [len(s) for s in slopes], seed
         for got, want in zip(report.edge_slopes, slopes):
             assert np.allclose(got, want, rtol=0, atol=1e-12), seed
+
+
+def test_body_carries_the_limit_cone(traced):
+    # the traced window is the polar of limit_cone: the body holds that
+    # very cone and every traced functional is positive on its extreme rays
+    rep, body = traced
+    cone = limit_cone(rep, 12)
+    assert np.array_equal(body.cone.hull, cone.hull) and body.cone.interval == cone.interval
+    assert (body.functionals() @ body.cone.hull.T).min() > 0.1

@@ -137,6 +137,12 @@ class TestPerturb:
         with pytest.raises(InvalidParameterError):
             perturb(f3, -1e-3, 1)
 
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf, 1e308])
+    def test_unbounded_epsilon_rejected(self, f3, epsilon):
+        # 1e308 is finite but its noise range 2 eps is not
+        with pytest.raises(InvalidParameterError):
+            perturb(f3, epsilon, 1)
+
     def test_sign_flip_fails_for_even_dim(self, s2):
         # huge noise flips the determinant sign for some seed; even d
         # has no real rescaling then
