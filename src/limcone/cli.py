@@ -2,9 +2,9 @@
 
 Each subcommand reads a representation file, runs one experiment and
 writes the documented CSV or JSON output, printing a one-line scalar
-summary.  Exit codes: 0 success, 2 file errors, 3 precondition
-violations (including malformed functionals, probes and lengths),
-4 numerical failures.  Partially written outputs are
+summary.  Exit codes: 0 success, 2 file errors and command-line usage
+errors, 3 precondition violations (including malformed functionals,
+probes and lengths), 4 numerical failures.  Partially written outputs are
 removed on failure.  All numeric output carries 17 significant digits
 and is bitwise reproducible for a fixed seed, independent of the
 worker-thread count.
@@ -13,6 +13,7 @@ worker-thread count.
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -274,14 +275,27 @@ def _cmd_perturb_scan(args, out):
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads any argument starting "-<digit>" or
+    "-.<digit>" as a negative number.  Plain argparse counts only the
+    forms -12 and -1.5, so e-notation such as --phi 1 0 -1e-3, which
+    repr(float) writes below 1e-4, was refused as an unknown option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def _build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="limcone",
         description="limit cones, critical exponents and growth indicators "
         "of matrix free groups",
     )
-    ap.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    ap.add_argument("--threads", type=int, default=1, help="worker threads")
+    ap.add_argument("--seed", type=int, default=0,
+                    help="seed of the perturbations (read by perturb-scan only)")
+    ap.add_argument("--threads", type=int, default=1,
+                    help="worker threads (read by boundary and psi only)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kw):

@@ -2,16 +2,21 @@
 limit and asymptotic cones, the growth indicator by cone counts, and
 the precise-counting ratio table.
 
+Every estimator reads one spectral table (_table): class Jordan
+projections for "conjugacy", word Cartan projections for "element".
+
 Exponents are least-squares slopes of log N(s) against s on a uniform
-threshold grid.  Only complete thresholds enter: every item of length
-n contributes value at least n * r_min with r_min the smallest observed
-value-per-letter rate, so thresholds below (N + 1) * r_min cannot be
-reached by anything longer than the enumeration cap.  The grid stops
-strictly below that cap: a word of length N + 1 can take the value cap
-itself, and a threshold there would miss it.  Capping instead
+threshold grid.  Only complete thresholds enter.  Every item of length
+n has value at least n * r_min, with r_min the smallest observed
+value-per-letter rate, so no item longer than the enumeration cap N
+has value below the completeness cap (N + 1) * r_min (_completeness_cap).
+The grid stops strictly below the cap: a word of length N + 1 can take
+the cap itself, and a threshold there would miss it.  Capping instead
 at "max value minus one letter increment" leaves the top of the grid
 badly undercounted and drags the slope down by over 10 percent at desk
-scale.  The lowest fifth of the grid is dropped as transient.
+scale.  The lowest fifth of the grid is dropped as transient.  The cone
+counter of the growth indicator takes the cap of all Cartan norms, not
+of the cone's own, so thinning the population does not loosen it.
 
 Cone geometry lives on the projective slice of the Weyl chamber.  For
 d = 3 the chamber directions form the segment v2 / (v1 - v3) in
@@ -89,25 +94,40 @@ class ExponentEstimate:
     counts: np.ndarray
 
 
-def _threshold_grid(lo, values, lengths, N, points):
-    """`points` uniform thresholds from lo up to, and strictly below, the
-    completeness cap (N + 1) * min(values / lengths)."""
-    cap = (N + 1) * float((values / lengths).min())
+def _table(rep, N, mode):
+    """(vectors, float lengths) of the spectral table for mode: class
+    Jordan projections for "conjugacy", word Cartan projections for
+    "element"."""
+    if mode == "conjugacy":
+        cs = class_spectra(rep, N)
+        return cs.all_jordan(), cs.lengths().astype(float)
+    if mode == "element":
+        es = element_spectra(rep, N)
+        return es.cartan, es.lengths.astype(float)
+    raise InvalidParameterError(f"unknown mode {mode!r}")
+
+
+def _norms(vectors):
+    return np.sqrt(np.einsum("ij,ij->i", vectors, vectors))
+
+
+def _completeness_cap(values, lengths, N):
+    """(N + 1) * min(values / lengths): no item longer than N has a
+    value below it (see the module docstring)."""
+    return (N + 1) * float((values / lengths).min())
+
+
+def _threshold_grid(lo, cap, points):
+    """`points` uniform thresholds from lo up to, and strictly below, cap."""
     if cap <= lo:
         raise InsufficientDataError("no complete thresholds above the smallest value")
     return np.linspace(lo, cap, points, endpoint=False)
 
 
-def _slope_fit(values, lengths, N, completeness_values=None, completeness_lengths=None):
-    """Least-squares slope of log #{value <= s} on the complete window.
-
-    completeness_* default to the counted population; the cone counter
-    passes the global norms so that thinning the population does not
-    loosen the cap.
-    """
-    cv = values if completeness_values is None else completeness_values
-    cl = lengths if completeness_lengths is None else completeness_lengths
-    grid = _threshold_grid(float(values.min()), cv, cl, N, _GRID_POINTS)
+def _slope_fit(values, cap):
+    """Least-squares slope of log #{value <= s} on the complete window
+    below cap."""
+    grid = _threshold_grid(float(values.min()), cap, _GRID_POINTS)
     grid = grid[int(_DROP_FRACTION * _GRID_POINTS):]
     sorted_vals = np.sort(values)
     counts = np.searchsorted(sorted_vals, grid, side="right")
@@ -125,27 +145,6 @@ def _slope_fit(values, lengths, N, completeness_values=None, completeness_length
     return slope, se, grid, counts
 
 
-def _class_values(rep, phi, N, weight_hook):
-    cs = class_spectra(rep, N)
-    lam = cs.all_jordan()
-    lengths = cs.lengths().astype(float)
-    if weight_hook is not None:
-        values = np.asarray(weight_hook(lengths, lam), dtype=float)
-    else:
-        values = lam @ phi.coeffs
-    return values, lengths
-
-
-def _element_values(rep, phi, N, weight_hook):
-    es = element_spectra(rep, N)
-    lengths = es.lengths.astype(float)
-    if weight_hook is not None:
-        values = np.asarray(weight_hook(lengths, es.cartan), dtype=float)
-    else:
-        values = es.cartan @ phi.coeffs
-    return values, lengths
-
-
 def critical_exponent_direct(rep, phi, N, mode, weight_hook=None) -> ExponentEstimate:
     """Exponential growth rate of #{phi(lambda) <= s} over conjugacy
     classes, or #{phi(a) <= s} over group elements, by log-count
@@ -157,21 +156,16 @@ def critical_exponent_direct(rep, phi, N, mode, weight_hook=None) -> ExponentEst
     """
     if N < 6:
         raise InvalidParameterError("need N >= 6")
-    if mode == "conjugacy":
-        values, lengths = _class_values(rep, phi, N, weight_hook)
-        if values.min() <= 0:
-            raise NotInDualConeError(
-                "functional is non-positive on an enumerated class"
-            )
-    elif mode == "element":
-        values, lengths = _element_values(rep, phi, N, weight_hook)
-        if values[lengths == N].min() <= 0:
-            raise NotInDualConeError(
-                "functional is non-positive on a length-N Cartan projection"
-            )
+    vectors, lengths = _table(rep, N, mode)
+    if weight_hook is not None:
+        values = np.asarray(weight_hook(lengths, vectors), dtype=float)
     else:
-        raise InvalidParameterError(f"unknown mode {mode!r}")
-    slope, se, grid, counts = _slope_fit(values, lengths, N)
+        values = vectors @ phi.coeffs
+    if mode == "conjugacy" and values.min() <= 0:
+        raise NotInDualConeError("functional is non-positive on an enumerated class")
+    if mode == "element" and values[lengths == N].min() <= 0:
+        raise NotInDualConeError("functional is non-positive on a length-N Cartan projection")
+    slope, se, grid, counts = _slope_fit(values, _completeness_cap(values, lengths, N))
     return ExponentEstimate(slope, se, grid, counts)
 
 
@@ -199,7 +193,6 @@ class ConeHull:
 
     dim: int
     hull: np.ndarray
-    max_norm_used: float
     interval: tuple
 
     @property
@@ -221,13 +214,21 @@ class ConeHull:
         return _SLICE_SPEED * max(abs(a0 - b0), abs(a1 - b1))
 
 
-def _hull_from_vectors(vectors, max_norm, dim):
+def _cone_hull(rep, N, mode, floor, empty):
+    """Hull of the rows of the mode table with norm at least floor;
+    raises `empty` when no row has."""
+    vectors, _ = _table(rep, N, mode)
+    keep = _norms(vectors) >= floor
+    if not keep.any():
+        raise empty
+    if not keep.all():          # copy the table only when rows drop out
+        vectors = vectors.compress(keep, axis=0)
     t = gap_slice_coord(vectors)
     i0, i1 = int(np.argmin(t)), int(np.argmax(t))
     lo, hi = float(t[i0]), float(t[i1])
     ends = vectors[[i0]] if hi - lo < 1e-14 else vectors[[i0, i1]]
     hull = ends / np.abs(ends).sum(axis=1, keepdims=True)
-    return ConeHull(dim, hull, float(max_norm), (lo, hi))
+    return ConeHull(rep.dim, hull, (lo, hi))
 
 
 def limit_cone(rep, N: int) -> ConeHull:
@@ -237,14 +238,8 @@ def limit_cone(rep, N: int) -> ConeHull:
         raise InvalidParameterError("need N >= 4")
     if rep.dim > 3:
         raise InvalidParameterError("cone hulls implemented for d <= 3")
-    lam = class_spectra(rep, N).all_jordan()
-    norms = np.sqrt(np.einsum("ij,ij->i", lam, lam))
-    keep = norms >= 1e-6
-    if not keep.any():
-        raise DegenerateConeError("all sampled spectra are elliptic")
-    if not keep.all():          # copy the table only when spectra drop out
-        lam = lam[keep]
-    return _hull_from_vectors(lam, norms.max(), rep.dim)
+    return _cone_hull(rep, N, "conjugacy", 1e-6,
+                      DegenerateConeError("all sampled spectra are elliptic"))
 
 
 def asymptotic_cone(rep, N: int, norm_floor: float) -> ConeHull:
@@ -256,12 +251,8 @@ def asymptotic_cone(rep, N: int, norm_floor: float) -> ConeHull:
         raise InvalidParameterError("norm_floor must be positive")
     if rep.dim > 3:
         raise InvalidParameterError("cone hulls implemented for d <= 3")
-    es = element_spectra(rep, N)
-    norms = np.linalg.norm(es.cartan, axis=1)
-    keep = norms >= norm_floor
-    if not keep.any():
-        raise InsufficientDataError("norm floor excludes every Cartan projection")
-    return _hull_from_vectors(es.cartan[keep], norms[keep].max(), rep.dim)
+    return _cone_hull(rep, N, "element", norm_floor,
+                      InsufficientDataError("norm floor excludes every Cartan projection"))
 
 
 # ---------------------------------------------------------------------------
@@ -288,19 +279,15 @@ def growth_indicator_direct(rep, v, half_angle: float, N: int) -> GrowthIndicato
         raise InvalidParameterError("direction must be sum-zero")
     if not 0 < half_angle <= np.pi / 4:
         raise InvalidParameterError("half_angle must lie in (0, pi/4]")
-    es = element_spectra(rep, N)
-    norms = np.linalg.norm(es.cartan, axis=1)
-    lengths = es.lengths.astype(float)
+    cartan, lengths = _table(rep, N, "element")
+    norms = _norms(cartan)
     with np.errstate(invalid="ignore", divide="ignore"):
-        cosang = (es.cartan @ coords) / norms
+        cosang = (cartan @ coords) / norms
     inside = cosang >= np.cos(half_angle)
     if not inside.any():
         return GrowthIndicatorSample(coords, NEG_INFINITY)
     try:
-        slope, se, _, _ = _slope_fit(
-            norms[inside], lengths[inside], N,
-            completeness_values=norms, completeness_lengths=lengths,
-        )
+        slope, se, _, _ = _slope_fit(norms[inside], _completeness_cap(norms, lengths, N))
     except InsufficientDataError:
         return GrowthIndicatorSample(coords, NEG_INFINITY)
     return GrowthIndicatorSample(coords, slope, se)
@@ -318,7 +305,6 @@ class OrbitCountTable:
     thresholds: np.ndarray
     ratios: np.ndarray
     h: float
-    h_std_error: float
 
     def trend_toward_one(self) -> bool:
         """Is the last third of the table closer to 1 than the first?"""
@@ -335,14 +321,12 @@ def orbit_count_ratio(rep, i: int, N: int) -> OrbitCountTable:
     lambda_(i+1): estimate its exponent h in element mode, then tabulate
     h t e^(-h t) #{classes : gap <= t} over complete thresholds."""
     phi = Functional.gap(rep.dim, i)
-    cs = class_spectra(rep, N)
-    lam = cs.all_jordan()
+    lam, lengths = _table(rep, N, "conjugacy")
     gaps = lam[:, i - 1] - lam[:, i]
     if gaps.min() <= 0:
         raise NotInDualConeError("gap functional vanishes on an enumerated class")
     est = critical_exponent_direct(rep, phi, N, "element")
-    lengths = cs.lengths().astype(float)
-    ts = _threshold_grid(float(gaps.min()), gaps, lengths, N, _RATIO_POINTS)
+    ts = _threshold_grid(float(gaps.min()), _completeness_cap(gaps, lengths, N), _RATIO_POINTS)
     counts = np.searchsorted(np.sort(gaps), ts, side="right")
     ratios = est.value * ts * np.exp(-est.value * ts) * counts
-    return OrbitCountTable(ts, ratios, est.value, est.std_error)
+    return OrbitCountTable(ts, ratios, est.value)

@@ -91,7 +91,6 @@ class DualBody:
 class GrowthForm:
     theta: Functional            # tangent functional at the growth direction
     h: float                     # exponential growth rate for the norm
-    tau: np.ndarray              # unit growth direction
 
 
 def _chamber_direction(t) -> np.ndarray:
@@ -206,13 +205,11 @@ def psi_from_duality(body: DualBody, v):
 
 
 def growth_form(body: DualBody) -> GrowthForm:
-    """Minimal dual-norm boundary functional, its norm (the growth rate
-    for the Euclidean norm) and the growth direction.
+    """Minimal dual-norm boundary functional and its norm (the growth
+    rate for the Euclidean norm).
 
     The minimum over the sampled curve is sharpened by a parabolic fit
-    through the three points around the argmin; the growth direction is
-    the maximizing unit vector of the minimal functional, which matches
-    the Gibbs direction of the argmin point.
+    through the three points around the argmin.
     """
     norms = np.array([bp.functional.norm() for bp in body.boundary])
     i = int(np.argmin(norms))
@@ -221,17 +218,14 @@ def growth_form(body: DualBody) -> GrowthForm:
         x = np.array(body.thetas[i - 1 : i + 2])
         coef = np.polyfit(x, norms[i - 1 : i + 2], 2)
     if not interior or coef[0] <= 0:
-        phi = body.boundary[i].functional
-        h = float(norms[i])
-        return GrowthForm(phi, h, phi.coeffs / h)
+        return GrowthForm(body.boundary[i].functional, float(norms[i]))
     theta_star = float(np.clip(-coef[1] / (2 * coef[0]), x[0], x[-1]))
     h = float(np.polyval(coef, theta_star))
     comps = np.stack([bp.functional.coeffs for bp in body.boundary[i - 1 : i + 2]])
     phi_star = np.array([np.polyval(np.polyfit(x, comps[:, j], 2), theta_star)
                          for j in range(comps.shape[1])])
     phi_star *= h / np.linalg.norm(phi_star)
-    theta = Functional(phi_star)
-    return GrowthForm(theta, h, theta.coeffs / h)
+    return GrowthForm(Functional(phi_star), h)
 
 
 # ---------------------------------------------------------------------------

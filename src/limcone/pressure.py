@@ -122,16 +122,21 @@ class _Weights:
 
 def _cycle_pressure(w: _Weights, t):
     """Truncated cycle-expansion pressure at t and its slope in t, or
-    None when 1/zeta_N(z, t) has no positive real zero.
+    None when 1/zeta_N(z, t) has no usable positive real zero.
 
     Z_n is scaled by exp(-n s) with s = P_N(t), so the zero sought lies
-    near z = 1 and nothing overflows; P = s - log z* for the scaled z*.
+    near z = 1; P = s - log z* for the scaled z*.  At |t| near the top
+    of the float range the scaled Z_n or dZ_n can still overflow, and
+    there is then no usable zero either.
     """
     N = w.n_max
     sums = [w.level_sum(n, t) for n in range(1, N + 1)]
     s = sums[-1][0] / N
-    Z = np.array([0.0] + [np.exp(log_z - n * s) for n, (log_z, _) in enumerate(sums, 1)])
-    dZ = np.array([0.0] + [-Z[n] * mean for n, (_, mean) in enumerate(sums, 1)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z = np.array([0.0] + [np.exp(log_z - n * s) for n, (log_z, _) in enumerate(sums, 1)])
+        dZ = np.array([0.0] + [-Z[n] * mean for n, (_, mean) in enumerate(sums, 1)])
+    if not (np.isfinite(Z).all() and np.isfinite(dZ).all()):
+        return None
     # 1/zeta = sum c_k z^k with k c_k = -sum_(j <= k) Z_j c_(k-j) (Newton's identities)
     c, dc = np.zeros(N + 1), np.zeros(N + 1)
     c[0] = 1.0
@@ -187,8 +192,10 @@ class PressureTable:
     """Level pressures P_n(t) for 2 <= n <= n_max and the limit estimate.
 
     extrapolated is the truncated cycle-expansion pressure at N = n_max.
-    oscillating is True when that expansion has no positive real zero in
-    z; extrapolated is then the level pressure P_(n_max)(t).
+    oscillating is True when that expansion has no usable positive real
+    zero in z (see _cycle_pressure); extrapolated is then the level
+    pressure P_(n_max)(t).  A t at which a level pressure overflows is
+    refused.
     """
 
     t: float
@@ -231,7 +238,10 @@ def pressure_table(rep, phi, t, n_max=DEFAULT_N_MAX, weight_hook=None) -> Pressu
     if not np.isfinite(t):
         raise InvalidParameterError("t must be finite")
     w = _Weights(rep, phi, n_max, weight_hook)
-    levels = {n: w.level(n, t) for n in range(2, n_max + 1)}
+    with np.errstate(over="ignore", invalid="ignore"):
+        levels = {n: w.level(n, t) for n in range(2, n_max + 1)}
+    if not np.isfinite(list(levels.values())).all():
+        raise InvalidParameterError(f"t = {t:g} overflows the level pressures")
     cycle = _cycle_pressure(w, t)
     osc = cycle is None
     extrap = levels[n_max] if osc else cycle[0]

@@ -281,7 +281,8 @@ def class_tree(k: int, n_max: int):
     parents, last, index = [None] * n_max, [None] * n_max, [None] * n_max
     below = np.zeros(0, dtype=np.int64)                # depth j + 1 prefix codes
     for j in range(n_max, 0, -1):
-        codes = _codes(_class_level(k, j)[0], base)
+        # the public reader, so a traced run books this as enumeration
+        codes = _codes(class_level_arrays(k, j)[0], base)
         nodes = np.unique(np.concatenate([codes, below // base]))
         index[j - 1] = np.searchsorted(nodes, codes).astype(np.int32)
         last[j - 1] = (nodes % base).astype(np.int8)

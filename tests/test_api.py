@@ -1,7 +1,8 @@
 """Every public module-level function of the package has a caller or a
 test: its name appears in another package module (not the re-exporting
-__init__), in tests/ or in perfbench/.  Every name the traced benchmark
-run patches exists."""
+__init__), in tests/ or in perfbench/.  Every field of a public
+dataclass is read as `.field` somewhere in the package, tests/ or
+perfbench/.  Every name the traced benchmark run patches exists."""
 
 import ast
 import importlib.util
@@ -29,6 +30,25 @@ def test_public_functions_are_used():
             if not any(pattern.search(text) for p, text in texts.items() if p != module):
                 unused.append(f"{module.name}:{name}")
     assert not unused, f"public functions with no caller or test: {unused}"
+
+
+def public_dataclass_fields(path):
+    tree = ast.parse(path.read_text())
+    return [(node.name, item.target.id)
+            for node in tree.body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+            for item in node.body if isinstance(item, ast.AnnAssign)]
+
+
+def test_public_dataclass_fields_are_read():
+    modules = sorted(PACKAGE.glob("*.py"))
+    sources = modules + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    text = "\n".join(p.read_text() for p in sources)
+    unread = [f"{module.name}:{cls}.{field}"
+              for module in modules for cls, field in public_dataclass_fields(module)
+              if not re.search(rf"\.{field}\b", text)]
+    assert not unread, f"dataclass fields nothing reads: {unread}"
 
 
 def test_trace_attach_points_resolve():

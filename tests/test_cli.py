@@ -3,11 +3,18 @@ bitwise reproducible files."""
 
 import pytest
 
+import numpy as np
+
 from limcone import (
     BracketFailureError,
+    Functional,
     PerturbationFailedError,
     SpectralFailureError,
     cli,
+    critical_exponent_direct,
+    growth_indicator_direct,
+    load_rep,
+    orbit_count_ratio,
     save_rep,
     words,
 )
@@ -49,13 +56,55 @@ def test_missing_rep_file(tmp_path):
     ("p3", ["perturb-scan", "--epsilons", "-0.01", "--probe", "1", "0", "-1"]),
     ("p3", ["perturb-scan", "--epsilons", "nan", "--probe", "1", "0", "-1"]),
     ("p3", ["perturb-scan", "--epsilons", "0.01", "1e308", "--probe", "1", "0", "-1"]),
+    ("p3", ["perturb-scan", "--epsilons", "-1e-3", "--probe", "1", "0", "-1"]),
+    ("p3", ["pressure", "--phi", "1", "0", "-1", "--t", "1e308"]),
+    ("p3", ["counting-check", "--index", "0"]),
+    ("p3", ["counting-check", "--index", "3"]),
+    ("s2", ["counting-check", "--max-len", "5"]),
+    ("s2", ["cone", "--kind", "asymptotic"]),
 ], ids=["psi-short-probe", "psi-zero-probe", "psi-nan-probe", "scan-short-probe",
         "spectra-len-0", "spectra-len-neg", "entropy-off-boundary", "exponent-nan-phi",
         "pressure-nan-phi", "exponent-text-phi", "pressure-nan-t", "scan-negative-eps",
-        "scan-nan-eps", "scan-overflowing-eps"])
+        "scan-nan-eps", "scan-overflowing-eps", "scan-negative-eps-e-notation",
+        "pressure-overflowing-t", "counting-check-index-0", "counting-check-index-3",
+        "counting-check-len-5", "cone-asymptotic-no-floor"])
 def test_precondition_exit(tmp_path, reps, rep, argv):
     rc, out = run(tmp_path, reps, rep, *argv)
     assert rc == cli.EXIT_PRECONDITION and not out.exists()
+
+
+def test_negative_e_notation_phi(tmp_path, reps):
+    rc, out = run(tmp_path, reps, "p3", "exponent", "--phi", "1", "0", "-1e-3", "--max-len", "8")
+    assert rc == 0
+    est = critical_exponent_direct(load_rep(reps["p3"]), Functional([1.0, 0.0, -1e-3]), 8, "element")
+    thresholds = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+    assert thresholds == est.thresholds.tolist()
+
+
+def test_negative_e_notation_probe(tmp_path, reps):
+    rc, out = run(tmp_path, reps, "p3", "psi", "--method", "direct",
+                  "--probe", "0.70001", "-1e-05", "-0.7", "--max-len", "8")
+    assert rc == 0
+    p = np.array([0.70001, -1e-05, -0.7])
+    p /= np.linalg.norm(p)
+    sample = growth_indicator_direct(load_rep(reps["p3"]), p, 0.15, 8)
+    row = [float(x) for x in out.read_text().splitlines()[1].split(",")]
+    assert row == p.tolist() + [sample.value]
+
+
+def test_negative_e_notation_t(tmp_path, reps):
+    rc, out = run(tmp_path, reps, "p3", "pressure", "--phi", "1", "0", "-1",
+                  "--t", "-1e5", "--n-max", "8")
+    assert rc == 0
+    assert {line.split(",")[1] for line in out.read_text().splitlines()[1:]} == {"-100000"}
+
+
+def test_counting_check_csv_matches_library(tmp_path, reps):
+    rc, out = run(tmp_path, reps, "s2", "counting-check", "--max-len", "8")
+    assert rc == 0
+    table = orbit_count_ratio(load_rep(reps["s2"]), 1, 8)
+    rows = [[float(x) for x in line.split(",")] for line in out.read_text().splitlines()[1:]]
+    assert rows == [[t, r] for t, r in zip(table.thresholds.tolist(), table.ratios.tolist())]
 
 
 def test_degenerate_cone_is_numerical(tmp_path, reps):

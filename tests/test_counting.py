@@ -1,5 +1,5 @@
-"""Definition-level counting: the complete-threshold window, cone hulls
-and the direct growth indicator.
+"""Definition-level counting: the complete-threshold window, cone hulls,
+the direct growth indicator and the precise-counting ratio table.
 
 The word-length weight is the exact seam: on F_2 there are 2 * 3^m - 2
 reduced words of length 1..m, so the element count at threshold s is
@@ -11,13 +11,16 @@ import numpy as np
 import pytest
 
 from limcone import (
+    Functional,
     InsufficientDataError,
     InvalidParameterError,
     asymptotic_cone,
     critical_exponent_direct,
     growth_indicator_direct,
     limit_cone,
+    orbit_count_ratio,
 )
+from limcone.bulk import class_spectra
 
 LOG3 = np.log(3.0)
 
@@ -73,3 +76,21 @@ class TestDirectIndicator:
         with pytest.raises(InvalidParameterError):
             growth_indicator_direct(p3, v, half_angle, 8)
 
+
+
+class TestOrbitCountRatio:
+    @pytest.fixture(scope="class")
+    def table(self, s2):
+        return orbit_count_ratio(s2, 1, 8)
+
+    def test_h_is_the_element_exponent(self, s2, table):
+        assert table.h == critical_exponent_direct(s2, Functional.gap(2, 1), 8, "element").value
+
+    def test_thresholds_below_class_gap_cap(self, s2, table):
+        cs = class_spectra(s2, 8)
+        lam = cs.all_jordan()
+        cap = 9 * ((lam[:, 0] - lam[:, 1]) / cs.lengths()).min()
+        assert len(table.thresholds) > 0 and (table.thresholds < cap).all()
+
+    def test_ratios_finite_positive(self, table):
+        assert np.isfinite(table.ratios).all() and (table.ratios > 0).all()

@@ -140,6 +140,22 @@ class TestPressureTable:
         ]
         assert devs[2] <= devs[1] <= devs[0]
 
+    @pytest.mark.parametrize("t", [1e305, -1e300])
+    def test_huge_t_falls_back_to_top_level(self, p3, t):
+        # the scaled Z_n overflow, so the cycle expansion has no usable zero
+        phi = Functional([1.0, 0.0, -1.0])
+        table = pressure_table(p3, phi, t)
+        assert table.oscillating
+        assert np.isfinite(table.extrapolated) and table.extrapolated == table.levels[12]
+        assert extrapolated_pressure(p3, phi, t) == table.extrapolated
+
+    def test_overflowing_t_rejected(self, p3):
+        phi = Functional([1.0, 0.0, -1.0])
+        with pytest.raises(InvalidParameterError):
+            pressure_table(p3, phi, 1e308)
+        with pytest.raises(InvalidParameterError):
+            extrapolated_pressure(p3, phi, 1e308)
+
     def test_membership_signs_around_boundary(self, s2):
         # P < 0 just outside the boundary functional, > 0 just inside
         phi = Functional([1.0, -1.0])
