@@ -129,7 +129,7 @@ def word_products(rep, n_max: int):
     """
     if n_max < 1:
         raise InvalidParameterError("need n_max >= 1")
-    words._check_level_rows(rep.num_generators, n_max)     # before any lower level
+    words._check_level(rep.num_generators, n_max)     # before any lower level
     return _tree_products(rep, _word_edges(rep.num_generators, n_max), n_max)
 
 
@@ -145,8 +145,10 @@ def class_spectra(rep, n_max: int) -> ClassSpectra:
     for n, lo, fwd, bwd in _tree_products(rep, edges, n_max):
         rows = index[n - 1]
         a, b = np.searchsorted(rows, (lo, lo + len(fwd)))
-        rows = rows[a:b] - lo
-        blocks[n].append(batched_jordan(fwd[rows], bwd[rows]))
+        if b - a < len(fwd):        # else every row is a class word, as at the top depth
+            rows = rows[a:b] - lo
+            fwd, bwd = fwd[rows], bwd[rows]
+        blocks[n].append(batched_jordan(fwd, bwd))
     jor = {n: np.concatenate(parts) for n, parts in blocks.items()}
     logm = {n: np.log(words.class_level_arrays(k, n)[1].astype(float)) for n in jor}
     cs = ClassSpectra(n_max, jor, logm)

@@ -276,14 +276,16 @@ def _cmd_perturb_scan(args, out):
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that reads any argument starting "-<digit>" or
-    "-.<digit>" as a negative number.  Plain argparse counts only the
-    forms -12 and -1.5, so e-notation such as --phi 1 0 -1e-3, which
-    repr(float) writes below 1e-4, was refused as an unknown option."""
+    """ArgumentParser that reads any argument starting "-<digit>",
+    "-.<digit>", "-inf" or "-nan" (any case, so -Infinity too) as a
+    negative number.  Plain argparse counts only the forms -12 and -1.5,
+    so e-notation such as --phi 1 0 -1e-3, which repr(float) writes below
+    1e-4, was refused as an unknown option, and -inf exited as a usage
+    error instead of reaching the finiteness checks."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _build_parser():

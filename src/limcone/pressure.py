@@ -89,6 +89,8 @@ class _Weights:
                 self.values[n] = np.asarray(weight_hook(n, cs.jordan[n]), dtype=float)
             else:
                 self.values[n] = cs.jordan[n] @ phi.coeffs
+        # every level sum writes its exponents here, so a sum allocates nothing
+        self._scratch = np.empty(max(len(v) for v in self.values.values()))
 
     def check_positive(self):
         worst = min(self.values[n].min() for n in range(1, self.n_max + 1))
@@ -98,11 +100,20 @@ class _Weights:
                 " functional is not in the interior of the dual cone"
             )
 
+    def gibbs_weights(self, n, t):
+        """(m, g) with g = exp(log mult - t weight - m) over level n and m
+        the largest exponent.  g is a view of the scratch buffer, valid
+        until the next call."""
+        v = self.values[n]
+        x = np.multiply(v, -t, out=self._scratch[:len(v)])
+        x += self.log_mult[n]
+        m = x.max()
+        x -= m
+        return m, np.exp(x, out=x)
+
     def level_sum(self, n, t):
         """log Z_n(t) and the Gibbs mean of the weight at level n."""
-        x = self.log_mult[n] - t * self.values[n]
-        m = x.max()
-        g = np.exp(x - m)
+        m, g = self.gibbs_weights(n, t)
         s = g.sum()
         return float(m + np.log(s)), float(g @ self.values[n] / s)
 
@@ -226,22 +237,32 @@ def _require_levels(n, lo=2):
         raise InvalidParameterError(f"need level n >= {lo}")
 
 
+def _require_finite(t):
+    if not np.isfinite(t):
+        raise InvalidParameterError("t must be finite")
+
+
+def _level_pressures(w: _Weights, t, ns):
+    """{n: P_n(t)} for n in ns; a t at which one overflows is refused."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        levels = {n: w.level(n, t) for n in ns}
+    if not np.isfinite(list(levels.values())).all():
+        raise InvalidParameterError(f"t = {t:g} overflows the level pressures")
+    return levels
+
+
 def level_pressure(rep, phi, t, n, weight_hook=None) -> float:
     """P_n(t) via a max-shifted log-sum-exp over level-n classes."""
     _require_levels(n)
-    w = _Weights(rep, phi, n, weight_hook)
-    return w.level(n, t)
+    _require_finite(t)
+    return _level_pressures(_Weights(rep, phi, n, weight_hook), t, [n])[n]
 
 
 def pressure_table(rep, phi, t, n_max=DEFAULT_N_MAX, weight_hook=None) -> PressureTable:
     _require_levels(n_max, lo=3)
-    if not np.isfinite(t):
-        raise InvalidParameterError("t must be finite")
+    _require_finite(t)
     w = _Weights(rep, phi, n_max, weight_hook)
-    with np.errstate(over="ignore", invalid="ignore"):
-        levels = {n: w.level(n, t) for n in range(2, n_max + 1)}
-    if not np.isfinite(list(levels.values())).all():
-        raise InvalidParameterError(f"t = {t:g} overflows the level pressures")
+    levels = _level_pressures(w, t, range(2, n_max + 1))
     cycle = _cycle_pressure(w, t)
     osc = cycle is None
     extrap = levels[n_max] if osc else cycle[0]
@@ -279,11 +300,8 @@ def gibbs_direction(rep, phi0, n, weight_hook=None) -> np.ndarray:
     already is whenever every class is)."""
     _require_levels(n, lo=4)
     w = _Weights(rep, phi0, n, weight_hook)
-    lam = w.jordan[n]
-    x = w.log_mult[n] - w.values[n]
-    x = x - x.max()
-    g = np.exp(x)
-    return (g @ lam) / (n * g.sum())
+    _, g = w.gibbs_weights(n, 1.0)
+    return (g @ w.jordan[n]) / (n * g.sum())
 
 
 def pressure_derivative_check(rep, phi0, phi1, n, h_step=1e-3):

@@ -11,16 +11,15 @@ symbolic stand-in for the geodesic flow; a class whose cyclic word has
 primitive period p accounts for p distinct periodic sequences of its
 length, and that multiplicity is carried alongside the canonical word.
 
-The module keeps three process-wide caches of pure combinatorics, all
-independent of any representation: the tree of reduced words organised
-by level, the canonical class words with their multiplicities, and the
-prefix tree of those class words (`class_tree`), along which
-limcone.bulk builds one product per distinct prefix.  Both class caches
-compare words as base-2k integer codes, first letter most significant,
-so code order is lexicographic word order and a rotation is two integer
-operations.  The codes fit int64 while (2k)^n < 2^63; longer class
-levels raise InvalidParameterError, and so does any word level of more
-than 2^24 words, which would not fit in memory.
+The module caches pure combinatorics, independent of any
+representation: reduced words by level, reduced pre-necklaces by length,
+the canonical class words with their multiplicities, and the prefix
+tree of the class words (`class_tree`), along which limcone.bulk builds
+one product per distinct prefix.  The canonical words are the
+cyclically reduced necklaces, so class words and their prefixes are
+generated by the pre-necklace extension rule (see _pre_necklaces), in
+lexicographic order, with no rotation ever compared.  A level of more
+than 2^24 reduced words is refused before any of it is built.
 """
 
 from dataclasses import dataclass
@@ -174,11 +173,17 @@ def _extension_table(k: int):
     )
 
 
-# largest word level built (k = 3, n = 10 has 11.7M rows); k = 2 stops at n = 14
+# largest level built (k = 3, n = 10 has 11.7M words); k = 2 stops at n = 14
 _LEVEL_ROWS = 1 << 24
 
 
-def _check_level_rows(k, n):
+def _check_level(k, n, n_min=0):
+    """Refuse a word or class level before any of it is built: k < 2,
+    n < n_min, or more than _LEVEL_ROWS reduced words of length n."""
+    if k < 2:
+        raise InvalidParameterError("need k >= 2 generators")
+    if n < n_min:
+        raise InvalidParameterError(f"need word length n >= {n_min}")
     if count_words(k, n) > _LEVEL_ROWS:
         raise InvalidParameterError(
             f"{count_words(k, n)} reduced words of length {n} exceed the {_LEVEL_ROWS}-row budget"
@@ -188,13 +193,8 @@ def _check_level_rows(k, n):
 @lru_cache(maxsize=64)
 def _word_level(k: int, n: int):
     """All reduced words of length n as an int8 array, in lexicographic
-    order.  Level n is built by extending level n-1, so rows stay sorted.
-    A level of more than _LEVEL_ROWS words is refused before any is built."""
-    if k < 2:
-        raise InvalidParameterError("need k >= 2 generators")
-    if n < 0:
-        raise InvalidParameterError("negative word length")
-    _check_level_rows(k, n)
+    order.  Level n is built by extending level n-1, so rows stay sorted."""
+    _check_level(k, n)
     if n == 0:
         return np.zeros((1, 0), dtype=np.int8)
     if n == 1:
@@ -205,61 +205,48 @@ def _word_level(k: int, n: int):
     return np.concatenate([prev[parents], ext.reshape(-1, 1)], axis=1)
 
 
-_SCAN_ROWS = 1 << 15
+@lru_cache(maxsize=64)
+def _pre_necklaces(k: int, n: int):
+    """Reduced pre-necklaces of length n (prefixes of least rotations)
+    as (words, period, parent): int8 words in lexicographic order, the
+    length p of each one's longest Lyndon prefix, and the row of its
+    (n-1)-prefix.  The extension rule of Fredricksen, Kessler & Maiorana
+    (Ruskey, Savage & Wang, J. Algorithms 13, 1992): a_1..a_(n-1) b is a
+    pre-necklace iff b >= a_(n-p); p stays when b = a_(n-p) and becomes
+    n otherwise.  Reduced words also need b != a_(n-1)^-1.  Parents in
+    order and letters ascending keep each length sorted.
+    """
+    if n == 1:
+        return (np.arange(2 * k, dtype=np.int8).reshape(-1, 1),
+                np.ones(2 * k, dtype=np.int64), np.zeros(2 * k, dtype=np.int32))
+    prev, period, _ = _pre_necklaces(k, n - 1)
+    ref = prev[np.arange(len(prev)), n - 1 - period]    # a_(n-p)
+    letters = np.arange(2 * k, dtype=np.int8)
+    ok = (letters >= ref[:, None]) & (letters != (prev[:, -1:] ^ 1))
+    parent, b = np.divmod(np.flatnonzero(ok), 2 * k)
+    out = np.empty((len(parent), n), dtype=np.int8)
+    out[:, :-1] = prev[parent]
+    out[:, -1] = b
+    return out, np.where(b == ref[parent], period[parent], n), parent.astype(np.int32)
 
 
-def _codes(W, base):
-    """Base-`base` integer codes of the rows of W, first letter most
-    significant, so code order is lexicographic word order."""
-    codes = np.zeros(len(W), dtype=np.int64)
-    for col in W.T:
-        codes *= base
-        codes += col
-    return codes
-
-
-def _check_codes_fit(k, n):
-    if n < 1 or (2 * k) ** n >= 2 ** 63:
-        raise InvalidParameterError("need 1 <= n with (2k)^n < 2^63")
+def _is_class(W, period, n):
+    """Pre-necklaces that are class words: necklaces (p divides n) that
+    are cyclically reduced."""
+    return (n % period == 0) & (W[:, -1] != (W[:, 0] ^ 1))
 
 
 @lru_cache(maxsize=64)
 def _class_level(k: int, n: int):
-    """Canonical cyclically reduced words of length n and their
-    multiplicities (number of distinct rotations).
-
-    Filters the reduced-word level: keep words that are cyclically
-    reduced and minimal among all their rotations.  Each word is compared
-    as its base-2k code c (see _codes): rotation r, which moves the first
-    r letters to the end, has code (c % B^(n-r)) B^r + c // B^(n-r) with
-    B = 2k.  A word is canonical iff no rotation has a smaller code, and
-    its multiplicity is n over the number of rotations with an equal one.
-    After each r only the words not yet beaten are kept, so later
-    rotations touch the survivors alone.  The codes fit int64 while
-    (2k)^n < 2^63, which bounds n (a level that long could not be
-    enumerated anyway).  The scan runs over blocks of _SCAN_ROWS rows
-    (rows are independent), so its temporaries stay near a megabyte; at
-    n = 12 whole-level temporaries grew the heap by about 30 MB that the
-    allocator then kept.
-    """
-    _check_codes_fit(k, n)
-    base = 2 * k
-    W = _word_level(k, n)
-    rows, mults = [], []
-    for lo in range(0, len(W), _SCAN_ROWS):
-        B = W[lo:lo + _SCAN_ROWS]
-        alive = np.flatnonzero(B[:, -1] != (B[:, 0] ^ 1))    # cyclically reduced
-        code = _codes(B[alive], base)
-        n_fixed = np.ones(len(alive), dtype=np.int64)         # rotations equal to w
-        for r in range(1, n):
-            head = base ** (n - r)
-            rot = (code % head) * base ** r + code // head
-            n_fixed += rot == code
-            unbeaten = rot >= code
-            alive, code, n_fixed = alive[unbeaten], code[unbeaten], n_fixed[unbeaten]
-        rows.append(lo + alive)
-        mults.append(n // n_fixed)                           # primitive period
-    return W[np.concatenate(rows)], np.concatenate(mults)
+    """Canonical cyclically reduced words of length n, in lexicographic
+    order, and their multiplicities (numbers of distinct rotations).  A
+    necklace is a power of its longest Lyndon prefix, so its multiplicity
+    is p.  A level of n < 1 or of over _LEVEL_ROWS reduced words is
+    refused before any pre-necklace is generated."""
+    _check_level(k, n, 1)
+    W, period, _ = _pre_necklaces(k, n)
+    cls = _is_class(W, period, n)
+    return W[cls], period[cls]
 
 
 @lru_cache(maxsize=64)
@@ -267,30 +254,29 @@ def class_tree(k: int, n_max: int):
     """Prefix tree of the canonical class words of length 1..n_max.
 
     Returns (edges, index).  edges[j - 1] = (parents, last) for depth j:
-    the sorted distinct j-prefixes of the class words, each given by the
-    row of its (j-1)-prefix one depth up (the root, for j = 1) and its last
-    letter.  index[n - 1] holds the rows of the level-n class words, in
-    class_level_arrays order, among the depth-n prefixes.  Prefixes are
-    sorted as base-2k integer codes (see _codes), which is the
-    lexicographic order of the words; the codes fit int64 while
-    (2k)^n_max < 2^63.  Built bottom-up: the depth-j prefixes are the
-    level-j class words together with the parents of depth j + 1.
+    the distinct j-prefixes of the class words in lexicographic order,
+    each given by the row of its (j-1)-prefix one depth up (the root, for
+    j = 1) and its last letter.  index[n - 1] holds the rows of the
+    level-n class words, in class_level_arrays order, among the depth-n
+    prefixes.  Every prefix of a class word is a reduced pre-necklace, so
+    depth j keeps, bottom-up, the pre-necklaces that are class words or
+    parents of a kept depth-(j + 1) node.  Refused as _class_level is.
     """
-    _check_codes_fit(k, n_max)
-    base = 2 * k
-    parents, last, index = [None] * n_max, [None] * n_max, [None] * n_max
-    below = np.zeros(0, dtype=np.int64)                # depth j + 1 prefix codes
+    _check_level(k, n_max, 1)
+    for j in range(1, n_max + 1):
+        class_level_arrays(k, j)    # the public reader: a traced run books generation there
+    parents, last, index = [None] * (n_max + 1), [None] * n_max, [None] * n_max
+    up = np.zeros(0, dtype=np.int32)        # parent rows of the kept depth-(j + 1) nodes
     for j in range(n_max, 0, -1):
-        # the public reader, so a traced run books this as enumeration
-        codes = _codes(class_level_arrays(k, j)[0], base)
-        nodes = np.unique(np.concatenate([codes, below // base]))
-        index[j - 1] = np.searchsorted(nodes, codes).astype(np.int32)
-        last[j - 1] = (nodes % base).astype(np.int8)
-        if j < n_max:
-            parents[j] = np.searchsorted(nodes, below // base).astype(np.int32)
-        below = nodes
-    parents[0] = np.zeros(len(below), dtype=np.int32)
-    return tuple(zip(parents, last)), tuple(index)
+        W, period, parent = _pre_necklaces(k, j)
+        cls = _is_class(W, period, j)
+        keep = cls.copy()
+        keep[up] = True
+        row = np.cumsum(keep, dtype=np.int32) - 1           # renumbered kept nodes
+        parents[j], last[j - 1], index[j - 1] = row[up], W[keep, -1], row[cls]
+        up = parent[keep]
+    parents[0] = up                         # depth 1 hangs from the root, row 0
+    return tuple(zip(parents, last)), tuple(index)     # zip drops the empty parents[n_max]
 
 
 def enumerate_words(k: int, n: int):

@@ -263,13 +263,3 @@ class TestClassSpectra:
             bulk.class_spectra.cache_clear()
         for n, expect in plain_class_spectra(p3, 8).items():
             assert np.abs(cs.jordan[n] - expect).max() < 1e-13, n
-
-
-def test_class_scan_blocks_match_whole_level(monkeypatch):
-    # the rotation scan of words._class_level runs in row blocks; any
-    # block size gives the whole-level result
-    whole = {n: words._class_level.__wrapped__(2, n) for n in (5, 6, 7)}
-    monkeypatch.setattr(words, "_SCAN_ROWS", 7)
-    for n, (W, mult) in whole.items():
-        Wb, mb = words._class_level.__wrapped__(2, n)
-        assert np.array_equal(W, Wb) and np.array_equal(mult, mb)

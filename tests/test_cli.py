@@ -62,12 +62,17 @@ def test_missing_rep_file(tmp_path):
     ("p3", ["counting-check", "--index", "3"]),
     ("s2", ["counting-check", "--max-len", "5"]),
     ("s2", ["cone", "--kind", "asymptotic"]),
+    ("p3", ["pressure", "--phi", "1", "0", "-1", "--t", "-inf"]),
+    ("p3", ["pressure", "--phi", "1", "0", "-1", "--t", "-nan"]),
+    ("p3", ["psi", "--probe", "1", "-inf", "0"]),
+    ("p3", ["psi", "--probe", "1", "-Infinity", "0"]),
 ], ids=["psi-short-probe", "psi-zero-probe", "psi-nan-probe", "scan-short-probe",
         "spectra-len-0", "spectra-len-neg", "entropy-off-boundary", "exponent-nan-phi",
         "pressure-nan-phi", "exponent-text-phi", "pressure-nan-t", "scan-negative-eps",
         "scan-nan-eps", "scan-overflowing-eps", "scan-negative-eps-e-notation",
         "pressure-overflowing-t", "counting-check-index-0", "counting-check-index-3",
-        "counting-check-len-5", "cone-asymptotic-no-floor"])
+        "counting-check-len-5", "cone-asymptotic-no-floor", "pressure-neg-inf-t",
+        "pressure-neg-nan-t", "psi-neg-inf-probe", "psi-neg-infinity-probe"])
 def test_precondition_exit(tmp_path, reps, rep, argv):
     rc, out = run(tmp_path, reps, rep, *argv)
     assert rc == cli.EXIT_PRECONDITION and not out.exists()

@@ -7,6 +7,7 @@ lands on log 3 for k = 2 to a few parts in 1e-8.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,14 @@ class TestLevelPressure:
     def test_level_precondition(self, s2):
         with pytest.raises(InvalidParameterError):
             level_pressure(s2, Functional([1.0, -1.0]), 0.0, 1)
+
+    @pytest.mark.parametrize("t", [1e308, np.inf, np.nan])
+    def test_overflowing_or_infinite_t_rejected(self, s2, t):
+        # refused as pressure_table refuses it, never a nan with warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError):
+                level_pressure(s2, Functional([1.0, -1.0]), t, 6)
 
 
 class TestPressureRoot:
@@ -318,18 +327,21 @@ class TestCycleExpansion:
         assert shared == own
 
     def test_never_builds_deeper_than_asked(self, monkeypatch):
-        # k = 3: a table to N = 12 would enumerate 6 * 5^11 words at its top
+        # k = 3: a table to N = 12 would generate class words of length 12
         rep = make_schottky([2.0, 2.5, 3.0], [0.0, np.pi / 3, 2 * np.pi / 3])
         phi = Functional([1.0, -1.0])
-        plain = words._word_level
+        plain, lengths = words._pre_necklaces, []
 
         def capped(k, n):
-            assert n <= 5, f"enumerated words of length {n}"
+            assert n <= 5, f"generated pre-necklaces of length {n}"
+            lengths.append(n)
             return plain(k, n)
 
-        monkeypatch.setattr(words, "_word_level", capped)
-        words._class_level.cache_clear()
+        for cached in (plain, words._class_level, words.class_tree, class_spectra):
+            cached.cache_clear()
+        monkeypatch.setattr(words, "_pre_necklaces", capped)
         table = pressure_table(rep, phi, 1.0, n_max=5)
+        assert max(lengths) == 5
         assert level_pressure(rep, phi, 1.0, 5) == table.levels[5]
         assert np.isfinite(gibbs_direction(rep, phi, 5)).all()
 

@@ -26,7 +26,13 @@ from limcone import (
     reduce,
     rotate,
 )
-from limcone.words import class_level_arrays, class_tree, _class_level, _word_level
+from limcone.words import (
+    class_level_arrays,
+    class_tree,
+    _class_level,
+    _pre_necklaces,
+    _word_level,
+)
 
 
 def rescan_reduce(letters):
@@ -80,6 +86,27 @@ def plain_class_level(k, n):
         n_fixed += ~any_neq
     mult = n // n_fixed
     return W[keep], mult[keep]
+
+
+def plain_class_tree(k, n_max):
+    """Reference prefix tree, built bottom-up: the depth-j nodes are the
+    sorted distinct base-2k codes (first letter most significant, so
+    code order is word order) of the level-j class words and of the
+    parents of the depth-(j + 1) nodes."""
+    base = 2 * k
+    parents, last, index = [None] * n_max, [None] * n_max, [None] * n_max
+    below = np.zeros(0, dtype=np.int64)
+    for j in range(n_max, 0, -1):
+        W = class_level_arrays(k, j)[0].astype(np.int64)
+        codes = W @ base ** np.arange(j - 1, -1, -1, dtype=np.int64)
+        nodes = np.unique(np.concatenate([codes, below // base]))
+        index[j - 1] = np.searchsorted(nodes, codes)
+        last[j - 1] = nodes % base
+        if j < n_max:
+            parents[j] = np.searchsorted(nodes, below // base)
+        below = nodes
+    parents[0] = np.zeros(len(below), dtype=np.int64)
+    return parents, last, index
 
 
 def trace_power(k, n):
@@ -195,7 +222,7 @@ class TestConjClasses:
             fixed = sum(euler_phi(n // d) * trace_power(k, d) for d in range(1, n + 1) if n % d == 0)
             assert fixed % n == 0 and len(W) == fixed // n
 
-    @pytest.mark.parametrize("k,n_top", [(2, 12), (3, 7)])
+    @pytest.mark.parametrize("k,n_top", [(2, 12), (3, 7), (4, 5)])
     def test_matches_plain_rotation_scan(self, k, n_top):
         for n in range(1, n_top + 1):
             W, mult = _class_level(k, n)
@@ -216,9 +243,9 @@ class TestConjClasses:
                 _class_level(k, n)
 
     def test_scan_memory_stays_blocked(self):
-        # whole-level temporaries would peak at 30-60 MB; the blocked scan
-        # holds little beyond its output
-        _word_level(2, 12)
+        # generating the pre-necklaces up to length 12 holds about 3 MB;
+        # a scan of the 708,588 reduced words of length 12 peaked at 30-60 MB
+        _pre_necklaces.cache_clear()
         tracemalloc.start()
         try:
             _class_level.__wrapped__(2, 12)
@@ -338,3 +365,30 @@ class TestClassTree:
     def test_codes_must_fit_int64(self):
         with pytest.raises(InvalidParameterError):
             class_tree(2, 32)
+
+    @pytest.mark.parametrize("k,n_max", [(2, 12), (3, 7), (4, 5)])
+    def test_matches_bottom_up_prefix_tree(self, k, n_max):
+        edges, index = class_tree(k, n_max)
+        parents0, last0, index0 = plain_class_tree(k, n_max)
+        for (parents, last), p0, l0 in zip(edges, parents0, last0, strict=True):
+            assert parents.dtype == np.int32 and last.dtype == np.int8
+            assert np.array_equal(parents, p0) and np.array_equal(last, l0)
+        for rows, rows0 in zip(index, index0, strict=True):
+            assert rows.dtype == np.int32 and np.array_equal(rows, rows0)
+
+
+class TestRefusal:
+    # over 2^24 reduced words of length n, n < 1 or k < 2: refused before
+    # a single pre-necklace is generated
+    @pytest.mark.parametrize("k,n", [(2, 15), (3, 11), (2, 32), (4, 21), (2, 0), (2, -1), (1, 4)])
+    def test_before_any_pre_necklace(self, monkeypatch, k, n):
+        def refuse(k, n):
+            pytest.fail(f"generated pre-necklaces of length {n}")
+
+        monkeypatch.setattr("limcone.words._pre_necklaces", refuse)
+        with pytest.raises(InvalidParameterError):
+            _class_level(k, n)
+        with pytest.raises(InvalidParameterError):
+            class_tree(k, n)
+        with pytest.raises(InvalidParameterError):
+            class_level_arrays(k, n)
