@@ -2,12 +2,14 @@
 
 Each subcommand reads a representation file, runs one experiment and
 writes the documented CSV or JSON output, printing a one-line scalar
-summary.  Exit codes: 0 success, 2 file errors and command-line usage
-errors, 3 precondition violations (including malformed functionals,
-probes and lengths), 4 numerical failures.  Partially written outputs are
-removed on failure.  All numeric output carries 17 significant digits
-and is bitwise reproducible for a fixed seed, independent of the
-worker-thread count.
+summary.  The error's type picks the exit code: 0 success, 2 file errors
+(OSError) and command-line usage errors, such as a non-number in a
+scalar option, 3 precondition violations (PreconditionError), such as a
+malformed representation file or a --phi or --probe entry that is not a
+number, 4 other numerical failures (LimconeError).  Partially written
+outputs are removed on failure.  All numeric output carries 17
+significant digits and is bitwise reproducible for a fixed seed,
+independent of the worker-thread count.
 """
 
 import argparse
@@ -19,34 +21,17 @@ import sys
 import numpy as np
 
 from . import bulk, counting, growth, pressure, words
-from .errors import (
-    InsufficientDataError,
-    InvalidInputError,
-    InvalidParameterError,
-    LimconeError,
-    NotInDualConeError,
-    NotOnBoundaryError,
-    UndefinedGapError,
-)
+from .errors import InvalidParameterError, LimconeError, PreconditionError
 from .reps import load_rep
-from .spectra import Functional
+from .spectra import Functional, batched_cartan, batched_jordan
 
 EXIT_FILE = 2
 EXIT_PRECONDITION = 3
 EXIT_NUMERICAL = 4
 
-_PRECONDITION = (
-    InvalidParameterError,
-    InvalidInputError,
-    NotInDualConeError,
-    NotOnBoundaryError,
-    InsufficientDataError,
-    UndefinedGapError,
-)
 
-
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
+def _fmt(x, spec=".17g") -> str:
+    return "-inf" if counting.is_neg_infinity(x) else format(float(x), spec)
 
 
 class _Output:
@@ -77,36 +62,34 @@ class _Output:
                 pass
 
 
-def _phi_from_args(values, dim):
+def _vector(values, dim, what):
+    """The d finite numbers of one --phi or --probe argument."""
     try:
-        coeffs = np.array([float(x) for x in values])
+        v = np.array([float(x) for x in values])
     except ValueError as exc:
-        raise InvalidParameterError(f"phi coefficients must be numbers: {exc}") from exc
-    if len(coeffs) != dim:
-        raise InvalidParameterError(f"phi needs {dim} coefficients, got {len(coeffs)}")
-    if not np.isfinite(coeffs).all():
-        raise InvalidParameterError("phi coefficients must be finite")
-    return Functional(coeffs)
+        raise InvalidParameterError(f"{what} entries must be numbers: {exc}") from exc
+    if len(v) != dim:
+        raise InvalidParameterError(f"{what} needs {dim} entries, got {len(v)}")
+    if not np.isfinite(v).all():
+        raise InvalidParameterError(f"{what} entries must be finite")
+    return v
 
 
-def _probes_from_args(values, dim):
-    """Unit probe directions from the repeated --probe arguments."""
+def _probes(values, dim):
+    """Unit probe directions on the sum-zero plane, where psi is defined,
+    from the repeated --probe arguments."""
     probes = []
     for p in values:
-        p = np.asarray(p, dtype=float)
-        if len(p) != dim:
-            raise InvalidParameterError(f"probe needs {dim} coordinates, got {len(p)}")
-        norm = np.linalg.norm(p)
-        if not (np.isfinite(p).all() and norm > 0):
-            raise InvalidParameterError("probe must be finite and nonzero")
-        probes.append(p / norm)
+        p = _vector(p, dim, "probe")
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(p)
+        if not 0 < norm < np.inf:
+            raise InvalidParameterError("probe must be nonzero, with a finite norm")
+        p = p / norm
+        if abs(p.sum()) > 1e-9 * dim:
+            raise InvalidParameterError("probe must lie on the sum-zero plane")
+        probes.append(p)
     return probes
-
-
-def _load(args):
-    if not os.path.exists(args.rep):
-        raise FileNotFoundError(args.rep)
-    return load_rep(args.rep)
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +97,7 @@ def _load(args):
 # ---------------------------------------------------------------------------
 
 def _cmd_spectra(args, out):
-    rep = _load(args)
-    from .spectra import batched_cartan, batched_jordan
-
+    rep = load_rep(args.rep)
     d = rep.dim
     header = ["word", "len"] + [f"a{i+1}" for i in range(d)] + [f"l{i+1}" for i in range(d)]
     rows = []
@@ -124,15 +105,14 @@ def _cmd_spectra(args, out):
         W = words.word_level_array(rep.num_generators, n)[lo:lo + len(fwd)]
         a = batched_cartan(fwd, bwd)
         l = batched_jordan(fwd, bwd)
-        for j, row in enumerate(W):
-            word = words.format_word(words.Word(tuple(int(x) for x in row)), rep.labels)
-            rows.append([word, n] + list(a[j]) + list(l[j]))
+        for j, row in enumerate(W.tolist()):
+            rows.append([words.format_word(row, rep.labels), n] + list(a[j]) + list(l[j]))
     out.write_csv(args.out, header, rows)
     print(f"spectra: {len(rows)} words up to length {args.max_len} -> {args.out}")
 
 
 def _cmd_cone(args, out):
-    rep = _load(args)
+    rep = load_rep(args.rep)
     if args.kind == "limit":
         hull = counting.limit_cone(rep, args.max_len)
     else:
@@ -149,8 +129,8 @@ def _cmd_cone(args, out):
 
 
 def _cmd_exponent(args, out):
-    rep = _load(args)
-    phi = _phi_from_args(args.phi, rep.dim)
+    rep = load_rep(args.rep)
+    phi = Functional(_vector(args.phi, rep.dim, "phi"))
     est = counting.critical_exponent_direct(rep, phi, args.max_len, args.mode)
     rows = [[t, c, np.log(c)] for t, c in zip(est.thresholds, est.counts)]
     out.write_csv(args.out, ["threshold", "count", "log_count"], rows)
@@ -158,8 +138,8 @@ def _cmd_exponent(args, out):
 
 
 def _cmd_pressure(args, out):
-    rep = _load(args)
-    phi = _phi_from_args(args.phi, rep.dim)
+    rep = load_rep(args.rep)
+    phi = Functional(_vector(args.phi, rep.dim, "phi"))
     table = pressure.pressure_table(rep, phi, args.t, args.n_max)
     rows = [[n, args.t, p] for n, p in sorted(table.levels.items())]
     out.write_csv(args.out, ["n", "t", "P_n"], rows)
@@ -178,7 +158,7 @@ def _cmd_pressure(args, out):
 
 
 def _cmd_boundary(args, out):
-    rep = _load(args)
+    rep = load_rep(args.rep)
     body = growth.boundary_curve(
         rep, resolution=args.resolution, n_max=args.n_max, threads=args.threads
     )
@@ -197,25 +177,19 @@ def _cmd_boundary(args, out):
 
 
 def _cmd_psi(args, out):
-    rep = _load(args)
-    probes = _probes_from_args(args.probe, rep.dim)
+    rep = load_rep(args.rep)
+    probes = _probes(args.probe, rep.dim)
     if args.method in ("duality", "both"):
         body = growth.boundary_curve(
             rep, resolution=args.resolution, n_max=args.n_max, threads=args.threads
         )
     rows = []
-    last = None
     for p in probes:
         if args.method in ("duality", "both"):
-            val = growth.psi_from_duality(body, p)
-            sval = "-inf" if counting.is_neg_infinity(val) else val
-            rows.append(list(p) + [sval, "duality"])
-            last = val
+            rows.append(list(p) + [growth.psi_from_duality(body, p), "duality"])
         if args.method in ("direct", "both"):
             sample = counting.growth_indicator_direct(rep, p, args.half_angle, args.max_len)
-            sval = "-inf" if counting.is_neg_infinity(sample.value) else sample.value
-            rows.append(list(p) + [sval, "direct-count"])
-            last = sample.value
+            rows.append(list(p) + [sample.value, "direct-count"])
     d = rep.dim
     if args.method == "direct":
         header = [f"dir_{i+1}" for i in range(d)] + ["psi"]
@@ -223,13 +197,12 @@ def _cmd_psi(args, out):
     else:
         header = [f"v{i+1}" for i in range(d)] + ["psi", "method"]
         out.write_csv(args.out, header, rows)
-    shown = "-inf" if counting.is_neg_infinity(last) else f"{last:.10g}"
-    print(f"psi at {len(probes)} probe(s), last = {shown} -> {args.out}")
+    print(f"psi at {len(probes)} probe(s), last = {_fmt(rows[-1][-2], '.10g')} -> {args.out}")
 
 
 def _cmd_entropy(args, out):
-    rep = _load(args)
-    phi = _phi_from_args(args.phi, rep.dim)
+    rep = load_rep(args.rep)
+    phi = Functional(_vector(args.phi, rep.dim, "phi"))
     value = pressure.entropy_of_state(rep, phi, args.n_max)
     root = pressure.pressure_root(rep, phi, n_max=args.n_max)
     out.write_json(
@@ -245,7 +218,7 @@ def _cmd_entropy(args, out):
 
 
 def _cmd_counting_check(args, out):
-    rep = _load(args)
+    rep = load_rep(args.rep)
     table = counting.orbit_count_ratio(rep, args.index, args.max_len)
     rows = list(zip(table.thresholds, table.ratios))
     out.write_csv(args.out, ["t", "ratio"], rows)
@@ -256,10 +229,10 @@ def _cmd_counting_check(args, out):
 
 
 def _cmd_perturb_scan(args, out):
-    rep = _load(args)
-    probes = _probes_from_args(args.probe, rep.dim)
+    rep = load_rep(args.rep)
+    probes = _probes(args.probe, rep.dim)
     rows = growth.continuity_scan(
-        rep, [float(e) for e in args.epsilons], args.seed, probes,
+        rep, args.epsilons, args.seed, probes,
         n_max=args.n_max, resolution=args.resolution,
     )
     out.write_csv(
@@ -331,7 +304,7 @@ def _build_parser():
     p.add_argument("--n-max", type=int, default=12)
 
     p = add("psi", _cmd_psi, help="growth indicator at probe directions")
-    p.add_argument("--probe", nargs="+", action="append", required=True, type=float)
+    p.add_argument("--probe", nargs="+", action="append", required=True)
     p.add_argument("--method", choices=["duality", "direct", "both"], default="both")
     p.add_argument("--half-angle", type=float, default=0.15)
     p.add_argument("--max-len", type=int, default=12)
@@ -348,7 +321,7 @@ def _build_parser():
 
     p = add("perturb-scan", _cmd_perturb_scan, help="continuity under deformation")
     p.add_argument("--epsilons", nargs="+", required=True, type=float)
-    p.add_argument("--probe", nargs="+", action="append", required=True, type=float)
+    p.add_argument("--probe", nargs="+", action="append", required=True)
     p.add_argument("--n-max", type=int, default=12)
     p.add_argument("--resolution", type=int, default=16)
 
@@ -360,11 +333,11 @@ def main(argv=None) -> int:
     out = _Output()
     try:
         args.fn(args, out)
-    except (FileNotFoundError, IsADirectoryError, PermissionError, OSError) as exc:
+    except OSError as exc:
         out.cleanup()
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_FILE
-    except _PRECONDITION as exc:
+    except PreconditionError as exc:
         out.cleanup()
         print(f"precondition error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -272,6 +272,8 @@ class GrowthIndicatorSample:
 def growth_indicator_direct(rep, v, half_angle: float, N: int) -> GrowthIndicatorSample:
     """Growth rate of #{w : a(rho w) in the cone of half_angle around v,
     |a(rho w)| <= s}; since |v| = 1 the slope is the indicator value."""
+    if N < 6:
+        raise InvalidParameterError("need N >= 6")
     coords = np.asarray(getattr(v, "coords", v), dtype=float)
     if abs(np.linalg.norm(coords) - 1.0) > 1e-9:
         raise InvalidParameterError("direction must be a unit vector")

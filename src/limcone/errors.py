@@ -1,10 +1,10 @@
 """Exception hierarchy.
 
-Precondition violations (bad parameters, functionals outside the dual
-cone, probes off the boundary) are kept distinct from numerical
-breakdowns (spectral failures, root brackets, degenerate cones) so that
-callers, and the command line front end in particular, can map them to
-different exit codes.
+The base class decides the exit class: precondition violations (bad
+parameters or input files, functionals outside the dual cone, probes off
+the boundary) derive from PreconditionError, numerical breakdowns
+(spectral failures, root brackets, degenerate cones) from LimconeError
+directly; the command line front end exits 3 and 4 on them.
 """
 
 
@@ -12,11 +12,15 @@ class LimconeError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidParameterError(LimconeError, ValueError):
+class PreconditionError(LimconeError):
+    """An input violates a documented precondition of the computation."""
+
+
+class InvalidParameterError(PreconditionError, ValueError):
     """A parameter violates a documented precondition."""
 
 
-class InvalidInputError(LimconeError, ValueError):
+class InvalidInputError(PreconditionError, ValueError):
     """Malformed input data (unknown letters, empty words, bad files)."""
 
 
@@ -28,15 +32,15 @@ class SpectralFailureError(LimconeError):
     """Singular value or eigenvalue computation cannot proceed."""
 
 
-class UndefinedGapError(LimconeError):
+class UndefinedGapError(PreconditionError):
     """Gap ratio requested for a matrix with vanishing top exponent."""
 
 
-class NotInDualConeError(LimconeError):
+class NotInDualConeError(PreconditionError):
     """Functional is not positive on all sampled Jordan projections."""
 
 
-class InsufficientDataError(LimconeError):
+class InsufficientDataError(PreconditionError):
     """Not enough usable samples or thresholds for the estimate."""
 
 
@@ -48,5 +52,5 @@ class BracketFailureError(LimconeError):
     """Root of the pressure could not be bracketed."""
 
 
-class NotOnBoundaryError(LimconeError):
+class NotOnBoundaryError(PreconditionError):
     """Functional is not certified to lie on the unit-exponent boundary."""

@@ -63,8 +63,9 @@ class Representation:
                 f"generators must have determinant 1 (max deviation {np.abs(dets - 1).max():.2e})"
             )
         labels = tuple(self.labels)
-        if len(labels) != gens.shape[0] or len(set(labels)) != len(labels):
-            raise InvalidParameterError("labels must be distinct, one per generator")
+        if (len(labels) != gens.shape[0] or len(set(labels)) != len(labels)
+                or not all(isinstance(lab, str) for lab in labels)):
+            raise InvalidParameterError("labels must be distinct strings, one per generator")
         gens.setflags(write=False)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "labels", labels)
@@ -221,7 +222,7 @@ def dumps_rep(rep: Representation) -> str:
 
 
 def save_rep(rep: Representation, path) -> None:
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(dumps_rep(rep))
 
 
@@ -230,8 +231,8 @@ def loads_rep(text: str) -> Representation:
     if not text:
         raise InvalidInputError("empty representation file")
     if text[0] == "{":
-        obj = json.loads(text)
         try:
+            obj = json.loads(text)
             d = int(obj["dim"])
             labels = tuple(obj["labels"])
             gens = np.array(
@@ -255,10 +256,17 @@ def loads_rep(text: str) -> Representation:
         if len(parts) != 1 + d * d:
             raise InvalidInputError(f"generator line has {len(parts) - 1} entries, need {d * d}")
         labels.append(parts[0])
-        gens.append(np.array([float(x) for x in parts[1:]]).reshape(d, d))
-    return Representation(d, np.stack(gens), tuple(labels))
+        try:
+            gens.append(np.array([float(x) for x in parts[1:]]).reshape(d, d))
+        except ValueError as exc:
+            raise InvalidInputError(f"bad generator line {parts[0]!r}: {exc}") from exc
+    return Representation(d, np.array(gens), tuple(labels))
 
 
 def load_rep(path) -> Representation:
-    with open(path) as f:
-        return loads_rep(f.read())
+    with open(path, encoding="utf-8") as f:
+        try:
+            text = f.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(f"representation file is not UTF-8 text: {exc}") from exc
+    return loads_rep(text)

@@ -321,9 +321,10 @@ def evaluate(rep, w) -> np.ndarray:
 
 
 def format_word(w, labels) -> str:
-    """Compact text form: label for a generator, uppercased label for its
-    inverse when the label is a single lowercase letter, else label'."""
-    letters = w.letters if isinstance(w, Word) else w.word.letters
+    """Compact text form of a word, a class or any letter sequence: label
+    for a generator, uppercased label for its inverse when the label is a
+    single lowercase letter, else label'."""
+    letters = getattr(w, "letters", w)
     parts = []
     for l in letters:
         lab = labels[l >> 1]

@@ -1,6 +1,8 @@
 """Command line contract: exit codes, removal of partial output, and
 bitwise reproducible files."""
 
+import json
+
 import pytest
 
 import numpy as np
@@ -8,13 +10,27 @@ import numpy as np
 from limcone import (
     BracketFailureError,
     Functional,
+    InsufficientDataError,
+    InvalidInputError,
+    InvalidParameterError,
+    NotInDualConeError,
+    NotOnBoundaryError,
     PerturbationFailedError,
     SpectralFailureError,
+    UndefinedGapError,
+    asymptotic_cone,
+    boundary_curve,
+    boundary_point,
     cli,
+    continuity_scan,
     critical_exponent_direct,
+    entropy_of_state,
     growth_indicator_direct,
+    limit_cone,
     load_rep,
     orbit_count_ratio,
+    pressure_root,
+    psi_from_duality,
     save_rep,
     words,
 )
@@ -39,6 +55,20 @@ def test_missing_rep_file(tmp_path):
     out = tmp_path / "out.csv"
     rc = cli.main(["cone", "--rep", str(tmp_path / "absent.rep"), "--out", str(out)])
     assert rc == cli.EXIT_FILE and not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    b'{"dim": 2,',
+    b"dim=2 gens=2\na 1 0 0 x\nb 1 0 0 1\n",
+    b"dim=2 gens=2\na \xff 0 0 1\nb 1 0 0 1\n",
+    b"dim=2 gens=0\n",
+    b'{"dim": 2, "labels": [1, 2], "generators": [[1, 0, 0, 1], [1, 0, 0, 1]]}',
+], ids=["json-syntax", "text-non-number", "not-utf8", "no-generators", "json-number-labels"])
+def test_malformed_rep_file_exit(tmp_path, text):
+    rep, out = tmp_path / "bad.rep", tmp_path / "out.csv"
+    rep.write_bytes(text)
+    rc = cli.main(["cone", "--rep", str(rep), "--out", str(out)])
+    assert rc == cli.EXIT_PRECONDITION and not out.exists()
 
 
 @pytest.mark.parametrize("rep,argv", [
@@ -66,13 +96,20 @@ def test_missing_rep_file(tmp_path):
     ("p3", ["pressure", "--phi", "1", "0", "-1", "--t", "-nan"]),
     ("p3", ["psi", "--probe", "1", "-inf", "0"]),
     ("p3", ["psi", "--probe", "1", "-Infinity", "0"]),
+    ("p3", ["psi", "--probe", "1", "abc", "-1"]),
+    ("p3", ["psi", "--method", "duality", "--probe", "1", "1", "1"]),
+    ("p3", ["perturb-scan", "--epsilons", "0.01", "--probe", "1", "1", "1"]),
+    ("p3", ["psi", "--method", "direct", "--probe", "1", "0", "-1", "--max-len", "5"]),
+    ("p3", ["psi", "--method", "duality", "--probe", "1e200", "0", "-1e200"]),
 ], ids=["psi-short-probe", "psi-zero-probe", "psi-nan-probe", "scan-short-probe",
         "spectra-len-0", "spectra-len-neg", "entropy-off-boundary", "exponent-nan-phi",
         "pressure-nan-phi", "exponent-text-phi", "pressure-nan-t", "scan-negative-eps",
         "scan-nan-eps", "scan-overflowing-eps", "scan-negative-eps-e-notation",
         "pressure-overflowing-t", "counting-check-index-0", "counting-check-index-3",
         "counting-check-len-5", "cone-asymptotic-no-floor", "pressure-neg-inf-t",
-        "pressure-neg-nan-t", "psi-neg-inf-probe", "psi-neg-infinity-probe"])
+        "pressure-neg-nan-t", "psi-neg-inf-probe", "psi-neg-infinity-probe",
+        "psi-text-probe", "psi-off-plane-probe", "scan-off-plane-probe", "psi-direct-len-5",
+        "psi-overflowing-probe"])
 def test_precondition_exit(tmp_path, reps, rep, argv):
     rc, out = run(tmp_path, reps, rep, *argv)
     assert rc == cli.EXIT_PRECONDITION and not out.exists()
@@ -112,6 +149,58 @@ def test_counting_check_csv_matches_library(tmp_path, reps):
     assert rows == [[t, r] for t, r in zip(table.thresholds.tolist(), table.ratios.tolist())]
 
 
+def read_rows(out):
+    return [[float(x) for x in line.split(",")] for line in out.read_text().splitlines()[1:]]
+
+
+@pytest.mark.parametrize("argv,cone", [
+    (["--kind", "limit"], lambda rep: limit_cone(rep, 10)),
+    (["--kind", "asymptotic", "--norm-floor", "1"], lambda rep: asymptotic_cone(rep, 10, 1.0)),
+], ids=["limit", "asymptotic"])
+def test_cone_csv_matches_library(tmp_path, reps, argv, cone):
+    rc, out = run(tmp_path, reps, "p3", "cone", *argv)
+    assert rc == 0
+    assert read_rows(out) == cone(load_rep(reps["p3"])).hull.tolist()
+
+
+def test_psi_both_csv_matches_library(tmp_path, reps):
+    rc, out = run(tmp_path, reps, "p3", "psi", "--method", "both",
+                  "--probe", "1", "0", "-1", "--probe", "0", "1", "-1")
+    assert rc == 0
+    rep = load_rep(reps["p3"])
+    v = np.array([1.0, 0.0, -1.0])
+    v /= np.linalg.norm(v)
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [r[-1] for r in rows] == ["duality", "direct-count"] * 2
+    assert [[float(x) for x in r[:-1]] for r in rows[:2]] == [
+        v.tolist() + [psi_from_duality(boundary_curve(rep, 16), v)],
+        v.tolist() + [growth_indicator_direct(rep, v, 0.15, 12).value],
+    ]
+    # a probe on the chamber wall, outside the limit cone
+    assert [r[-2] for r in rows[2:]] == ["-inf", "-inf"]
+
+
+def test_entropy_json_matches_library(tmp_path, reps):
+    rep = load_rep(reps["p3"])
+    phi = boundary_point(rep, np.array([1.0, 0.0, -1.0])).functional
+    rc, out = run(tmp_path, reps, "p3", "entropy", "--phi", *map(repr, phi.coeffs.tolist()))
+    assert rc == 0
+    record = json.loads(out.read_text())
+    assert record["root"] == pressure_root(rep, phi, n_max=12)
+    assert record["entropy"] == entropy_of_state(rep, phi, 12)
+
+
+def test_perturb_scan_csv_matches_library(tmp_path, reps):
+    rc, out = run(tmp_path, reps, "p3", "perturb-scan", "--epsilons", "0", "0.01",
+                  "--probe", "1", "0", "-1")
+    assert rc == 0
+    v = np.array([1.0, 0.0, -1.0])
+    v /= np.linalg.norm(v)
+    rows = continuity_scan(load_rep(reps["p3"]), [0.0, 0.01], 0, [v])
+    np.testing.assert_array_equal(
+        read_rows(out), [[r.epsilon, r.hausdorff, r.dpsi_max, r.dh] for r in rows])
+
+
 def test_degenerate_cone_is_numerical(tmp_path, reps):
     rc, out = run(tmp_path, reps, "f3", "boundary")
     assert rc == cli.EXIT_NUMERICAL and not out.exists()
@@ -126,6 +215,17 @@ def test_numerical_failures_exit_4(tmp_path, reps, monkeypatch, error):
     monkeypatch.setattr("limcone.counting.limit_cone", fail)
     rc, out = run(tmp_path, reps, "p3", "cone")
     assert rc == cli.EXIT_NUMERICAL and not out.exists()
+
+
+@pytest.mark.parametrize("error", [InvalidParameterError, InvalidInputError, NotInDualConeError,
+                                   NotOnBoundaryError, InsufficientDataError, UndefinedGapError])
+def test_precondition_failures_exit_3(tmp_path, reps, monkeypatch, error):
+    def fail(rep, N):
+        raise error("injected")
+
+    monkeypatch.setattr("limcone.counting.limit_cone", fail)
+    rc, out = run(tmp_path, reps, "p3", "cone")
+    assert rc == cli.EXIT_PRECONDITION and not out.exists()
 
 
 def test_partial_output_removed(tmp_path, reps):

@@ -76,6 +76,12 @@ class TestDirectIndicator:
         with pytest.raises(InvalidParameterError):
             growth_indicator_direct(p3, v, half_angle, 8)
 
+    @pytest.mark.parametrize("N", [1, 5])
+    def test_rejects_short_length(self, p3, N):
+        v = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
+        with pytest.raises(InvalidParameterError):
+            growth_indicator_direct(p3, v, 0.15, N)
+
 
 
 class TestOrbitCountRatio:

@@ -235,6 +235,10 @@ class TestFileFormat:
             loads_rep("dim=2 gens=2\na 1 0 0 1\n")
         with pytest.raises(InvalidInputError):
             loads_rep("dim=2 gens=1\na 1 0 0\n")
+        with pytest.raises(InvalidInputError):
+            loads_rep('{"dim": 2,')
+        with pytest.raises(InvalidInputError):
+            loads_rep("dim=2 gens=2\na 1 0 0 x\nb 1 0 0 1\n")
 
     def test_seventeen_digits(self, p3):
         text = dumps_rep(p3)
