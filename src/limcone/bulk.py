@@ -2,10 +2,10 @@
 
 Two tables feed everything downstream.  Each is cached whole per
 (rep, n_max), four entries per table, so a scan over fresh
-representations keeps at most four of each alive.  A caller that needs
-levels 1..n of the class table, not a table of depth n, can read them
-off live_class_spectra, the deepest class table of the representation
-still alive:
+representations keeps at most four of each alive.  Every caller reads
+the table at the depth it asks for; levels 1..m of a deeper class table
+are bitwise those of a table built to m, because each class product
+follows the same prefix path and the kernels act row by row:
 
 * class spectra: for each cyclic length n, the Jordan projections of
   the canonical conjugacy-class words together with their periodic-point
@@ -36,7 +36,6 @@ a single bit.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -48,7 +47,6 @@ __all__ = [
     "ClassSpectra",
     "ElementSpectra",
     "class_spectra",
-    "live_class_spectra",
     "element_spectra",
     "word_products",
 ]
@@ -151,23 +149,7 @@ def class_spectra(rep, n_max: int) -> ClassSpectra:
         blocks[n].append(batched_jordan(fwd, bwd))
     jor = {n: np.concatenate(parts) for n, parts in blocks.items()}
     logm = {n: np.log(words.class_level_arrays(k, n)[1].astype(float)) for n in jor}
-    cs = ClassSpectra(n_max, jor, logm)
-    held = _deepest_class_spectra.get(rep)
-    if held is None or held.n_max < n_max:
-        _deepest_class_spectra[rep] = cs
-    return cs
-
-
-# rep -> its deepest class table, for as long as anything holds that table
-_deepest_class_spectra = WeakValueDictionary()
-
-
-def live_class_spectra(rep):
-    """The deepest class table built for rep, if anything still holds it,
-    else None.  Its levels 1..m are bitwise those of a table built to m:
-    each class product follows the same prefix path, and the kernels act
-    row by row."""
-    return _deepest_class_spectra.get(rep)
+    return ClassSpectra(n_max, jor, logm)
 
 
 @lru_cache(maxsize=4)

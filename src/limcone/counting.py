@@ -138,6 +138,8 @@ def _slope_fit(values, cap):
     x = grid - grid.mean()
     y = np.log(counts)
     sxx = float(x @ x)
+    if not sxx > 0:
+        raise InsufficientDataError("the threshold grid collapses to one point")
     slope = float(x @ y) / sxx
     resid = y - y.mean() - slope * x
     dof = max(len(grid) - 2, 1)
@@ -274,7 +276,7 @@ def growth_indicator_direct(rep, v, half_angle: float, N: int) -> GrowthIndicato
     |a(rho w)| <= s}; since |v| = 1 the slope is the indicator value."""
     if N < 6:
         raise InvalidParameterError("need N >= 6")
-    coords = np.asarray(getattr(v, "coords", v), dtype=float)
+    coords = np.asarray(v, dtype=float)
     if abs(np.linalg.norm(coords) - 1.0) > 1e-9:
         raise InvalidParameterError("direction must be a unit vector")
     if abs(coords.sum()) > 1e-9 * len(coords):

@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 _ENDPOINT_SLOPE_FACTOR = 1.5
-_EDGE_MARGIN = 0.05     # fraction of the dual-cone window left untraced at each end
+_EDGE_MARGIN = 0.05     # share of the traced window, and of the audited one, left out at each end
 _MARGIN_TOL = 1e-6      # audit margins within this of 0 are rounding, not strict
 _DEGENERATE_WIDTH = 1e-9  # sampled cones narrower than this (gap coordinate) are one ray
 
@@ -204,7 +204,7 @@ def psi_from_duality(body: DualBody, v):
     boundary functionals at v, one row of _envelope.  Exact up to curve
     resolution inside the traced window; beyond it the minus-infinity
     marker is returned rather than an extrapolated value."""
-    val = float(_envelope(body.functionals(), getattr(v, "coords", v)))
+    val = float(_envelope(body.functionals(), v))
     return NEG_INFINITY if np.isnan(val) else val
 
 
@@ -269,7 +269,7 @@ def concavity_audit(body: DualBody, samples: int = 32, seed: int = 0) -> Concavi
     tg = gap_slice_coord(np.stack([bp.gibbs_vector for bp in body.boundary]))
     lo, hi = tg.min(), tg.max()
     span = hi - lo
-    lo_i, hi_i = lo + 0.05 * span, hi - 0.05 * span
+    lo_i, hi_i = lo + _EDGE_MARGIN * span, hi - _EDGE_MARGIN * span
     ends = _chamber_direction(np.random.default_rng(seed).uniform(lo_i, hi_i, (samples, 2)))
     pa, pb = _envelope(F, ends).T
     w = np.array([[0.25], [0.5], [0.75]])
@@ -322,7 +322,7 @@ def continuity_scan(rep, epsilons, seed: int, probes, n_max: int = DEFAULT_N_MAX
     """
     if not all(eps >= 0 and np.isfinite(2.0 * eps) for eps in epsilons):
         raise InvalidParameterError("epsilons must be finite and >= 0")
-    probes = [np.asarray(getattr(p, "coords", p), dtype=float) for p in probes]
+    probes = [np.asarray(p, dtype=float) for p in probes]
     base_cone = limit_cone(rep, n_max)
     lo, hi = base_cone.interval
     width = hi - lo

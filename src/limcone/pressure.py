@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bulk import class_spectra, live_class_spectra
+from .bulk import class_spectra
 from .errors import (
     BracketFailureError,
     InvalidParameterError,
@@ -50,13 +50,10 @@ __all__ = [
     "PressureTable",
     "RootResult",
     "word_length_weight",
-    "level_pressure",
     "pressure_table",
-    "extrapolated_pressure",
     "pressure_root",
     "pressure_root_detail",
     "gibbs_direction",
-    "pressure_derivative_check",
     "entropy_of_state",
 ]
 
@@ -73,14 +70,11 @@ def word_length_weight(n, lam):
 
 class _Weights:
     """Per-level weight values with log multiplicities for levels
-    1..n_max, read off a live deeper class table when there is one, so
-    level_pressure after a depth-N root or table builds nothing."""
+    1..n_max, read off the cached class table of depth n_max."""
 
     def __init__(self, rep, phi, n_max, weight_hook=None):
         self.n_max = n_max
-        cs = live_class_spectra(rep)
-        if cs is None or cs.n_max < n_max:
-            cs = class_spectra(rep, n_max)
+        cs = class_spectra(rep, n_max)
         self.values = {}
         self.log_mult = cs.log_mult
         self.jordan = cs.jordan
@@ -232,7 +226,7 @@ class RootResult:
     fallback: bool
 
 
-def _require_levels(n, lo=2):
+def _require_levels(n, lo):
     if n < lo:
         raise InvalidParameterError(f"need level n >= {lo}")
 
@@ -242,37 +236,18 @@ def _require_finite(t):
         raise InvalidParameterError("t must be finite")
 
 
-def _level_pressures(w: _Weights, t, ns):
-    """{n: P_n(t)} for n in ns; a t at which one overflows is refused."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        levels = {n: w.level(n, t) for n in ns}
-    if not np.isfinite(list(levels.values())).all():
-        raise InvalidParameterError(f"t = {t:g} overflows the level pressures")
-    return levels
-
-
-def level_pressure(rep, phi, t, n, weight_hook=None) -> float:
-    """P_n(t) via a max-shifted log-sum-exp over level-n classes."""
-    _require_levels(n)
-    _require_finite(t)
-    return _level_pressures(_Weights(rep, phi, n, weight_hook), t, [n])[n]
-
-
 def pressure_table(rep, phi, t, n_max=DEFAULT_N_MAX, weight_hook=None) -> PressureTable:
     _require_levels(n_max, lo=3)
     _require_finite(t)
     w = _Weights(rep, phi, n_max, weight_hook)
-    levels = _level_pressures(w, t, range(2, n_max + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        levels = {n: w.level(n, t) for n in range(2, n_max + 1)}
+    if not np.isfinite(list(levels.values())).all():
+        raise InvalidParameterError(f"t = {t:g} overflows the level pressures")
     cycle = _cycle_pressure(w, t)
     osc = cycle is None
     extrap = levels[n_max] if osc else cycle[0]
     return PressureTable(float(t), levels, float(extrap), n_max, osc)
-
-
-def extrapolated_pressure(rep, phi, t=1.0, n_max=DEFAULT_N_MAX, weight_hook=None) -> float:
-    """Limit pressure estimate at t: the truncated cycle-expansion
-    pressure at N = n_max (see PressureTable)."""
-    return pressure_table(rep, phi, t, n_max, weight_hook).extrapolated
 
 
 def pressure_root_detail(rep, phi, tol=1e-6, n_max=DEFAULT_N_MAX, weight_hook=None) -> RootResult:
@@ -302,23 +277,6 @@ def gibbs_direction(rep, phi0, n, weight_hook=None) -> np.ndarray:
     w = _Weights(rep, phi0, n, weight_hook)
     _, g = w.gibbs_weights(n, 1.0)
     return (g @ w.jordan[n]) / (n * g.sum())
-
-
-def pressure_derivative_check(rep, phi0, phi1, n, h_step=1e-3):
-    """Analytic versus central-difference derivative of the pressure in
-    the direction phi1 at phi0.
-
-    analytic = -phi1(gibbs_direction); numeric = central difference of
-    s -> P_n(phi0 + s phi1) at s = 0.  The two agree to O(h_step^2).
-    """
-    _require_levels(n, lo=4)
-    if not 1e-6 <= h_step <= 1e-2:
-        raise InvalidParameterError("h_step must lie in [1e-6, 1e-2]")
-    analytic = -float(phi1(gibbs_direction(rep, phi0, n)))
-    p_plus = level_pressure(rep, phi0 + h_step * phi1, 1.0, n)
-    p_minus = level_pressure(rep, phi0 - h_step * phi1, 1.0, n)
-    numeric = (p_plus - p_minus) / (2 * h_step)
-    return analytic, numeric
 
 
 def entropy_of_state(rep, phi0, n=DEFAULT_N_MAX, weight_hook=None) -> float:

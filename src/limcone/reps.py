@@ -3,8 +3,8 @@
 A Representation is an ordered list of SL(d, R) generators for the free
 group F_k together with symbol labels.  The example builders cover the
 desk-scale zoo: Schottky pairs in SL(2, R), their symmetric-power images
-in SL(d, R) (the irreducible embedding SL(2) -> SL(d)), seeded uniform
-perturbations, and the dual (inverse-transpose) representation.
+in SL(d, R) (the irreducible embedding SL(2) -> SL(d)) and seeded
+uniform perturbations.
 
 Whether Schottky parameters actually generate a free, discrete group is
 the caller's responsibility; nothing here runs a ping-pong argument.
@@ -23,7 +23,6 @@ __all__ = [
     "make_schottky",
     "sym_power_embed",
     "perturb",
-    "dual_rep",
     "save_rep",
     "load_rep",
     "loads_rep",
@@ -193,13 +192,6 @@ def perturb(rep: Representation, epsilon: float, seed: int) -> Representation:
             )
         out.append(gp / (np.sign(det) * abs(det) ** (1.0 / d)))
     return Representation(d, np.stack(out), rep.labels)
-
-
-def dual_rep(rep: Representation) -> Representation:
-    """Contragredient representation: each generator replaced by its
-    inverse transpose.  An involution."""
-    gens = np.swapaxes(np.linalg.inv(rep.generators), 1, 2)
-    return Representation(rep.dim, gens, rep.labels)
 
 
 # ---------------------------------------------------------------------------

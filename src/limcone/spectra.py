@@ -1,4 +1,4 @@
-"""Cartan and Jordan projections of single matrices.
+"""Cartan and Jordan projections of stacks of word products.
 
 For g in GL(d, R) the Cartan projection a(g) is the sorted vector of
 logarithmic singular values and the Jordan projection lambda(g) the
@@ -11,13 +11,15 @@ number sits around e^40, where one-sided solvers lose every coordinate
 below the midpoint.  Both projections are therefore computed from two
 passes, m and m^{-1}: the top half of the spectrum from m, the bottom
 half from the inverse, and for odd d the middle coordinate from the
-zero-sum constraint.  That keeps every coordinate near machine accuracy
+zero-sum constraint.  Every product comes with its exact inverse,
+multiplied from the generator inverses (limcone.bulk), so no inverse is
+ever computed here.  That keeps every coordinate near machine accuracy
 regardless of conditioning (validated against a 60-digit reference in
 the test suite).
 
-The batched kernels that bulk word spectra go through need only the top
-value of m and of m^{-1} for d <= 3, and take it in closed form from
-polynomials whose coefficients come from both products at once:
+For d <= 3 the kernels need only the top value of m and of m^{-1}, and
+take it in closed form from polynomials whose coefficients come from
+both products at once:
 
 * Jordan, d = 3: the characteristic polynomial of a det = 1 matrix is
   x^3 - tr(m) x^2 + tr(m^{-1}) x - 1, because c2 = det(m) tr(m^{-1}); the
@@ -37,57 +39,18 @@ bounds the relative root error by _CERT_TOL, and the top modulus clears
 the others by _TOP_GAP (or, for a complex pair, the pair is clearly off
 the real axis).  Modulus ties, parabolic and near-elliptic rows, rows near
 the real/complex switch and rows that are not finite go to the full
-LAPACK solve instead, which also serves d >= 4, the single-matrix
-`cartan` / `jordan` and `power_consistency`.
+LAPACK solve instead, which also serves d >= 4.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, SpectralFailureError, UndefinedGapError
+from .errors import InvalidParameterError
 
 __all__ = [
-    "CartanVector",
     "Functional",
-    "cartan",
-    "jordan",
-    "gap_ratio",
-    "is_proximal",
-    "power_consistency",
 ]
-
-
-@dataclass(frozen=True)
-class CartanVector:
-    """Element of the closed Weyl chamber: non-increasing, sum zero."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        d = len(c)
-        if d < 2:
-            raise InvalidParameterError("need at least two coordinates")
-        if np.any(np.diff(c) > 1e-12):
-            raise InvalidParameterError("coordinates must be non-increasing")
-        if abs(c.sum()) >= 1e-9 * d:
-            raise InvalidParameterError("coordinates must sum to zero")
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coords", c)
-
-    def __len__(self):
-        return len(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
-    def unit(self) -> "CartanVector":
-        return CartanVector(self.coords / self.norm())
 
 
 @dataclass(frozen=True)
@@ -113,8 +76,7 @@ class Functional:
         return cls(c)
 
     def __call__(self, v) -> float:
-        coords = v.coords if isinstance(v, CartanVector) else np.asarray(v, dtype=float)
-        return float(self.coeffs @ coords)
+        return float(self.coeffs @ np.asarray(v, dtype=float))
 
     def __mul__(self, scalar):
         return Functional(self.coeffs * float(scalar))
@@ -357,132 +319,3 @@ def batched_jordan(prods, inv_prods):
     closed form for d <= 3 with LAPACK `eigvals` on the rows the
     certificate rejects, LAPACK for d >= 4."""
     return _batched("jordan", _top_log_eigmods, prods, inv_prods)
-
-
-def _checked(m):
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidParameterError("expected a square matrix")
-    if not np.isfinite(m).all():
-        raise SpectralFailureError("matrix has non-finite entries")
-    return m
-
-
-def _public_spectrum(m, top_fn) -> np.ndarray:
-    """Full log spectrum of a single matrix, sum-normalised to zero.
-
-    Determinants of extreme matrices are not floating-computable, so
-    nothing here divides by det or assumes one: the top ceil(d/2) values
-    come from the one-sided solver (near machine relative accuracy), the
-    bottom floor(d/2) from the LU inverse (degrades like eps * cond), and
-    the final mean-subtraction absorbs the overall scale exactly.  Bulk
-    paths get sharper bottom halves from exact generator-inverse products.
-    """
-    d = m.shape[0]
-    try:
-        minv = np.linalg.inv(m)
-        lead = top_fn(m[None], d - d // 2)[0]
-        bottom = -top_fn(minv[None], d // 2)[0][::-1]
-    except np.linalg.LinAlgError as exc:
-        raise SpectralFailureError("matrix is numerically singular") from exc
-    out = np.concatenate([lead, bottom])
-    if not np.isfinite(out).all():
-        raise SpectralFailureError("spectrum overflow or singular input")
-    out = np.minimum.accumulate(out)      # exact ties at working precision
-    return out - out.mean()
-
-
-def _unit_det_spectrum(m, top_fn) -> np.ndarray:
-    # for matrices known to have |det| = 1 by construction the bottom
-    # value follows from the zero-sum constraint; no inverse needed
-    d = m.shape[0]
-    lead = top_fn(m[None], d - 1)[0]
-    out = np.concatenate([lead, [-lead.sum()]])
-    out = np.minimum.accumulate(out)
-    return out - out.mean()
-
-
-def cartan(m) -> CartanVector:
-    """Sorted log singular values, mean-subtracted.  Invariant under
-    positive scalar rescaling of m."""
-    return CartanVector(_public_spectrum(_checked(m), _top_log_svals))
-
-
-def jordan(m) -> CartanVector:
-    """Sorted log eigenvalue moduli, mean-subtracted.  A complex pair
-    contributes two equal coordinates."""
-    return CartanVector(_public_spectrum(_checked(m), _top_log_eigmods))
-
-
-def gap_ratio(m, i: int, tol: float = 1e-9) -> float:
-    """(lambda_i - lambda_(i+1)) / lambda_1, with 1-based index i."""
-    lam = jordan(m).coords
-    d = len(lam)
-    if not 1 <= i <= d - 1:
-        raise InvalidParameterError(f"gap index {i} out of range for d={d}")
-    if lam[0] <= tol:
-        raise UndefinedGapError("top exponent vanishes; gap ratio undefined")
-    return float((lam[i - 1] - lam[i]) / lam[0])
-
-
-def is_proximal(m, tol: float = 1e-6) -> bool:
-    """True when the top eigenvalue modulus is simple with relative
-    margin tol and the top eigenvalue is real.  A strict modulus gap
-    forces algebraic (hence geometric) multiplicity one."""
-    m = _checked(m)
-    try:
-        ev = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise SpectralFailureError(str(exc)) from exc
-    order = np.argsort(-np.abs(ev))
-    top, second = ev[order[0]], ev[order[1]]
-    if abs(top) == 0:
-        return False
-    if (abs(top) - abs(second)) / abs(top) <= tol:
-        return False
-    return abs(top.imag) <= tol * abs(top)
-
-
-def power_consistency(m, n: int) -> float:
-    """sup-norm distance between cartan(m^n)/n and jordan(m).
-
-    Decreasing in n for proximal chamber-regular m; the standard
-    convergence a(g^n)/n -> lambda(g).  Large powers switch to a
-    sequential QR accumulation in log scale so nothing overflows.
-    """
-    if n < 1:
-        raise InvalidParameterError("power must be >= 1")
-    m = _checked(m)
-    det = np.linalg.det(m)
-    if not np.isfinite(det) or abs(det) < 1e-300:
-        raise SpectralFailureError("matrix is numerically singular")
-    m = m / abs(det) ** (1.0 / m.shape[0])
-    lam = jordan(m).coords
-    # direct path is fine while m^n stays inside double range; the power
-    # has unit determinant by construction, so its bottom value comes
-    # from the zero-sum constraint (its det is not re-estimated)
-    top = float(_top_log_svals(m[None], 1)[0, 0])
-    if n * max(top, 1.0) < 280.0:
-        a_n = _unit_det_spectrum(np.linalg.matrix_power(m, n), _top_log_svals)
-    else:
-        a_n = _qr_log_power(m, n)
-    return float(np.max(np.abs(a_n / n - lam)))
-
-
-def _qr_log_power(m, n):
-    """Log singular value estimates of m^n by sequential QR with
-    renormalization; exact only asymptotically, used past the overflow
-    horizon."""
-    d = m.shape[0]
-    q = np.eye(d)
-    logs = np.zeros(d)
-    for _ in range(n):
-        z = m @ q
-        q, r = np.linalg.qr(z)
-        diag = np.diag(r)
-        if np.any(diag == 0) or not np.all(np.isfinite(diag)):
-            raise SpectralFailureError("QR renormalization broke down")
-        logs += np.log(np.abs(diag))
-        q = q * np.sign(diag)
-    out = np.sort(logs)[::-1]
-    return out - out.mean()

@@ -31,23 +31,14 @@ from .errors import InvalidInputError, InvalidParameterError
 
 __all__ = [
     "Word",
-    "ConjugacyClass",
-    "reduce",
-    "rotate",
-    "canonical_conj",
-    "enumerate_words",
-    "enumerate_conj_classes",
     "count_words",
-    "evaluate",
-    "parse_word",
     "format_word",
 ]
 
 
-def _validate_letters(letters, k=None):
-    lim = 2 * k if k is not None else None
+def _validate_letters(letters):
     for l in letters:
-        if not isinstance(l, (int, np.integer)) or l < 0 or (lim is not None and l >= lim):
+        if not isinstance(l, (int, np.integer)) or l < 0:
             raise InvalidInputError(f"unknown letter {l!r}")
 
 
@@ -72,85 +63,6 @@ class Word:
 
     def inverse(self) -> "Word":
         return Word(tuple(l ^ 1 for l in reversed(self.letters)))
-
-
-@dataclass(frozen=True)
-class ConjugacyClass:
-    """Canonical form of a conjugacy class: least rotation of a
-    cyclically reduced word."""
-
-    word: Word
-
-    def __post_init__(self):
-        ls = self.word.letters
-        if not ls:
-            raise InvalidInputError("empty word has no conjugacy class here")
-        if len(ls) > 1 and ls[-1] == (ls[0] ^ 1):
-            raise InvalidInputError("word is not cyclically reduced")
-        if ls != _least_rotation(ls):
-            raise InvalidInputError("cyclic word is not in canonical form")
-
-    def __len__(self):
-        return len(self.word)
-
-    @property
-    def letters(self):
-        return self.word.letters
-
-    def multiplicity(self) -> int:
-        """Number of distinct rotations, i.e. the primitive period."""
-        ls = self.letters
-        n = len(ls)
-        for p in range(1, n + 1):
-            if n % p == 0 and ls == ls[p:] + ls[:p]:
-                return p
-        return n
-
-
-def reduce(letters, k=None) -> Word:
-    """Freely reduce a raw letter sequence.
-
-    Stack based: push letters, cancel whenever the incoming letter is
-    the inverse of the top.  Idempotent on already reduced input.
-    """
-    _validate_letters(letters, k)
-    stack = []
-    for l in letters:
-        if stack and stack[-1] == (l ^ 1):
-            stack.pop()
-        else:
-            stack.append(int(l))
-    return Word(tuple(stack))
-
-
-def rotate(w: Word, j: int) -> Word:
-    ls = w.letters
-    if not ls:
-        return w
-    j %= len(ls)
-    return Word(ls[j:] + ls[:j])
-
-
-def _least_rotation(ls):
-    n = len(ls)
-    best = ls
-    for j in range(1, n):
-        cand = ls[j:] + ls[:j]
-        if cand < best:
-            best = cand
-    return best
-
-
-def canonical_conj(w: Word) -> ConjugacyClass:
-    """Cyclically reduce, then pick the least rotation."""
-    ls = list(w.letters)
-    if not ls:
-        raise InvalidInputError("empty word")
-    while len(ls) > 1 and ls[-1] == (ls[0] ^ 1):
-        ls = ls[1:-1]
-    if not ls:
-        raise InvalidInputError("word is conjugate to the identity")
-    return ConjugacyClass(Word(_least_rotation(tuple(ls))))
 
 
 def count_words(k: int, n: int) -> int:
@@ -279,19 +191,6 @@ def class_tree(k: int, n_max: int):
     return tuple(zip(parents, last)), tuple(index)     # zip drops the empty parents[n_max]
 
 
-def enumerate_words(k: int, n: int):
-    """Yield every reduced word of length exactly n once, lexicographically."""
-    for row in _word_level(k, n):
-        yield Word(tuple(int(x) for x in row))
-
-
-def enumerate_conj_classes(k: int, n: int):
-    """Yield every conjugacy class of cyclic length exactly n once."""
-    W, _ = _class_level(k, n)
-    for row in W:
-        yield ConjugacyClass(Word(tuple(int(x) for x in row)))
-
-
 def class_level_arrays(k: int, n: int):
     """Canonical class words and multiplicities as arrays (shared cache)."""
     return _class_level(k, n)
@@ -302,31 +201,16 @@ def word_level_array(k: int, n: int):
 
 
 # ---------------------------------------------------------------------------
-# evaluation and text form
+# text form
 # ---------------------------------------------------------------------------
 
-def evaluate(rep, w) -> np.ndarray:
-    """Product of generator matrices along the word.
-
-    Bulk paths (everything of length <= n at once) share prefixes level
-    by level instead; see limcone.bulk.
-    """
-    letters = w.letters if isinstance(w, (Word, ConjugacyClass)) else tuple(w)
-    stack = rep.letter_matrices()
-    _validate_letters(letters, rep.num_generators)
-    out = np.eye(rep.dim)
-    for l in letters:
-        out = out @ stack[l]
-    return out
-
-
 def format_word(w, labels) -> str:
-    """Compact text form of a word, a class or any letter sequence: label
-    for a generator, uppercased label for its inverse when the label is a
-    single lowercase letter, else label'."""
-    letters = getattr(w, "letters", w)
+    """Compact text form of a Word or of any letter sequence, such as a
+    row of a word or class level: label for a generator, uppercased label
+    for its inverse when the label is a single lowercase letter, else
+    label'."""
     parts = []
-    for l in letters:
+    for l in w:
         lab = labels[l >> 1]
         if l & 1:
             parts.append(lab.upper() if len(lab) == 1 and lab.islower() else lab + "'")
@@ -335,20 +219,3 @@ def format_word(w, labels) -> str:
     if all(len(lab) == 1 for lab in labels):
         return "".join(parts)
     return " ".join(parts)
-
-
-def parse_word(text: str, labels) -> Word:
-    """Inverse of format_word; accepts space separated tokens too."""
-    by_label = {}
-    for i, lab in enumerate(labels):
-        by_label[lab] = 2 * i
-        if len(lab) == 1 and lab.islower():
-            by_label[lab.upper()] = 2 * i + 1
-        by_label[lab + "'"] = 2 * i + 1
-    tokens = text.split() if " " in text.strip() else list(text.strip())
-    letters = []
-    for t in tokens:
-        if t not in by_label:
-            raise InvalidInputError(f"unknown letter {t!r}")
-        letters.append(by_label[t])
-    return reduce(letters, len(labels))

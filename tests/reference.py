@@ -1,0 +1,228 @@
+"""Reference code for the tests, one word or one matrix at a time: the
+object-word API (reduction, rotations, canonical classes, evaluation,
+parse_word as the inverse of format_word), the Cartan and Jordan
+projections of a single matrix from LAPACK on it and on its LU inverse,
+and dual_rep.  The library itself works on whole levels and stacks."""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from limcone import (
+    InvalidInputError,
+    InvalidParameterError,
+    Representation,
+    SpectralFailureError,
+    UndefinedGapError,
+    Word,
+)
+from limcone.spectra import _top_log_eigmods, _top_log_svals
+
+
+def _validate_letters(letters, k=None):
+    for l in letters:
+        if not isinstance(l, (int, np.integer)) or l < 0 or (k is not None and l >= 2 * k):
+            raise InvalidInputError(f"unknown letter {l!r}")
+
+
+@dataclass(frozen=True)
+class ConjugacyClass:
+    """Canonical form of a conjugacy class: least rotation of a
+    cyclically reduced word."""
+
+    word: Word
+
+    @property
+    def letters(self):
+        return self.word.letters
+
+    def multiplicity(self) -> int:
+        """Number of distinct rotations, i.e. the primitive period."""
+        ls, n = self.letters, len(self.letters)
+        return next(p for p in range(1, n + 1) if n % p == 0 and ls == ls[p:] + ls[:p])
+
+
+def reduce(letters, k=None) -> Word:
+    """Freely reduce a raw letter sequence with a stack: push letters,
+    cancel whenever the incoming letter inverts the top."""
+    _validate_letters(letters, k)
+    stack = []
+    for l in letters:
+        if stack and stack[-1] == (l ^ 1):
+            stack.pop()
+        else:
+            stack.append(int(l))
+    return Word(tuple(stack))
+
+
+def rotate(w: Word, j: int) -> Word:
+    ls = w.letters
+    if not ls:
+        return w
+    j %= len(ls)
+    return Word(ls[j:] + ls[:j])
+
+
+def canonical_conj(w: Word) -> ConjugacyClass:
+    """Cyclically reduce, then pick the least rotation."""
+    ls = list(w.letters)
+    if not ls:
+        raise InvalidInputError("empty word")
+    while len(ls) > 1 and ls[-1] == (ls[0] ^ 1):
+        ls = ls[1:-1]
+    if not ls:
+        raise InvalidInputError("word is conjugate to the identity")
+    ls = tuple(ls)
+    return ConjugacyClass(Word(min(ls[j:] + ls[:j] for j in range(len(ls)))))
+
+
+def evaluate(rep, w) -> np.ndarray:
+    """Product of generator matrices along a word or letter sequence."""
+    letters = tuple(w)
+    _validate_letters(letters, rep.num_generators)
+    stack = rep.letter_matrices()
+    out = np.eye(rep.dim)
+    for l in letters:
+        out = out @ stack[l]
+    return out
+
+
+def parse_word(text: str, labels) -> Word:
+    """Inverse of format_word; accepts space separated tokens too."""
+    by_label = {}
+    for i, lab in enumerate(labels):
+        by_label[lab] = 2 * i
+        if len(lab) == 1 and lab.islower():
+            by_label[lab.upper()] = 2 * i + 1
+        by_label[lab + "'"] = 2 * i + 1
+    tokens = text.split() if " " in text.strip() else list(text.strip())
+    for t in tokens:
+        if t not in by_label:
+            raise InvalidInputError(f"unknown letter {t!r}")
+    return reduce([by_label[t] for t in tokens], len(labels))
+
+
+@dataclass(frozen=True)
+class CartanVector:
+    """Element of the closed Weyl chamber: non-increasing, sum zero."""
+
+    coords: np.ndarray
+
+    def __post_init__(self):
+        c = np.array(self.coords, dtype=float)
+        if len(c) < 2:
+            raise InvalidParameterError("need at least two coordinates")
+        if np.any(np.diff(c) > 1e-12):
+            raise InvalidParameterError("coordinates must be non-increasing")
+        if abs(c.sum()) >= 1e-9 * len(c):
+            raise InvalidParameterError("coordinates must sum to zero")
+        c.setflags(write=False)
+        object.__setattr__(self, "coords", c)
+
+    def __len__(self):
+        return len(self.coords)
+
+    def __getitem__(self, i):
+        return self.coords[i]
+
+
+def _checked(m):
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InvalidParameterError("expected a square matrix")
+    if not np.isfinite(m).all():
+        raise SpectralFailureError("matrix has non-finite entries")
+    return m
+
+
+def _spectrum(m, top_fn) -> np.ndarray:
+    """Full log spectrum of one matrix, sum-normalised to zero: the top
+    ceil(d/2) values from the one-sided solver, the bottom floor(d/2)
+    from the LU inverse (good to about eps * cond), no determinant
+    assumed; the mean subtraction absorbs any overall scale."""
+    d = m.shape[0]
+    try:
+        minv = np.linalg.inv(m)
+        lead = top_fn(m[None], d - d // 2)[0]
+        bottom = -top_fn(minv[None], d // 2)[0][::-1]
+    except np.linalg.LinAlgError as exc:
+        raise SpectralFailureError("matrix is numerically singular") from exc
+    out = np.concatenate([lead, bottom])
+    if not np.isfinite(out).all():
+        raise SpectralFailureError("spectrum overflow or singular input")
+    out = np.minimum.accumulate(out)      # exact ties at working precision
+    return out - out.mean()
+
+
+def cartan(m) -> CartanVector:
+    """Sorted log singular values, mean-subtracted."""
+    return CartanVector(_spectrum(_checked(m), _top_log_svals))
+
+
+def jordan(m) -> CartanVector:
+    """Sorted log eigenvalue moduli, mean-subtracted; a complex pair
+    contributes two equal coordinates."""
+    return CartanVector(_spectrum(_checked(m), _top_log_eigmods))
+
+
+def gap_ratio(m, i: int, tol: float = 1e-9) -> float:
+    """(lambda_i - lambda_(i+1)) / lambda_1, with 1-based index i."""
+    lam = jordan(m).coords
+    if not 1 <= i <= len(lam) - 1:
+        raise InvalidParameterError(f"gap index {i} out of range for d={len(lam)}")
+    if lam[0] <= tol:
+        raise UndefinedGapError("top exponent vanishes; gap ratio undefined")
+    return float((lam[i - 1] - lam[i]) / lam[0])
+
+
+def is_proximal(m, tol: float = 1e-6) -> bool:
+    """True when the top eigenvalue modulus is simple with relative
+    margin tol and the top eigenvalue is real."""
+    ev = np.linalg.eigvals(_checked(m))
+    top, second = ev[np.argsort(-np.abs(ev))[:2]]
+    if abs(top) == 0 or (abs(top) - abs(second)) / abs(top) <= tol:
+        return False
+    return abs(top.imag) <= tol * abs(top)
+
+
+def power_consistency(m, n: int) -> float:
+    """sup-norm distance between cartan(m^n)/n and jordan(m), which
+    tends to 0 for proximal m.  Past the overflow horizon of m^n the
+    Cartan projection comes from a QR accumulation in log scale."""
+    if n < 1:
+        raise InvalidParameterError("power must be >= 1")
+    m = _checked(m)
+    det = np.linalg.det(m)
+    if not np.isfinite(det) or abs(det) < 1e-300:
+        raise SpectralFailureError("matrix is numerically singular")
+    m = m / abs(det) ** (1.0 / m.shape[0])
+    lam = jordan(m).coords
+    if n * max(float(_top_log_svals(m[None], 1)[0, 0]), 1.0) < 280.0:
+        # m^n has unit determinant, so its bottom value is minus the sum of the others
+        lead = _top_log_svals(np.linalg.matrix_power(m, n)[None], m.shape[0] - 1)[0]
+        a_n = np.minimum.accumulate(np.concatenate([lead, [-lead.sum()]]))
+        a_n = a_n - a_n.mean()
+    else:
+        a_n = _qr_log_power(m, n)
+    return float(np.max(np.abs(a_n / n - lam)))
+
+
+def _qr_log_power(m, n):
+    """Log singular value estimates of m^n by sequential QR with
+    renormalization; exact only asymptotically."""
+    q, logs = np.eye(m.shape[0]), np.zeros(m.shape[0])
+    for _ in range(n):
+        q, r = np.linalg.qr(m @ q)
+        diag = np.diag(r)
+        if np.any(diag == 0) or not np.all(np.isfinite(diag)):
+            raise SpectralFailureError("QR renormalization broke down")
+        logs += np.log(np.abs(diag))
+        q = q * np.sign(diag)
+    out = np.sort(logs)[::-1]
+    return out - out.mean()
+
+
+def dual_rep(rep: Representation) -> Representation:
+    """Contragredient representation: each generator replaced by its
+    inverse transpose.  An involution."""
+    return Representation(rep.dim, np.swapaxes(np.linalg.inv(rep.generators), 1, 2), rep.labels)

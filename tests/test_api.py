@@ -1,35 +1,116 @@
-"""Every public module-level function of the package has a caller or a
-test: its name appears in another package module (not the re-exporting
-__init__), in tests/ or in perfbench/.  Every field of a public
-dataclass is read as `.field` somewhere in the package, tests/ or
-perfbench/.  Every name the traced benchmark run patches exists."""
+"""Lints on the package source.
+
+Every top-level function and class of the package, errors.py aside, is
+reached from what runs it: the module-level code of each module (so
+cli.main, through the `__main__` guard) and every limcone name that the
+perfbench scripts use, the traced attach points included.  A test is
+not a caller.  An edge is a module-qualified reference only: a name
+bound by `from .x import y`, or the attribute y of a bound module x, so
+an attribute such as `ClassSpectra.jordan` reaches nothing.  Every field
+of a public dataclass is read as `.field` somewhere in the package,
+tests/ or perfbench/.  Every name the traced benchmark run patches
+exists."""
 
 import ast
+import importlib
 import importlib.util
 import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "limcone"
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def public_functions(path):
-    tree = ast.parse(path.read_text())
-    return [node.name for node in tree.body
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+def load_tracing(root):
+    spec = importlib.util.spec_from_file_location("tracing", root / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
 
 
-def test_public_functions_are_used():
-    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    others = modules + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    texts = {p: p.read_text() for p in others}
-    unused = []
-    for module in modules:
-        for name in public_functions(module):
-            pattern = re.compile(rf"\b{name}\b")
-            if not any(pattern.search(text) for p, text in texts.items() if p != module):
-                unused.append(f"{module.name}:{name}")
-    assert not unused, f"public functions with no caller or test: {unused}"
+def bindings(tree, modules):
+    """Names a file binds by importing from the package: name ->
+    ("module", m) or ("name", m, y), with m None for the package itself."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name.startswith("limcone") and a.asname is None for a in node.names):
+                bound["limcone"] = ("module", None)
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("limcone")):
+            parts = (node.module or "").split(".")[0 if node.level else 1:]
+            where = parts[0] if parts and parts[0] else None
+            for a in node.names:
+                if where is None and a.name in modules:
+                    bound[a.asname or a.name] = ("module", a.name)
+                elif a.name != "*":
+                    bound[a.asname or a.name] = ("name", where, a.name)
+    return bound
+
+
+def references(nodes, bound, module=None, defs=()):
+    """(module, name) pairs the nodes reference: names bound to package
+    names, attributes of bound modules (limcone.m.y too) and, with module
+    given, bare names of that module's own definitions."""
+    def module_of(expr):          # the module an expression names, None the package, else False
+        if isinstance(expr, ast.Name):
+            b = bound.get(expr.id)
+            return b[1] if b and b[0] == "module" else False
+        if isinstance(expr, ast.Attribute) and module_of(expr.value) is None:
+            return expr.attr
+        return False
+
+    out = set()
+    for sub in (sub for node in nodes for sub in ast.walk(node)):
+        if isinstance(sub, ast.Name):
+            b = bound.get(sub.id)
+            if b and b[0] == "name":
+                out.add(b[1:])
+            elif sub.id in defs:
+                out.add((module, sub.id))
+        elif isinstance(sub, ast.Attribute) and module_of(sub.value) is not False:
+            out.add((module_of(sub.value), sub.attr))
+    return out
+
+
+def unreached(root):
+    """Top-level functions and classes of root/src/limcone, errors.py
+    aside, that nothing reaches, as sorted "module.name" strings."""
+    files = {p.stem: p for p in (root / "src" / "limcone").glob("*.py") if p.stem != "__init__"}
+    trees = {m: ast.parse(p.read_text()) for m, p in files.items()}
+    bound = {m: bindings(tree, files) for m, tree in trees.items()}
+    defs = {m: {n.name: n for n in tree.body if isinstance(n, _DEFS)} for m, tree in trees.items()}
+
+    def resolve(module, name):
+        """The definition a module-qualified name stands for, if any."""
+        if module is None:                     # re-exported by the package
+            owners = [m for m in defs if name in defs[m]]
+            return (owners[0], name) if len(owners) == 1 else None
+        if name in defs.get(module, ()):
+            return module, name
+        b = bound.get(module, {}).get(name)
+        return resolve(*b[1:]) if b and b[0] == "name" else None
+
+    roots = {(mod, attr) for mod, attr, _ in load_tracing(root).ATTACH_POINTS}
+    for m, tree in trees.items():
+        code = [n for n in tree.body if not isinstance(n, _DEFS + (ast.Import, ast.ImportFrom))]
+        roots |= references(code, bound[m], m, defs[m])
+    for path in (root / "perfbench").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        roots |= references([tree], bindings(tree, files))
+    seen, todo = set(), list(roots)
+    while todo:
+        d = resolve(*todo.pop())
+        if d is not None and d not in seen:
+            seen.add(d)
+            todo.extend(references([defs[d[0]][d[1]]], bound[d[0]], d[0], defs[d[0]]))
+    return sorted(f"{m}.{name}" for m in defs if m != "errors" for name in defs[m]
+                  if (m, name) not in seen)
+
+
+def test_every_definition_is_reached():
+    missing = unreached(ROOT)
+    assert not missing, f"reached from neither the package nor perfbench: {missing}"
 
 
 def public_dataclass_fields(path):
@@ -52,9 +133,6 @@ def test_public_dataclass_fields_are_read():
 
 
 def test_trace_attach_points_resolve():
-    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    missing = [f"{mod}.{attr}" for mod, attr, _ in tracing.ATTACH_POINTS
+    missing = [f"{mod}.{attr}" for mod, attr, _ in load_tracing(ROOT).ATTACH_POINTS
                if getattr(importlib.import_module("limcone." + mod), attr, None) is None]
     assert not missing, f"attach points the traced run cannot patch: {missing}"

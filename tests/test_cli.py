@@ -101,6 +101,8 @@ def test_malformed_rep_file_exit(tmp_path, text):
     ("p3", ["perturb-scan", "--epsilons", "0.01", "--probe", "1", "1", "1"]),
     ("p3", ["psi", "--method", "direct", "--probe", "1", "0", "-1", "--max-len", "5"]),
     ("p3", ["psi", "--method", "duality", "--probe", "1e200", "0", "-1e200"]),
+    ("p3", ["exponent", "--phi", "1e-320", "0", "-1e-320", "--max-len", "8"]),
+    ("p3", ["exponent", "--phi", "1e-320", "0", "-1e-320", "--max-len", "8", "--mode", "conjugacy"]),
 ], ids=["psi-short-probe", "psi-zero-probe", "psi-nan-probe", "scan-short-probe",
         "spectra-len-0", "spectra-len-neg", "entropy-off-boundary", "exponent-nan-phi",
         "pressure-nan-phi", "exponent-text-phi", "pressure-nan-t", "scan-negative-eps",
@@ -109,7 +111,8 @@ def test_malformed_rep_file_exit(tmp_path, text):
         "counting-check-len-5", "cone-asymptotic-no-floor", "pressure-neg-inf-t",
         "pressure-neg-nan-t", "psi-neg-inf-probe", "psi-neg-infinity-probe",
         "psi-text-probe", "psi-off-plane-probe", "scan-off-plane-probe", "psi-direct-len-5",
-        "psi-overflowing-probe"])
+        "psi-overflowing-probe", "exponent-underflowing-phi",
+        "exponent-underflowing-phi-conjugacy"])
 def test_precondition_exit(tmp_path, reps, rep, argv):
     rc, out = run(tmp_path, reps, rep, *argv)
     assert rc == cli.EXIT_PRECONDITION and not out.exists()

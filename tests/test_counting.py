@@ -47,6 +47,19 @@ class TestCompleteWindow:
         conj = critical_exponent_direct(s2, None, 12, "conjugacy", weight_hook=word_length)
         assert conj.value < LOG3
 
+    @pytest.mark.parametrize("mode", ["conjugacy", "element"])
+    def test_collapsed_grid_refused(self, p3, mode):
+        # subnormal values put every threshold on one float: no slope to fit
+        with pytest.raises(InsufficientDataError):
+            critical_exponent_direct(p3, Functional([1e-320, 0.0, -1e-320]), 8, mode)
+
+    @pytest.mark.parametrize("mode", ["conjugacy", "element"])
+    def test_flat_count_has_zero_slope(self, p3, mode):
+        # one value for every item: the grid spreads up to the cap, the count stays flat
+        est = critical_exponent_direct(p3, None, 8, mode, weight_hook=lambda n, v: np.ones_like(n))
+        assert np.ptp(est.thresholds) > 0 and np.ptp(est.counts) == 0
+        assert abs(est.value) < 1e-9
+
 
 class TestCones:
     def test_symmetric_square_cone_is_a_ray(self, f3):

@@ -18,14 +18,9 @@ from limcone import (
     NotInDualConeError,
     NotOnBoundaryError,
     entropy_of_state,
-    evaluate,
-    extrapolated_pressure,
     gibbs_direction,
-    jordan,
-    level_pressure,
     make_schottky,
     perturb,
-    pressure_derivative_check,
     pressure_root,
     pressure_table,
     word_length_weight,
@@ -33,8 +28,19 @@ from limcone import (
 from limcone import words
 from limcone.bulk import class_spectra
 from limcone.pressure import pressure_root_detail
+from reference import evaluate
 
 LOG3 = np.log(3.0)
+
+
+def pressure_derivative_check(rep, phi0, phi1, n, h_step=1e-3):
+    """(-phi1(gibbs_direction), central difference of s -> P_n(phi0 + s phi1)
+    at s = 0): the derivative of the level pressure in the direction phi1,
+    analytic and numeric, which agree to O(h_step^2)."""
+    if not 1e-6 <= h_step <= 1e-2:
+        raise InvalidParameterError("h_step must lie in [1e-6, 1e-2]")
+    p = [pressure_table(rep, phi0 + s * phi1, 1.0, n).levels[n] for s in (h_step, -h_step)]
+    return -float(phi1(gibbs_direction(rep, phi0, n))), (p[0] - p[1]) / (2 * h_step)
 
 
 def brute_cyc_reduced_count(k, n):
@@ -74,29 +80,29 @@ class TestLevelPressure:
         # (1/n) log c(n) - t, c(n) counted by brute force
         c_n = brute_cyc_reduced_count(2, n)
         for t in (0.0, 0.7, 2.0):
-            got = level_pressure(s2, None, t, n, weight_hook=word_length_weight)
+            got = pressure_table(s2, None, t, 7, weight_hook=word_length_weight).levels[n]
             assert abs(got - (np.log(c_n) / n - t)) < 1e-12
 
     def test_zero_weight_approaches_log3(self, s2):
-        p12 = level_pressure(s2, None, 0.0, 12, weight_hook=word_length_weight)
+        p12 = pressure_table(s2, None, 0.0, 12, weight_hook=word_length_weight).levels[12]
         assert abs(p12 - LOG3) < 1e-4
 
     def test_strictly_decreasing_in_t(self, s2):
         phi = Functional([1.0, -1.0])
-        vals = [level_pressure(s2, phi, t, 8) for t in np.linspace(0, 3, 7)]
+        vals = [pressure_table(s2, phi, t, 8).levels[8] for t in np.linspace(0, 3, 7)]
         assert np.all(np.diff(vals) < 0)
 
     def test_level_precondition(self, s2):
         with pytest.raises(InvalidParameterError):
-            level_pressure(s2, Functional([1.0, -1.0]), 0.0, 1)
+            pressure_table(s2, Functional([1.0, -1.0]), 0.0, 1)
 
     @pytest.mark.parametrize("t", [1e308, np.inf, np.nan])
     def test_overflowing_or_infinite_t_rejected(self, s2, t):
-        # refused as pressure_table refuses it, never a nan with warnings
+        # refused, never a nan with warnings
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidParameterError):
-                level_pressure(s2, Functional([1.0, -1.0]), t, 6)
+                pressure_table(s2, Functional([1.0, -1.0]), t, 6)
 
 
 class TestPressureRoot:
@@ -156,22 +162,19 @@ class TestPressureTable:
         table = pressure_table(p3, phi, t)
         assert table.oscillating
         assert np.isfinite(table.extrapolated) and table.extrapolated == table.levels[12]
-        assert extrapolated_pressure(p3, phi, t) == table.extrapolated
 
     def test_overflowing_t_rejected(self, p3):
         phi = Functional([1.0, 0.0, -1.0])
         with pytest.raises(InvalidParameterError):
             pressure_table(p3, phi, 1e308)
-        with pytest.raises(InvalidParameterError):
-            extrapolated_pressure(p3, phi, 1e308)
 
     def test_membership_signs_around_boundary(self, s2):
         # P < 0 just outside the boundary functional, > 0 just inside
         phi = Functional([1.0, -1.0])
         h = pressure_root(s2, phi)
         boundary = h * phi
-        assert extrapolated_pressure(s2, 1.05 * boundary) < 0
-        assert extrapolated_pressure(s2, 0.95 * boundary) > 0
+        assert pressure_table(s2, 1.05 * boundary, 1.0).extrapolated < 0
+        assert pressure_table(s2, 0.95 * boundary, 1.0).extrapolated > 0
 
 
 class TestGibbs:
@@ -217,8 +220,8 @@ class TestDerivative:
         # scaling the word-length weight: P((1+t) r) has slope -1 in t,
         # matching minus the Gibbs mean of the weight per unit time
         h = 1e-4
-        up = level_pressure(s2, None, 1.0 + h, 8, weight_hook=word_length_weight)
-        dn = level_pressure(s2, None, 1.0 - h, 8, weight_hook=word_length_weight)
+        up = pressure_table(s2, None, 1.0 + h, 8, weight_hook=word_length_weight).levels[8]
+        dn = pressure_table(s2, None, 1.0 - h, 8, weight_hook=word_length_weight).levels[8]
         assert abs((up - dn) / (2 * h) + 1.0) < 1e-12
 
     def test_matches_finite_difference(self, s2):
@@ -241,7 +244,7 @@ class TestDerivative:
         phi1 = Functional([1.0, -1.0, 0.0])
         phi1 = phi1 - (phi1(g) / phi0(g)) * phi0     # zero Gibbs mean
         ts = np.linspace(-0.2, 0.2, 5)
-        vals = [extrapolated_pressure(p3, phi0 + t * phi1, n_max=10) for t in ts]
+        vals = [pressure_table(p3, phi0 + t * phi1, 1.0, 10).extrapolated for t in ts]
         second = np.diff(vals, 2)
         assert np.all(second > 0)
 
@@ -262,7 +265,7 @@ class TestEntropy:
         phi = Functional([1.0, -1.0])
         h = pressure_root(s2, phi)
         val = entropy_of_state(s2, h * phi, 12)
-        h_top = extrapolated_pressure(s2, Functional([0.0, 0.0]), t=0.0)
+        h_top = pressure_table(s2, Functional([0.0, 0.0]), 0.0).extrapolated
         assert 0 < val <= h_top + 0.05
 
     def test_equals_phi_of_gibbs_direction(self, s2):
@@ -299,7 +302,7 @@ class TestCycleExpansion:
         rep = request.getfixturevalue(rep_name)
         phi = Functional(coeffs)
         root = pressure_root(rep, phi, tol=1e-10)
-        assert abs(extrapolated_pressure(rep, root * phi)) < 1e-8
+        assert abs(pressure_table(rep, root * phi, 1.0).extrapolated) < 1e-8
 
     @pytest.mark.parametrize("rep_name, coeffs", [("s2", [1.0, -1.0]), ("p3", [1.0, 0.0, -1.0])])
     def test_level_roots_zero_level_pressures(self, request, rep_name, coeffs):
@@ -308,22 +311,27 @@ class TestCycleExpansion:
         detail = pressure_root_detail(rep, phi)
         assert set(detail.level_roots) == {9, 10, 11, 12}
         for n, r in detail.level_roots.items():
-            assert abs(level_pressure(rep, phi, r, n)) < 1e-9
+            # every level read off the one depth-12 table the root used
+            assert abs(pressure_table(rep, phi, r, 12).levels[n]) < 1e-9
 
     def test_level_pressures_share_one_class_table(self, s2):
+        # a root, its level roots, a table and a Gibbs direction at one
+        # depth read one class table
         rep = perturb(s2, 0.02, 9)                # fresh: no cached table yet
         phi = Functional([1.0, -1.0])
         before = class_spectra.cache_info().misses
-        for n in range(12, 8, -1):                # levels 9..12, deepest first
-            level_pressure(rep, phi, 1.0, n)
-        assert class_spectra.cache_info().misses - before <= 1
+        detail = pressure_root_detail(rep, phi)
+        for n, r in detail.level_roots.items():
+            pressure_table(rep, phi, r, 12).levels[n]
+        gibbs_direction(rep, phi, 12)
+        assert class_spectra.cache_info().misses - before == 1
 
     def test_shared_levels_equal_own_tables(self, s2):
+        # levels 1..m of a deeper class table are those of a table built to m
         rep = perturb(s2, 0.02, 10)
         phi = Functional([1.0, -1.0])
-        shared = [level_pressure(rep, phi, 0.7, n) for n in (10, 8, 6)]
-        class_spectra.cache_clear()               # no deeper table alive now
-        own = [level_pressure(rep, phi, 0.7, n) for n in (10, 8, 6)]
+        shared = [pressure_table(rep, phi, 0.7, 10).levels[n] for n in (10, 8, 6)]
+        own = [pressure_table(rep, phi, 0.7, n).levels[n] for n in (10, 8, 6)]
         assert shared == own
 
     def test_never_builds_deeper_than_asked(self, monkeypatch):
@@ -342,7 +350,7 @@ class TestCycleExpansion:
         monkeypatch.setattr(words, "_pre_necklaces", capped)
         table = pressure_table(rep, phi, 1.0, n_max=5)
         assert max(lengths) == 5
-        assert level_pressure(rep, phi, 1.0, 5) == table.levels[5]
+        assert pressure_table(rep, phi, 1.0, n_max=4).levels[4] == table.levels[4]
         assert np.isfinite(gibbs_direction(rep, phi, 5)).all()
 
     def test_no_positive_zero_falls_back_to_top_level(self, s2):

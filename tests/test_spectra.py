@@ -1,4 +1,6 @@
-"""Cartan/Jordan projections against independent oracles.
+"""Cartan/Jordan projections against independent oracles: the
+single-matrix reference path of tests/reference.py and, for word
+products, the batched kernels.
 
 The Cartan oracle diagonalizes m^T m with hand-rolled Jacobi rotations;
 the extreme-conditioning reference is a 60-digit mpmath eigensolve.
@@ -9,12 +11,15 @@ import numpy as np
 import pytest
 
 from limcone import (
-    CartanVector,
     Functional,
     InvalidParameterError,
     SpectralFailureError,
     UndefinedGapError,
     Word,
+)
+from limcone.words import word_level_array
+from reference import (
+    CartanVector,
     cartan,
     evaluate,
     gap_ratio,
@@ -23,7 +28,6 @@ from limcone import (
     power_consistency,
     reduce,
 )
-from limcone.words import word_level_array
 
 
 def jacobi_eigenvalues(S, sweeps=60):
@@ -249,7 +253,7 @@ class TestPowerConsistency:
     def test_qr_accumulation_converges(self):
         # the QR route is only asymptotically exact; its error decays in n
         m = np.array([[2.0, 1.0], [1.0, 1.0]])   # det 1 already
-        from limcone.spectra import _qr_log_power
+        from reference import _qr_log_power
 
         lam = jordan(m).coords
         errs = [np.abs(_qr_log_power(m, n) / n - lam).max() for n in (60, 600)]
