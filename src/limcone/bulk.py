@@ -23,15 +23,15 @@ batched multiply per tree node and direction: the forward product
 extends its parent's on the right, the inverse product on the left.
 Element products walk the tree of reduced words (`word_products`, shared
 by element_spectra and the CLI `spectra` dump); class products walk the
-tree of class-word prefixes (words.class_tree), whose 95,768 nodes at
-k = 2, N = 12 replace the 728,868 letter products of multiplying each
-of the 69,996 class words from scratch.  The engine streams the top
-depth through the kernel in row blocks, so at N = 12 the 708,588
-top-level element products are never held at once and the Cartan table
-is written into arrays allocated up front.  Everything is
-deterministic: fixed enumeration order, fixed association order, no
-threading, and the kernels act row by row, so blocking does not change
-a single bit.
+tree of reduced pre-necklaces, cut to the class words at the top depth
+(words.class_tree), whose 98,002 nodes at k = 2, N = 12 replace the
+728,868 letter products of multiplying each of the 69,996 class words
+from scratch.  The engine streams the top depth through the kernel in
+row blocks, so at N = 12 the 708,588 top-level element products are
+never held at once and the Cartan table is written into arrays
+allocated up front.  Everything is deterministic: fixed enumeration
+order, fixed association order, no threading, and the kernels act row
+by row, so blocking does not change a single bit.
 """
 
 from dataclasses import dataclass
@@ -71,7 +71,6 @@ class ClassSpectra:
 class ElementSpectra:
     """Cartan data over all reduced words of length 1..n_max."""
 
-    n_max: int
     cartan: np.ndarray   # (M, d)
     lengths: np.ndarray  # (M,)
 
@@ -163,4 +162,4 @@ def element_spectra(rep, n_max: int) -> ElementSpectra:
         row = starts[n - 1] + lo
         cartan[row:row + len(fwd)] = batched_cartan(fwd, bwd)
     lengths = np.repeat(np.arange(1, n_max + 1, dtype=np.int64), sizes)
-    return ElementSpectra(n_max, cartan, lengths)
+    return ElementSpectra(cartan, lengths)

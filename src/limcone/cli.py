@@ -1,15 +1,18 @@
 """Batch command line front end.
 
-Each subcommand reads a representation file, runs one experiment and
-writes the documented CSV or JSON output, printing a one-line scalar
-summary.  The error's type picks the exit code: 0 success, 2 file errors
-(OSError) and command-line usage errors, such as a non-number in a
-scalar option, 3 precondition violations (PreconditionError), such as a
-malformed representation file or a --phi or --probe entry that is not a
-number, 4 other numerical failures (LimconeError).  Partially written
-outputs are removed on failure.  All numeric output carries 17
-significant digits and is bitwise reproducible for a fixed seed,
-independent of the worker-thread count.
+Each subcommand runs one experiment on a representation and returns
+its documented CSV or JSON outputs, as ordered (path, text) pairs, and a
+one-line scalar summary.  main reads the representation file, writes
+the files in order and prints "<summary> -> <out>".  The error's type
+picks the exit code: 0 success, 2 file errors (OSError) and command-line
+usage errors, such as a non-number in a scalar option, 3 precondition
+violations (PreconditionError), such as a malformed representation file
+or a --phi or --probe entry that is not a number, 4 other numerical
+failures (LimconeError).  A command whose computation fails writes
+nothing, so an existing output file is left as it was; when a write
+fails, the files already written are removed.  All numeric output
+carries 17 significant digits and is bitwise reproducible for a fixed
+seed, independent of the worker-thread count.
 """
 
 import argparse
@@ -34,32 +37,15 @@ def _fmt(x, spec=".17g") -> str:
     return "-inf" if counting.is_neg_infinity(x) else format(float(x), spec)
 
 
-class _Output:
-    """Collects output files and removes them all if the command fails."""
+def _csv(path, header, rows):
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_fmt(x) if not isinstance(x, str) else x for x in row))
+    return path, "\n".join(lines) + "\n"
 
-    def __init__(self):
-        self.paths = []
 
-    def write_text(self, path, text):
-        self.paths.append(path)
-        with open(path, "w") as f:
-            f.write(text)
-
-    def write_csv(self, path, header, rows):
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(x) if not isinstance(x, str) else x for x in row))
-        self.write_text(path, "\n".join(lines) + "\n")
-
-    def write_json(self, path, obj):
-        self.write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-    def cleanup(self):
-        for p in self.paths:
-            try:
-                os.remove(p)
-            except OSError:
-                pass
+def _json(path, obj):
+    return path, json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _vector(values, dim, what):
@@ -96,8 +82,7 @@ def _probes(values, dim):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_spectra(args, out):
-    rep = load_rep(args.rep)
+def _cmd_spectra(rep, args):
     d = rep.dim
     header = ["word", "len"] + [f"a{i+1}" for i in range(d)] + [f"l{i+1}" for i in range(d)]
     rows = []
@@ -107,12 +92,10 @@ def _cmd_spectra(args, out):
         l = batched_jordan(fwd, bwd)
         for j, row in enumerate(W.tolist()):
             rows.append([words.format_word(row, rep.labels), n] + list(a[j]) + list(l[j]))
-    out.write_csv(args.out, header, rows)
-    print(f"spectra: {len(rows)} words up to length {args.max_len} -> {args.out}")
+    return [_csv(args.out, header, rows)], f"spectra: {len(rows)} words up to length {args.max_len}"
 
 
-def _cmd_cone(args, out):
-    rep = load_rep(args.rep)
+def _cmd_cone(rep, args):
     if args.kind == "limit":
         hull = counting.limit_cone(rep, args.max_len)
     else:
@@ -121,44 +104,35 @@ def _cmd_cone(args, out):
             raise InvalidParameterError("asymptotic cone needs --norm-floor")
         hull = counting.asymptotic_cone(rep, args.max_len, floor)
     header = [f"dir_{i+1}" for i in range(rep.dim)]
-    out.write_csv(args.out, header, [list(p) for p in hull.hull])
-    print(
+    return [_csv(args.out, header, [list(p) for p in hull.hull])], (
         f"cone[{args.kind}]: {len(hull.hull)} extreme direction(s), "
-        f"width {hull.width:.6g}, area {hull.cone_area():.6g} -> {args.out}"
+        f"width {hull.width:.6g}, area {hull.cone_area():.6g}"
     )
 
 
-def _cmd_exponent(args, out):
-    rep = load_rep(args.rep)
+def _cmd_exponent(rep, args):
     phi = Functional(_vector(args.phi, rep.dim, "phi"))
     est = counting.critical_exponent_direct(rep, phi, args.max_len, args.mode)
     rows = [[t, c, np.log(c)] for t, c in zip(est.thresholds, est.counts)]
-    out.write_csv(args.out, ["threshold", "count", "log_count"], rows)
-    print(f"h = {est.value:.10g} (stderr {est.std_error:.3g}) -> {args.out}")
+    return ([_csv(args.out, ["threshold", "count", "log_count"], rows)],
+            f"h = {est.value:.10g} (stderr {est.std_error:.3g})")
 
 
-def _cmd_pressure(args, out):
-    rep = load_rep(args.rep)
+def _cmd_pressure(rep, args):
     phi = Functional(_vector(args.phi, rep.dim, "phi"))
     table = pressure.pressure_table(rep, phi, args.t, args.n_max)
     rows = [[n, args.t, p] for n, p in sorted(table.levels.items())]
-    out.write_csv(args.out, ["n", "t", "P_n"], rows)
     detail = pressure.pressure_root_detail(rep, phi, n_max=args.n_max)
+    files = [_csv(args.out, ["n", "t", "P_n"], rows)]
     if args.json_out:
-        out.write_json(
-            args.json_out,
-            {
-                "phi": [float(x) for x in phi.coeffs],
-                "root": detail.value,
-                "n_max": args.n_max,
-                "extrapolation_flag": bool(detail.fallback or table.oscillating),
-            },
-        )
-    print(f"root = {detail.value:.10g}, P_ext({args.t}) = {table.extrapolated:.10g} -> {args.out}")
+        files.append(_json(args.json_out, {
+            "phi": [float(x) for x in phi.coeffs], "root": detail.value, "n_max": args.n_max,
+            "extrapolation_flag": bool(detail.fallback or table.oscillating),
+        }))
+    return files, f"root = {detail.value:.10g}, P_ext({args.t}) = {table.extrapolated:.10g}"
 
 
-def _cmd_boundary(args, out):
-    rep = load_rep(args.rep)
+def _cmd_boundary(rep, args):
     body = growth.boundary_curve(
         rep, resolution=args.resolution, n_max=args.n_max, threads=args.threads
     )
@@ -171,13 +145,11 @@ def _cmd_boundary(args, out):
         }
         for bp in body.boundary
     ]
-    out.write_json(args.out, records)
     form = growth.growth_form(body)
-    print(f"boundary: {len(body)} points, h = {form.h:.10g} -> {args.out}")
+    return [_json(args.out, records)], f"boundary: {len(body)} points, h = {form.h:.10g}"
 
 
-def _cmd_psi(args, out):
-    rep = load_rep(args.rep)
+def _cmd_psi(rep, args):
     probes = _probes(args.probe, rep.dim)
     if args.method in ("duality", "both"):
         body = growth.boundary_curve(
@@ -193,55 +165,41 @@ def _cmd_psi(args, out):
     d = rep.dim
     if args.method == "direct":
         header = [f"dir_{i+1}" for i in range(d)] + ["psi"]
-        out.write_csv(args.out, header, [r[:-1] for r in rows])
+        table = _csv(args.out, header, [r[:-1] for r in rows])
     else:
         header = [f"v{i+1}" for i in range(d)] + ["psi", "method"]
-        out.write_csv(args.out, header, rows)
-    print(f"psi at {len(probes)} probe(s), last = {_fmt(rows[-1][-2], '.10g')} -> {args.out}")
+        table = _csv(args.out, header, rows)
+    return [table], f"psi at {len(probes)} probe(s), last = {_fmt(rows[-1][-2], '.10g')}"
 
 
-def _cmd_entropy(args, out):
-    rep = load_rep(args.rep)
+def _cmd_entropy(rep, args):
     phi = Functional(_vector(args.phi, rep.dim, "phi"))
     value = pressure.entropy_of_state(rep, phi, args.n_max)
     root = pressure.pressure_root(rep, phi, n_max=args.n_max)
-    out.write_json(
-        args.out,
-        {
-            "phi": [float(x) for x in phi.coeffs],
-            "root": root,
-            "entropy": value,
-            "n": args.n_max,
-        },
-    )
-    print(f"entropy = {value:.10g} -> {args.out}")
+    record = {"phi": [float(x) for x in phi.coeffs], "root": root, "entropy": value,
+              "n": args.n_max}
+    return [_json(args.out, record)], f"entropy = {value:.10g}"
 
 
-def _cmd_counting_check(args, out):
-    rep = load_rep(args.rep)
+def _cmd_counting_check(rep, args):
     table = counting.orbit_count_ratio(rep, args.index, args.max_len)
     rows = list(zip(table.thresholds, table.ratios))
-    out.write_csv(args.out, ["t", "ratio"], rows)
-    print(
+    return [_csv(args.out, ["t", "ratio"], rows)], (
         f"h = {table.h:.10g}, ratio at largest t = {table.ratios[-1]:.6g}, "
-        f"trend toward 1: {table.trend_toward_one()} -> {args.out}"
+        f"trend toward 1: {table.trend_toward_one()}"
     )
 
 
-def _cmd_perturb_scan(args, out):
-    rep = load_rep(args.rep)
+def _cmd_perturb_scan(rep, args):
     probes = _probes(args.probe, rep.dim)
     rows = growth.continuity_scan(
         rep, args.epsilons, args.seed, probes,
         n_max=args.n_max, resolution=args.resolution,
     )
-    out.write_csv(
-        args.out,
-        ["epsilon", "hausdorff", "dpsi_max", "dh"],
-        [[r.epsilon, r.hausdorff, r.dpsi_max, r.dh] for r in rows],
-    )
+    table = _csv(args.out, ["epsilon", "hausdorff", "dpsi_max", "dh"],
+                 [[r.epsilon, r.hausdorff, r.dpsi_max, r.dh] for r in rows])
     ok = sum(1 for r in rows if not r.failed)
-    print(f"perturb-scan: {ok}/{len(rows)} ladder steps -> {args.out}")
+    return [table], f"perturb-scan: {ok}/{len(rows)} ladder steps"
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +254,12 @@ def _build_parser():
     p = add("pressure", _cmd_pressure, help="level pressures and pressure root")
     p.add_argument("--phi", nargs="+", required=True)
     p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--n-max", type=int, default=12)
+    p.add_argument("--n-max", type=int, default=pressure.DEFAULT_N_MAX)
     p.add_argument("--json-out", default=None)
 
     p = add("boundary", _cmd_boundary, help="trace the dual body boundary")
     p.add_argument("--resolution", type=int, default=16)
-    p.add_argument("--n-max", type=int, default=12)
+    p.add_argument("--n-max", type=int, default=pressure.DEFAULT_N_MAX)
 
     p = add("psi", _cmd_psi, help="growth indicator at probe directions")
     p.add_argument("--probe", nargs="+", action="append", required=True)
@@ -309,11 +267,11 @@ def _build_parser():
     p.add_argument("--half-angle", type=float, default=0.15)
     p.add_argument("--max-len", type=int, default=12)
     p.add_argument("--resolution", type=int, default=16)
-    p.add_argument("--n-max", type=int, default=12)
+    p.add_argument("--n-max", type=int, default=pressure.DEFAULT_N_MAX)
 
     p = add("entropy", _cmd_entropy, help="entropy of a boundary functional")
     p.add_argument("--phi", nargs="+", required=True)
-    p.add_argument("--n-max", type=int, default=12)
+    p.add_argument("--n-max", type=int, default=pressure.DEFAULT_N_MAX)
 
     p = add("counting-check", _cmd_counting_check, help="precise counting ratio table")
     p.add_argument("--index", type=int, default=1)
@@ -322,7 +280,7 @@ def _build_parser():
     p = add("perturb-scan", _cmd_perturb_scan, help="continuity under deformation")
     p.add_argument("--epsilons", nargs="+", required=True, type=float)
     p.add_argument("--probe", nargs="+", action="append", required=True)
-    p.add_argument("--n-max", type=int, default=12)
+    p.add_argument("--n-max", type=int, default=pressure.DEFAULT_N_MAX)
     p.add_argument("--resolution", type=int, default=16)
 
     return ap
@@ -330,21 +288,28 @@ def _build_parser():
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    out = _Output()
+    written = []
     try:
-        args.fn(args, out)
-    except OSError as exc:
-        out.cleanup()
-        print(f"file error: {exc}", file=sys.stderr)
-        return EXIT_FILE
-    except PreconditionError as exc:
-        out.cleanup()
-        print(f"precondition error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except LimconeError as exc:
-        out.cleanup()
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        files, summary = args.fn(load_rep(args.rep), args)
+        for path, text in files:
+            written.append(path)
+            with open(path, "w") as f:
+                f.write(text)
+    except (OSError, LimconeError) as exc:
+        for path in written:
+            try:
+                os.remove(path)
+            except OSError:
+                pass
+        if isinstance(exc, OSError):
+            code, what = EXIT_FILE, "file error"
+        elif isinstance(exc, PreconditionError):
+            code, what = EXIT_PRECONDITION, "precondition error"
+        else:
+            code, what = EXIT_NUMERICAL, "numerical failure"
+        print(f"{what}: {exc}", file=sys.stderr)
+        return code
+    print(f"{summary} -> {args.out}")
     return 0
 
 

@@ -266,7 +266,6 @@ class GrowthIndicatorSample:
     """One directional growth estimate: slope of log counts of Cartan
     projections inside the round cone around the direction."""
 
-    direction: np.ndarray
     value: object               # float or NEG_INFINITY
     std_error: float = float("nan")
 
@@ -289,12 +288,12 @@ def growth_indicator_direct(rep, v, half_angle: float, N: int) -> GrowthIndicato
         cosang = (cartan @ coords) / norms
     inside = cosang >= np.cos(half_angle)
     if not inside.any():
-        return GrowthIndicatorSample(coords, NEG_INFINITY)
+        return GrowthIndicatorSample(NEG_INFINITY)
     try:
         slope, se, _, _ = _slope_fit(norms[inside], _completeness_cap(norms, lengths, N))
     except InsufficientDataError:
-        return GrowthIndicatorSample(coords, NEG_INFINITY)
-    return GrowthIndicatorSample(coords, slope, se)
+        return GrowthIndicatorSample(NEG_INFINITY)
+    return GrowthIndicatorSample(slope, se)
 
 
 # ---------------------------------------------------------------------------

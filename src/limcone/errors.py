@@ -3,7 +3,7 @@
 The base class decides the exit class: precondition violations (bad
 parameters or input files, functionals outside the dual cone, probes off
 the boundary) derive from PreconditionError, numerical breakdowns
-(spectral failures, root brackets, degenerate cones) from LimconeError
+(root brackets, degenerate cones, failed perturbations) from LimconeError
 directly; the command line front end exits 3 and 4 on them.
 """
 
@@ -26,14 +26,6 @@ class InvalidInputError(PreconditionError, ValueError):
 
 class PerturbationFailedError(LimconeError):
     """Perturbed generator cannot be rescaled back to determinant one."""
-
-
-class SpectralFailureError(LimconeError):
-    """Singular value or eigenvalue computation cannot proceed."""
-
-
-class UndefinedGapError(PreconditionError):
-    """Gap ratio requested for a matrix with vanishing top exponent."""
 
 
 class NotInDualConeError(PreconditionError):

@@ -203,10 +203,8 @@ class PressureTable:
     refused.
     """
 
-    t: float
     levels: dict
     extrapolated: float
-    n_max: int
     oscillating: bool
 
 
@@ -247,7 +245,7 @@ def pressure_table(rep, phi, t, n_max=DEFAULT_N_MAX, weight_hook=None) -> Pressu
     cycle = _cycle_pressure(w, t)
     osc = cycle is None
     extrap = levels[n_max] if osc else cycle[0]
-    return PressureTable(float(t), levels, float(extrap), n_max, osc)
+    return PressureTable(levels, float(extrap), osc)
 
 
 def pressure_root_detail(rep, phi, tol=1e-6, n_max=DEFAULT_N_MAX, weight_hook=None) -> RootResult:

@@ -1,8 +1,9 @@
 """Reference code for the tests, one word or one matrix at a time: the
-object-word API (reduction, rotations, canonical classes, evaluation,
-parse_word as the inverse of format_word), the Cartan and Jordan
-projections of a single matrix from LAPACK on it and on its LU inverse,
-and dual_rep.  The library itself works on whole levels and stacks."""
+object-word API (reduction, inversion, rotations, canonical classes,
+evaluation, parse_word as the inverse of format_word), the Cartan and
+Jordan projections of a single matrix from LAPACK on it and on its LU
+inverse, the two errors only these raise, and dual_rep.  The library
+itself works on whole levels and stacks."""
 
 from dataclasses import dataclass
 
@@ -11,12 +12,20 @@ import numpy as np
 from limcone import (
     InvalidInputError,
     InvalidParameterError,
+    LimconeError,
+    PreconditionError,
     Representation,
-    SpectralFailureError,
-    UndefinedGapError,
     Word,
 )
 from limcone.spectra import _top_log_eigmods, _top_log_svals
+
+
+class SpectralFailureError(LimconeError):
+    """Singular value or eigenvalue computation cannot proceed."""
+
+
+class UndefinedGapError(PreconditionError):
+    """Gap ratio requested for a matrix with vanishing top exponent."""
 
 
 def _validate_letters(letters, k=None):
@@ -53,6 +62,10 @@ def reduce(letters, k=None) -> Word:
         else:
             stack.append(int(l))
     return Word(tuple(stack))
+
+
+def inverse(w: Word) -> Word:
+    return Word(tuple(l ^ 1 for l in reversed(w.letters)))
 
 
 def rotate(w: Word, j: int) -> Word:

@@ -8,7 +8,8 @@ not a caller.  An edge is a module-qualified reference only: a name
 bound by `from .x import y`, or the attribute y of a bound module x, so
 an attribute such as `ClassSpectra.jordan` reaches nothing.  Every field
 of a public dataclass is read as `.field` somewhere in the package,
-tests/ or perfbench/.  Every name the traced benchmark run patches
+tests/ or perfbench/.  Every error class is raised in the package or
+is a base of one that is.  Every name the traced benchmark run patches
 exists."""
 
 import ast
@@ -111,6 +112,33 @@ def unreached(root):
 def test_every_definition_is_reached():
     missing = unreached(ROOT)
     assert not missing, f"reached from neither the package nor perfbench: {missing}"
+
+
+def unraised_errors(root):
+    """Classes of root/src/limcone/errors.py that no other module of the
+    package instantiates and that are no base of one it does, sorted.
+    An instance counts as raised: every raise site builds its error by a
+    call, and counting._cone_hull raises one built by its caller."""
+    package = root / "src" / "limcone"
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for node in ast.parse((package / "errors.py").read_text()).body
+             if isinstance(node, ast.ClassDef)}
+    todo = [sub.func.id for path in package.glob("*.py") if path.stem != "errors"
+            for sub in ast.walk(ast.parse(path.read_text()))
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+            and sub.func.id in bases]
+    raised = set()
+    while todo:
+        name = todo.pop()
+        if name in bases and name not in raised:
+            raised.add(name)
+            todo.extend(bases[name])
+    return sorted(set(bases) - raised)
+
+
+def test_every_error_is_raised():
+    unraised = unraised_errors(ROOT)
+    assert not unraised, f"error classes the package never raises: {unraised}"
 
 
 def public_dataclass_fields(path):

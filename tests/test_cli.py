@@ -16,8 +16,6 @@ from limcone import (
     NotInDualConeError,
     NotOnBoundaryError,
     PerturbationFailedError,
-    SpectralFailureError,
-    UndefinedGapError,
     asymptotic_cone,
     boundary_curve,
     boundary_point,
@@ -34,6 +32,7 @@ from limcone import (
     save_rep,
     words,
 )
+from reference import SpectralFailureError, UndefinedGapError
 
 
 @pytest.fixture(scope="module")
@@ -232,13 +231,27 @@ def test_precondition_failures_exit_3(tmp_path, reps, monkeypatch, error):
 
 
 def test_partial_output_removed(tmp_path, reps):
-    # the level-pressure CSV is written before the root finds the
-    # functional negative on a class
+    # the root finds the functional negative on a class after the level
+    # pressures are computed; no file is written
     json_out = tmp_path / "root.json"
     rc, out = run(tmp_path, reps, "s2", "pressure", "--phi", "-1", "1",
                   "--json-out", str(json_out))
     assert rc == cli.EXIT_PRECONDITION
     assert not out.exists() and not json_out.exists()
+
+
+def test_failed_command_keeps_existing_output(tmp_path, reps):
+    out = tmp_path / "out.txt"
+    out.write_text("kept\n")
+    rc, _ = run(tmp_path, reps, "s2", "pressure", "--phi", "-1", "1")
+    assert rc == cli.EXIT_PRECONDITION and out.read_text() == "kept\n"
+
+
+def test_failed_write_removes_written_files(tmp_path, reps):
+    # the CSV is written before the JSON file fails to open
+    rc, out = run(tmp_path, reps, "s2", "pressure", "--phi", "1", "-1", "--n-max", "6",
+                  "--json-out", str(tmp_path / "absent" / "root.json"))
+    assert rc == cli.EXIT_FILE and not out.exists()
 
 
 def test_pressure_files_reproducible(tmp_path, reps):

@@ -13,13 +13,13 @@ import pytest
 from limcone import (
     Functional,
     InvalidParameterError,
-    SpectralFailureError,
-    UndefinedGapError,
     Word,
 )
 from limcone.words import word_level_array
 from reference import (
     CartanVector,
+    SpectralFailureError,
+    UndefinedGapError,
     cartan,
     evaluate,
     gap_ratio,

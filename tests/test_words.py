@@ -25,7 +25,7 @@ from limcone.words import (
     _pre_necklaces,
     _word_level,
 )
-from reference import canonical_conj, evaluate, jordan, parse_word, reduce, rotate
+from reference import canonical_conj, evaluate, inverse, jordan, parse_word, reduce, rotate
 
 
 def rescan_reduce(letters):
@@ -82,24 +82,38 @@ def plain_class_level(k, n):
 
 
 def plain_class_tree(k, n_max):
-    """Reference prefix tree, built bottom-up: the depth-j nodes are the
-    sorted distinct base-2k codes (first letter most significant, so
-    code order is word order) of the level-j class words and of the
-    parents of the depth-(j + 1) nodes."""
+    """Reference prefix tree from the words alone: depth j < n_max holds
+    the reduced pre-necklaces of length j, depth n_max the class words;
+    parents and class rows are found by searching base-2k codes (first
+    letter most significant, so code order is word order)."""
     base = 2 * k
-    parents, last, index = [None] * n_max, [None] * n_max, [None] * n_max
-    below = np.zeros(0, dtype=np.int64)
-    for j in range(n_max, 0, -1):
-        W = class_level_arrays(k, j)[0].astype(np.int64)
-        codes = W @ base ** np.arange(j - 1, -1, -1, dtype=np.int64)
-        nodes = np.unique(np.concatenate([codes, below // base]))
-        index[j - 1] = np.searchsorted(nodes, codes)
-        last[j - 1] = nodes % base
-        if j < n_max:
-            parents[j] = np.searchsorted(nodes, below // base)
-        below = nodes
-    parents[0] = np.zeros(len(below), dtype=np.int64)
+
+    def codes(W):
+        return W.astype(np.int64) @ base ** np.arange(W.shape[1] - 1, -1, -1, dtype=np.int64)
+
+    parents, last, index = [], [], []
+    above = np.zeros(1, dtype=np.int64)         # the root
+    for j in range(1, n_max + 1):
+        nodes = codes(_pre_necklaces(k, j)[0] if j < n_max else class_level_arrays(k, j)[0])
+        parents.append(np.searchsorted(above, nodes // base))
+        last.append(nodes % base)
+        index.append(np.searchsorted(nodes, codes(class_level_arrays(k, j)[0])))
+        above = nodes
     return parents, last, index
+
+
+def spell(edges, j):
+    """The words of the depth-j nodes, read off the parent walk."""
+    rows, letters = np.arange(len(edges[j - 1][1])), []
+    for parents, last in edges[j - 1::-1]:
+        letters.append(last[rows])
+        rows = parents[rows]
+    return np.stack(letters[::-1], axis=1)
+
+
+def is_pre_necklace(w):
+    """Each suffix is no less than the prefix of its length."""
+    return all(w[i:] >= w[:len(w) - i] for i in range(1, len(w)))
 
 
 def trace_power(k, n):
@@ -143,7 +157,7 @@ class TestWordType:
             Word((0, 1))
 
     def test_inverse(self):
-        assert Word((0, 2)).inverse().letters == (3, 1)
+        assert inverse(Word((0, 2))).letters == (3, 1)
 
 
 class TestEnumeration:
@@ -266,7 +280,7 @@ class TestCanonicalConj:
             u = reduce(rng.integers(0, 4, size=5).tolist())
             if not w.letters:
                 continue
-            conj = reduce(u.letters + w.letters + u.inverse().letters)
+            conj = reduce(u.letters + w.letters + inverse(u).letters)
             if not conj.letters:
                 continue
             assert canonical_conj(w) == canonical_conj(conj)
@@ -330,15 +344,22 @@ class TestClassTree:
             assert np.array_equal(np.stack(letters[::-1], axis=1), class_level_arrays(k, n)[0])
 
     def test_nodes_are_the_distinct_prefixes(self):
+        # below the top every reduced pre-necklace, the top only the class words
         edges, _ = class_tree(2, 7)
-        words = [w for n in range(1, 8) for w in class_level_arrays(2, n)[0].tolist()]
-        for j, (parents, last) in enumerate(edges, 1):
-            assert len(last) == len({tuple(w[:j]) for w in words if len(w) >= j})
+        classes = [w for n in range(1, 8) for w in class_level_arrays(2, n)[0].tolist()]
+        for j in range(1, 8):
+            nodes = spell(edges, j).tolist()
+            assert nodes == sorted(nodes) and len({tuple(w) for w in nodes}) == len(nodes)
+            if j < 7:
+                assert nodes == [w for w in word_level_array(2, j).tolist() if is_pre_necklace(w)]
+                assert {tuple(w[:j]) for w in classes if len(w) >= j} <= {tuple(w) for w in nodes}
+            else:
+                assert nodes == class_level_arrays(2, 7)[0].tolist()
 
     def test_node_counts_at_twelve(self):
         edges, index = class_tree(2, 12)
         assert [len(last) for _, last in edges] == [
-            4, 8, 18, 40, 101, 249, 654, 1707, 4558, 12131, 31928, 44370]
+            4, 8, 18, 40, 101, 249, 654, 1711, 4594, 12388, 33865, 44370]
         assert sum(len(rows) for rows in index) == 69996
         size = sum(p.nbytes + l.nbytes for p, l in edges) + sum(i.nbytes for i in index)
         assert size < 1 << 20
