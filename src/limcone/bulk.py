@@ -13,8 +13,9 @@ follows the same prefix path and the kernels act row by row:
   orbits of the symbolic flow, and a class of primitive period p covers
   p periodic sequences, so partition sums weight each class by p.
 
-* element spectra: Cartan projections and lengths of every reduced word
-  up to a cap, for the definition-level counting estimators.
+* element spectra: Cartan projections of every reduced word up to a cap,
+  level after level, with the row offset of each level, for the
+  definition-level counting estimators.
 
 Every product comes with the reversed inverse product that the
 split-spectrum rule needs.  All products come from one engine,
@@ -63,16 +64,14 @@ class ClassSpectra:
     def all_jordan(self) -> np.ndarray:
         return np.concatenate([self.jordan[n] for n in range(1, self.n_max + 1)])
 
-    def lengths(self) -> np.ndarray:
-        return np.concatenate([np.full(len(self.jordan[n]), n) for n in range(1, self.n_max + 1)])
-
 
 @dataclass(frozen=True)
 class ElementSpectra:
-    """Cartan data over all reduced words of length 1..n_max."""
+    """Cartan data over all reduced words of length 1..n_max, level by
+    level: the words of length n are rows starts[n - 1]:starts[n]."""
 
     cartan: np.ndarray   # (M, d)
-    lengths: np.ndarray  # (M,)
+    starts: np.ndarray   # (n_max + 1,), starts[0] = 0 and starts[-1] = M
 
 
 # the top depth streams in blocks of the children of _BLOCK_PARENTS full
@@ -140,11 +139,8 @@ def class_spectra(rep, n_max: int) -> ClassSpectra:
     edges, index = words.class_tree(k, n_max)
     blocks = {n: [] for n in range(1, n_max + 1)}
     for n, lo, fwd, bwd in _tree_products(rep, edges, n_max):
-        rows = index[n - 1]
-        a, b = np.searchsorted(rows, (lo, lo + len(fwd)))
-        if b - a < len(fwd):        # else every row is a class word, as at the top depth
-            rows = rows[a:b] - lo
-            fwd, bwd = fwd[rows], bwd[rows]
+        if n < n_max:               # a whole depth; the top depth holds only class words
+            fwd, bwd = fwd[index[n - 1]], bwd[index[n - 1]]
         blocks[n].append(batched_jordan(fwd, bwd))
     jor = {n: np.concatenate(parts) for n, parts in blocks.items()}
     logm = {n: np.log(words.class_level_arrays(k, n)[1].astype(float)) for n in jor}
@@ -161,5 +157,4 @@ def element_spectra(rep, n_max: int) -> ElementSpectra:
     for n, lo, fwd, bwd in products:
         row = starts[n - 1] + lo
         cartan[row:row + len(fwd)] = batched_cartan(fwd, bwd)
-    lengths = np.repeat(np.arange(1, n_max + 1, dtype=np.int64), sizes)
-    return ElementSpectra(cartan, lengths)
+    return ElementSpectra(cartan, starts)

@@ -3,13 +3,17 @@ limit and asymptotic cones, the growth indicator by cone counts, and
 the precise-counting ratio table.
 
 Every estimator reads one spectral table (_table): class Jordan
-projections for "conjugacy", word Cartan projections for "element".
+projections for "conjugacy", word Cartan projections for "element",
+level after level.
 
 Exponents are least-squares slopes of log N(s) against s on a uniform
 threshold grid.  Only complete thresholds enter.  Every item of length
 n has value at least n * r_min, with r_min the smallest observed
 value-per-letter rate, so no item longer than the enumeration cap N
 has value below the completeness cap (N + 1) * r_min (_completeness_cap).
+r_min is read level by level, as the smallest of min(level n) / n: a
+correctly rounded division by a positive n is monotone, so this is
+bitwise the smallest rate over the items.
 The grid stops strictly below the cap: a word of length N + 1 can take
 the cap itself, and a threshold there would miss it.  Capping instead
 at "max value minus one letter increment" leaves the top of the grid
@@ -95,15 +99,15 @@ class ExponentEstimate:
 
 
 def _table(rep, N, mode):
-    """(vectors, float lengths) of the spectral table for mode: class
-    Jordan projections for "conjugacy", word Cartan projections for
-    "element"."""
+    """(vectors, starts) of the spectral table for mode: class Jordan
+    projections for "conjugacy", word Cartan projections for "element";
+    the items of length n are rows starts[n - 1]:starts[n]."""
     if mode == "conjugacy":
         cs = class_spectra(rep, N)
-        return cs.all_jordan(), cs.lengths().astype(float)
+        return cs.all_jordan(), np.cumsum([0] + [len(cs.jordan[n]) for n in range(1, N + 1)])
     if mode == "element":
         es = element_spectra(rep, N)
-        return es.cartan, es.lengths.astype(float)
+        return es.cartan, es.starts
     raise InvalidParameterError(f"unknown mode {mode!r}")
 
 
@@ -111,10 +115,12 @@ def _norms(vectors):
     return np.sqrt(np.einsum("ij,ij->i", vectors, vectors))
 
 
-def _completeness_cap(values, lengths, N):
-    """(N + 1) * min(values / lengths): no item longer than N has a
-    value below it (see the module docstring)."""
-    return (N + 1) * float((values / lengths).min())
+def _completeness_cap(values, starts):
+    """(N + 1) * r_min over the N levels that starts delimits: no item
+    longer than N has a value below it (see the module docstring)."""
+    N = len(starts) - 1
+    level_min = np.minimum.reduceat(values, starts[:-1])
+    return (N + 1) * float((level_min / np.arange(1, N + 1)).min())
 
 
 def _threshold_grid(lo, cap, points):
@@ -158,16 +164,17 @@ def critical_exponent_direct(rep, phi, N, mode, weight_hook=None) -> ExponentEst
     """
     if N < 6:
         raise InvalidParameterError("need N >= 6")
-    vectors, lengths = _table(rep, N, mode)
+    vectors, starts = _table(rep, N, mode)
     if weight_hook is not None:
+        lengths = np.repeat(np.arange(1.0, N + 1), np.diff(starts))
         values = np.asarray(weight_hook(lengths, vectors), dtype=float)
     else:
         values = vectors @ phi.coeffs
     if mode == "conjugacy" and values.min() <= 0:
         raise NotInDualConeError("functional is non-positive on an enumerated class")
-    if mode == "element" and values[lengths == N].min() <= 0:
+    if mode == "element" and values[starts[-2]:].min() <= 0:
         raise NotInDualConeError("functional is non-positive on a length-N Cartan projection")
-    slope, se, grid, counts = _slope_fit(values, _completeness_cap(values, lengths, N))
+    slope, se, grid, counts = _slope_fit(values, _completeness_cap(values, starts))
     return ExponentEstimate(slope, se, grid, counts)
 
 
@@ -282,7 +289,7 @@ def growth_indicator_direct(rep, v, half_angle: float, N: int) -> GrowthIndicato
         raise InvalidParameterError("direction must be sum-zero")
     if not 0 < half_angle <= np.pi / 4:
         raise InvalidParameterError("half_angle must lie in (0, pi/4]")
-    cartan, lengths = _table(rep, N, "element")
+    cartan, starts = _table(rep, N, "element")
     norms = _norms(cartan)
     with np.errstate(invalid="ignore", divide="ignore"):
         cosang = (cartan @ coords) / norms
@@ -290,7 +297,7 @@ def growth_indicator_direct(rep, v, half_angle: float, N: int) -> GrowthIndicato
     if not inside.any():
         return GrowthIndicatorSample(NEG_INFINITY)
     try:
-        slope, se, _, _ = _slope_fit(norms[inside], _completeness_cap(norms, lengths, N))
+        slope, se, _, _ = _slope_fit(norms[inside], _completeness_cap(norms, starts))
     except InsufficientDataError:
         return GrowthIndicatorSample(NEG_INFINITY)
     return GrowthIndicatorSample(slope, se)
@@ -324,12 +331,12 @@ def orbit_count_ratio(rep, i: int, N: int) -> OrbitCountTable:
     lambda_(i+1): estimate its exponent h in element mode, then tabulate
     h t e^(-h t) #{classes : gap <= t} over complete thresholds."""
     phi = Functional.gap(rep.dim, i)
-    lam, lengths = _table(rep, N, "conjugacy")
+    lam, starts = _table(rep, N, "conjugacy")
     gaps = lam[:, i - 1] - lam[:, i]
     if gaps.min() <= 0:
         raise NotInDualConeError("gap functional vanishes on an enumerated class")
     est = critical_exponent_direct(rep, phi, N, "element")
-    ts = _threshold_grid(float(gaps.min()), _completeness_cap(gaps, lengths, N), _RATIO_POINTS)
+    ts = _threshold_grid(float(gaps.min()), _completeness_cap(gaps, starts), _RATIO_POINTS)
     counts = np.searchsorted(np.sort(gaps), ts, side="right")
     ratios = est.value * ts * np.exp(-est.value * ts) * counts
     return OrbitCountTable(ts, ratios, est.value)

@@ -69,15 +69,14 @@ def word_length_weight(n, lam):
 
 
 class _Weights:
-    """Per-level weight values with log multiplicities for levels
-    1..n_max, read off the cached class table of depth n_max."""
+    """Weight values and log multiplicities of levels 1..n_max, read off
+    the cached class table of depth n_max; what the pressures sum over."""
 
     def __init__(self, rep, phi, n_max, weight_hook=None):
         self.n_max = n_max
         cs = class_spectra(rep, n_max)
         self.values = {}
         self.log_mult = cs.log_mult
-        self.jordan = cs.jordan
         for n in range(1, n_max + 1):
             if weight_hook is not None:
                 self.values[n] = np.asarray(weight_hook(n, cs.jordan[n]), dtype=float)
@@ -86,33 +85,16 @@ class _Weights:
         # every level sum writes its exponents here, so a sum allocates nothing
         self._scratch = np.empty(max(len(v) for v in self.values.values()))
 
-    def check_positive(self):
-        worst = min(self.values[n].min() for n in range(1, self.n_max + 1))
-        if worst <= 0:
-            raise NotInDualConeError(
-                f"weight takes non-positive value {worst:.3e} on an enumerated class;"
-                " functional is not in the interior of the dual cone"
-            )
-
-    def gibbs_weights(self, n, t):
-        """(m, g) with g = exp(log mult - t weight - m) over level n and m
-        the largest exponent.  g is a view of the scratch buffer, valid
-        until the next call."""
+    def level_sum(self, n, t):
+        """log Z_n(t) and the Gibbs mean of the weight at level n."""
         v = self.values[n]
         x = np.multiply(v, -t, out=self._scratch[:len(v)])
         x += self.log_mult[n]
         m = x.max()
         x -= m
-        return m, np.exp(x, out=x)
-
-    def level_sum(self, n, t):
-        """log Z_n(t) and the Gibbs mean of the weight at level n."""
-        m, g = self.gibbs_weights(n, t)
+        g = np.exp(x, out=x)
         s = g.sum()
-        return float(m + np.log(s)), float(g @ self.values[n] / s)
-
-    def level(self, n, t):
-        return self.level_sum(n, t)[0] / n
+        return float(m + np.log(s)), float(g @ v / s)
 
     def level_root(self, n, tol, start=0.0):
         def f(t):
@@ -239,7 +221,7 @@ def pressure_table(rep, phi, t, n_max=DEFAULT_N_MAX, weight_hook=None) -> Pressu
     _require_finite(t)
     w = _Weights(rep, phi, n_max, weight_hook)
     with np.errstate(over="ignore", invalid="ignore"):
-        levels = {n: w.level(n, t) for n in range(2, n_max + 1)}
+        levels = {n: w.level_sum(n, t)[0] / n for n in range(2, n_max + 1)}
     if not np.isfinite(list(levels.values())).all():
         raise InvalidParameterError(f"t = {t:g} overflows the level pressures")
     cycle = _cycle_pressure(w, t)
@@ -251,7 +233,12 @@ def pressure_table(rep, phi, t, n_max=DEFAULT_N_MAX, weight_hook=None) -> Pressu
 def pressure_root_detail(rep, phi, tol=1e-6, n_max=DEFAULT_N_MAX, weight_hook=None) -> RootResult:
     _require_levels(n_max, lo=4)
     w = _Weights(rep, phi, n_max, weight_hook)
-    w.check_positive()
+    worst = min(v.min() for v in w.values.values())
+    if worst <= 0:
+        raise NotInDualConeError(
+            f"weight takes non-positive value {worst:.3e} on an enumerated class;"
+            " functional is not in the interior of the dual cone"
+        )
     roots, start = {}, 0.0
     for n in range(n_max - 3, n_max + 1):  # each level starts from the root below it
         roots[n] = start = w.level_root(n, tol, start)
@@ -267,14 +254,17 @@ def pressure_root(rep, phi, tol=1e-6, n_max=DEFAULT_N_MAX, weight_hook=None) -> 
     return pressure_root_detail(rep, phi, tol, n_max, weight_hook).value
 
 
-def gibbs_direction(rep, phi0, n, weight_hook=None) -> np.ndarray:
+def gibbs_direction(rep, phi0, n) -> np.ndarray:
     """Gibbs-weighted mean of the Jordan projection per unit symbolic
-    time at level n.  Sum-zero; not re-sorted into the chamber (it
-    already is whenever every class is)."""
+    time at level n, the Gibbs weights exp(log mult - phi0(lambda)) read
+    off level n of the class table alone.  Sum-zero; not re-sorted into
+    the chamber (it already is whenever every class is)."""
     _require_levels(n, lo=4)
-    w = _Weights(rep, phi0, n, weight_hook)
-    _, g = w.gibbs_weights(n, 1.0)
-    return (g @ w.jordan[n]) / (n * g.sum())
+    cs = class_spectra(rep, n)
+    jordan = cs.jordan[n]
+    x = cs.log_mult[n] - jordan @ phi0.coeffs
+    g = np.exp(x - x.max())
+    return (g @ jordan) / (n * g.sum())
 
 
 def entropy_of_state(rep, phi0, n=DEFAULT_N_MAX, weight_hook=None) -> float:

@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import InvalidInputError, InvalidParameterError, PerturbationFailedError
 
@@ -100,14 +99,15 @@ def _rotation(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def make_schottky(translation_lengths, axis_angles, labels=None) -> Representation:
+def make_schottky(translation_lengths, axis_angles) -> Representation:
     """Hyperbolic SL(2, R) generators with prescribed translation lengths
     and axis directions.
 
     Generator i is conjugate to diag(e^(l/2), e^(-l/2)) with its axis
     rotated by axis_angles[i]; rotating the axis by theta means
     conjugating by the elliptic rotation of angle theta / 2, so axes
-    coincide exactly when angles agree mod pi.
+    coincide exactly when angles agree mod pi.  The generators are
+    labelled a, b, c, ... in order.
     """
     lengths = [float(x) for x in translation_lengths]
     angles = [float(x) for x in axis_angles]
@@ -127,26 +127,21 @@ def make_schottky(translation_lengths, axis_angles, labels=None) -> Representati
         h = np.diag([np.exp(l / 2), np.exp(-l / 2)])
         r = _rotation(a / 2)
         gens.append(r @ h @ r.T)
-    labels = tuple(labels) if labels is not None else tuple(_DEFAULT_LABELS[:k])
-    return Representation(2, np.stack(gens), labels)
+    return Representation(2, np.stack(gens), tuple(_DEFAULT_LABELS[:k]))
 
 
 def _sym_matrix(g: np.ndarray, d: int) -> np.ndarray:
     # row j = coefficients of (a x + b y)^(m-j) (c x + d y)^j on the
     # monomial basis x^m, x^(m-1) y, ..., y^m, where m = d - 1
     m = d - 1
-    a, b = g[0]
-    c, e = g[1]
     rows = []
     for j in range(m + 1):
         p = np.array([1.0])
         for _ in range(m - j):
-            p = npoly.polymul(p, [a, b])
+            p = np.convolve(p, g[0])
         for _ in range(j):
-            p = npoly.polymul(p, [c, e])
-        row = np.zeros(m + 1)
-        row[: len(p)] = p
-        rows.append(row)
+            p = np.convolve(p, g[1])
+        rows.append(p)
     return np.array(rows)
 
 

@@ -9,8 +9,11 @@ bound by `from .x import y`, or the attribute y of a bound module x, so
 an attribute such as `ClassSpectra.jordan` reaches nothing.  Every field
 of a public dataclass is read as `.field` somewhere in the package,
 tests/ or perfbench/.  Every error class is raised in the package or
-is a base of one that is.  Every name the traced benchmark run patches
-exists."""
+is a base of one that is.  Every defaulted parameter of a package
+function or method is passed, by keyword or by position, by some call in
+the package, tests/ or perfbench/; here a test counts as a caller,
+because the exact-oracle seams (weight_hook, tol) are set by tests
+alone.  Every name the traced benchmark run patches exists."""
 
 import ast
 import importlib
@@ -158,6 +161,66 @@ def test_public_dataclass_fields_are_read():
               for module in modules for cls, field in public_dataclass_fields(module)
               if not re.search(rf"\.{field}\b", text)]
     assert not unread, f"dataclass fields nothing reads: {unread}"
+
+
+def defaulted_parameters(tree):
+    """(call name, parameter, call position or None if keyword-only) for
+    every defaulted parameter of the functions and methods of tree.  A
+    method is called by its attribute name, __init__ by its class name,
+    and its call positions skip self; other dunders are called by syntax."""
+    out = []
+
+    def visit(body, cls=None):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node.name)
+            elif isinstance(node, ast.FunctionDef):
+                name = cls if node.name == "__init__" else node.name
+                if name.startswith("__"):
+                    continue
+                a = node.args
+                params = a.posonlyargs + a.args
+                first = len(params) - len(a.defaults)
+                out.extend((name, p.arg, i - (cls is not None))
+                           for i, p in enumerate(params) if i >= first)
+                out.extend((name, p.arg, None)
+                           for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+                visit(node.body)
+
+    visit(tree.body)
+    return out
+
+
+def unpassed_parameters(root):
+    """Defaulted parameters of root/src/limcone that no call in the
+    package, tests/ or perfbench/ passes, by keyword or by position, as
+    sorted "module.function(parameter=)" strings.  Calls match by the
+    called name alone, so a parameter counts as passed when any function
+    or method of that name is called with it."""
+    package = sorted((root / "src" / "limcone").glob("*.py"))
+    callers = package + sorted((root / "tests").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    calls = {}
+    for path in callers:
+        for sub in ast.walk(ast.parse(path.read_text())):
+            if isinstance(sub, ast.Call):
+                func = sub.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                starred = any(isinstance(x, ast.Starred) for x in sub.args)
+                positions = float("inf") if starred else len(sub.args)
+                calls.setdefault(name, []).append((positions, {k.arg for k in sub.keywords}))
+
+    def passed(name, param, pos):
+        return any(param in keywords or None in keywords or (pos is not None and positions > pos)
+                   for positions, keywords in calls.get(name, ()))
+
+    return [f"{path.stem}.{name}({param}=)" for path in package
+            for name, param, pos in defaulted_parameters(ast.parse(path.read_text()))
+            if not passed(name, param, pos)]
+
+
+def test_every_default_is_overridden():
+    unpassed = unpassed_parameters(ROOT)
+    assert not unpassed, f"defaulted parameters no call passes: {unpassed}"
 
 
 def test_trace_attach_points_resolve():

@@ -2,6 +2,10 @@
 bitwise reproducible files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -301,3 +305,13 @@ def test_word_levels_over_budget_exit(tmp_path, reps, monkeypatch, argv):
     monkeypatch.setattr(words, "_word_level", top_only)
     rc, out = run(tmp_path, reps, "s2", *argv)
     assert rc == cli.EXIT_PRECONDITION and not out.exists()
+
+
+def test_cold_start_skips_unused_numpy_subpackages():
+    # no command needs numpy.polynomial or numpy.ma, so a cold start imports neither
+    code = ("import sys, limcone.cli; "
+            "print(*(m for m in ('numpy.polynomial', 'numpy.ma') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.split() == []

@@ -19,7 +19,9 @@ from limcone import (
     growth_indicator_direct,
     limit_cone,
     orbit_count_ratio,
+    words,
 )
+from limcone import counting
 from limcone.bulk import class_spectra
 
 LOG3 = np.log(3.0)
@@ -59,6 +61,34 @@ class TestCompleteWindow:
         est = critical_exponent_direct(p3, None, 8, mode, weight_hook=lambda n, v: np.ones_like(n))
         assert np.ptp(est.thresholds) > 0 and np.ptp(est.counts) == 0
         assert abs(est.value) < 1e-9
+
+
+def per_row_cap(values, lengths):
+    """The completeness cap from a length per row: (N + 1) * min(values / lengths)."""
+    return (lengths.max() + 1) * float((values / lengths).min())
+
+
+class TestCompletenessCap:
+    @pytest.mark.parametrize("name", ["s2", "p3"])
+    @pytest.mark.parametrize("mode", ["conjugacy", "element"])
+    def test_level_cap_equals_per_row_cap(self, name, mode, request):
+        rep = request.getfixturevalue(name)
+        vectors, starts = counting._table(rep, 8, mode)
+        if mode == "conjugacy":
+            sizes = [len(class_spectra(rep, 8).jordan[n]) for n in range(1, 9)]
+        else:
+            sizes = [words.count_words(2, n) for n in range(1, 9)]
+        lengths = np.repeat(np.arange(1.0, 9), sizes)
+        for values in (vectors[:, 0] - vectors[:, 1], np.linalg.norm(vectors, axis=1)):
+            assert counting._completeness_cap(values, starts) == per_row_cap(values, lengths)
+
+    def test_uneven_levels(self):
+        rng = np.random.default_rng(5)
+        sizes = rng.integers(1, 300, 11)
+        values = rng.uniform(0.1, 1.0, sizes.sum()) * np.repeat(np.arange(1.0, 12), sizes)
+        lengths = np.repeat(np.arange(1.0, 12), sizes)
+        starts = np.cumsum(np.concatenate([[0], sizes]))
+        assert counting._completeness_cap(values, starts) == per_row_cap(values, lengths)
 
 
 class TestCones:
@@ -108,7 +138,8 @@ class TestOrbitCountRatio:
     def test_thresholds_below_class_gap_cap(self, s2, table):
         cs = class_spectra(s2, 8)
         lam = cs.all_jordan()
-        cap = 9 * ((lam[:, 0] - lam[:, 1]) / cs.lengths()).min()
+        lengths = np.concatenate([np.full(len(cs.jordan[n]), n) for n in range(1, 9)])
+        cap = 9 * ((lam[:, 0] - lam[:, 1]) / lengths).min()
         assert len(table.thresholds) > 0 and (table.thresholds < cap).all()
 
     def test_ratios_finite_positive(self, table):
