@@ -55,14 +55,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ClassSpectra:
-    """Per-level Jordan data over canonical conjugacy classes."""
+    """Per-level Jordan data over canonical conjugacy classes, levels 1..n_max."""
 
-    n_max: int
     jordan: dict        # n -> (B_n, d) float array
     log_mult: dict      # n -> (B_n,) float array
-
-    def all_jordan(self) -> np.ndarray:
-        return np.concatenate([self.jordan[n] for n in range(1, self.n_max + 1)])
 
 
 @dataclass(frozen=True)
@@ -144,7 +140,7 @@ def class_spectra(rep, n_max: int) -> ClassSpectra:
         blocks[n].append(batched_jordan(fwd, bwd))
     jor = {n: np.concatenate(parts) for n, parts in blocks.items()}
     logm = {n: np.log(words.class_level_arrays(k, n)[1].astype(float)) for n in jor}
-    return ClassSpectra(n_max, jor, logm)
+    return ClassSpectra(jor, logm)
 
 
 @lru_cache(maxsize=4)

@@ -104,7 +104,8 @@ def _table(rep, N, mode):
     the items of length n are rows starts[n - 1]:starts[n]."""
     if mode == "conjugacy":
         cs = class_spectra(rep, N)
-        return cs.all_jordan(), np.cumsum([0] + [len(cs.jordan[n]) for n in range(1, N + 1)])
+        levels = [cs.jordan[n] for n in range(1, N + 1)]
+        return np.concatenate(levels), np.cumsum([0] + [len(lam) for lam in levels])
     if mode == "element":
         es = element_spectra(rep, N)
         return es.cartan, es.starts
@@ -200,7 +201,6 @@ class ConeHull:
     interval is the gap-coordinate range.
     """
 
-    dim: int
     hull: np.ndarray
     interval: tuple
 
@@ -210,9 +210,7 @@ class ConeHull:
 
     def cone_area(self) -> float:
         """Planar area of the cone spanned, truncated at the gap slice
-        (d = 3); zero for a single direction."""
-        if self.dim != 3:
-            return 0.0
+        (d = 3); zero for a single direction, as every d = 2 cone is."""
         return 0.5 * (3.0 / np.sqrt(12.0)) * self.width
 
     def hausdorff(self, other: "ConeHull") -> float:
@@ -237,7 +235,7 @@ def _cone_hull(rep, N, mode, floor, empty):
     lo, hi = float(t[i0]), float(t[i1])
     ends = vectors[[i0]] if hi - lo < 1e-14 else vectors[[i0, i1]]
     hull = ends / np.abs(ends).sum(axis=1, keepdims=True)
-    return ConeHull(rep.dim, hull, (lo, hi))
+    return ConeHull(hull, (lo, hi))
 
 
 def limit_cone(rep, N: int) -> ConeHull:

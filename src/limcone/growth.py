@@ -213,7 +213,8 @@ def growth_form(body: DualBody) -> GrowthForm:
     rate for the Euclidean norm).
 
     The minimum over the sampled curve is sharpened by a parabolic fit
-    through the three points around the argmin.
+    in the tracing angle through the three points around the argmin;
+    theta is h times the unit direction traced at the fitted angle.
     """
     norms = np.array([bp.functional.norm() for bp in body.boundary])
     i = int(np.argmin(norms))
@@ -225,11 +226,7 @@ def growth_form(body: DualBody) -> GrowthForm:
         return GrowthForm(body.boundary[i].functional, float(norms[i]))
     theta_star = float(np.clip(-coef[1] / (2 * coef[0]), x[0], x[-1]))
     h = float(np.polyval(coef, theta_star))
-    comps = np.stack([bp.functional.coeffs for bp in body.boundary[i - 1 : i + 2]])
-    phi_star = np.array([np.polyval(np.polyfit(x, comps[:, j], 2), theta_star)
-                         for j in range(comps.shape[1])])
-    phi_star *= h / np.linalg.norm(phi_star)
-    return GrowthForm(Functional(phi_star), h)
+    return GrowthForm(Functional(h * (np.cos(theta_star) * _U1 + np.sin(theta_star) * _U2)), h)
 
 
 # ---------------------------------------------------------------------------

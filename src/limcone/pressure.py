@@ -60,6 +60,7 @@ __all__ = [
 DEFAULT_N_MAX = 12
 _T_MAX = 1e3
 _MAX_STEPS = 50
+_ROOT_TOL = 1e-6         # Newton steps stop once they move t by less
 _BOUNDARY_TOL = 1e-3     # |root - 1| allowed for a functional called on the boundary
 
 
@@ -73,7 +74,6 @@ class _Weights:
     the cached class table of depth n_max; what the pressures sum over."""
 
     def __init__(self, rep, phi, n_max, weight_hook=None):
-        self.n_max = n_max
         cs = class_spectra(rep, n_max)
         self.values = {}
         self.log_mult = cs.log_mult
@@ -96,19 +96,20 @@ class _Weights:
         s = g.sum()
         return float(m + np.log(s)), float(g @ v / s)
 
-    def level_root(self, n, tol, start=0.0):
+    def level_root(self, n, start=0.0):
         def f(t):
             log_z, mean = self.level_sum(n, t)
             return log_z / n, -mean / n
 
-        root = _decreasing_root(f, start, tol)
+        root = _decreasing_root(f, start)
         if root is None:
             raise BracketFailureError(f"level-{n} pressure root not found below t = {_T_MAX:g}")
         return root
 
 
-def _cycle_pressure(w: _Weights, t):
-    """Truncated cycle-expansion pressure at t and its slope in t, or
+def _cycle_pressure(sums):
+    """Truncated cycle-expansion pressure at N = len(sums) and its slope
+    in t, from the level sums (log Z_n(t), Gibbs mean) for n = 1..N, or
     None when 1/zeta_N(z, t) has no usable positive real zero.
 
     Z_n is scaled by exp(-n s) with s = P_N(t), so the zero sought lies
@@ -116,8 +117,7 @@ def _cycle_pressure(w: _Weights, t):
     of the float range the scaled Z_n or dZ_n can still overflow, and
     there is then no usable zero either.
     """
-    N = w.n_max
-    sums = [w.level_sum(n, t) for n in range(1, N + 1)]
+    N = len(sums)
     s = sums[-1][0] / N
     with np.errstate(over="ignore", invalid="ignore"):
         Z = np.array([0.0] + [np.exp(log_z - n * s) for n, (log_z, _) in enumerate(sums, 1)])
@@ -148,11 +148,11 @@ def _cycle_pressure(w: _Weights, t):
     return s - float(np.log(x)), float(slope)
 
 
-def _decreasing_root(f, t, tol):
+def _decreasing_root(f, t):
     """Root of a decreasing f(t) -> (value, slope) for t > 0, by Newton
     steps from t kept inside the bracket found so far (bisecting when a
     step leaves it).  None when f fails, the root lies beyond _T_MAX or
-    the steps do not settle to within tol."""
+    the steps do not settle to within _ROOT_TOL."""
     lo, hi = 0.0, np.inf
     for _ in range(_MAX_STEPS):
         fs = f(t)
@@ -166,7 +166,7 @@ def _decreasing_root(f, t, tol):
         nxt = t - val / slope if slope < 0 else np.nan
         if not lo <= nxt <= hi:
             nxt = 0.5 * (lo + hi) if hi < np.inf else 2.0 * t + 1.0
-        if abs(nxt - t) < tol:
+        if abs(nxt - t) < _ROOT_TOL:
             return nxt
         if nxt > _T_MAX:
             return None
@@ -211,26 +211,23 @@ def _require_levels(n, lo):
         raise InvalidParameterError(f"need level n >= {lo}")
 
 
-def _require_finite(t):
-    if not np.isfinite(t):
-        raise InvalidParameterError("t must be finite")
-
-
 def pressure_table(rep, phi, t, n_max=DEFAULT_N_MAX, weight_hook=None) -> PressureTable:
     _require_levels(n_max, lo=3)
-    _require_finite(t)
+    if not np.isfinite(t):
+        raise InvalidParameterError("t must be finite")
     w = _Weights(rep, phi, n_max, weight_hook)
     with np.errstate(over="ignore", invalid="ignore"):
-        levels = {n: w.level_sum(n, t)[0] / n for n in range(2, n_max + 1)}
+        sums = [w.level_sum(n, t) for n in range(1, n_max + 1)]
+    levels = {n: sums[n - 1][0] / n for n in range(2, n_max + 1)}
     if not np.isfinite(list(levels.values())).all():
         raise InvalidParameterError(f"t = {t:g} overflows the level pressures")
-    cycle = _cycle_pressure(w, t)
+    cycle = _cycle_pressure(sums)
     osc = cycle is None
     extrap = levels[n_max] if osc else cycle[0]
     return PressureTable(levels, float(extrap), osc)
 
 
-def pressure_root_detail(rep, phi, tol=1e-6, n_max=DEFAULT_N_MAX, weight_hook=None) -> RootResult:
+def pressure_root_detail(rep, phi, n_max=DEFAULT_N_MAX, weight_hook=None) -> RootResult:
     _require_levels(n_max, lo=4)
     w = _Weights(rep, phi, n_max, weight_hook)
     worst = min(v.min() for v in w.values.values())
@@ -241,17 +238,18 @@ def pressure_root_detail(rep, phi, tol=1e-6, n_max=DEFAULT_N_MAX, weight_hook=No
         )
     roots, start = {}, 0.0
     for n in range(n_max - 3, n_max + 1):  # each level starts from the root below it
-        roots[n] = start = w.level_root(n, tol, start)
-    value = _decreasing_root(lambda t: _cycle_pressure(w, t), roots[n_max], tol)
+        roots[n] = start = w.level_root(n, start)
+    value = _decreasing_root(
+        lambda t: _cycle_pressure([w.level_sum(n, t) for n in range(1, n_max + 1)]), roots[n_max])
     if value is None:
         return RootResult(roots[n_max], roots, True)
     return RootResult(float(value), roots, False)
 
 
-def pressure_root(rep, phi, tol=1e-6, n_max=DEFAULT_N_MAX, weight_hook=None) -> float:
+def pressure_root(rep, phi, n_max=DEFAULT_N_MAX, weight_hook=None) -> float:
     """Critical exponent of the weight: root of t -> P(-t r), with P the
     truncated cycle-expansion pressure at N = n_max."""
-    return pressure_root_detail(rep, phi, tol, n_max, weight_hook).value
+    return pressure_root_detail(rep, phi, n_max, weight_hook).value
 
 
 def gibbs_direction(rep, phi0, n) -> np.ndarray:

@@ -93,9 +93,6 @@ class Functional:
         """Dual Euclidean norm = sup over unit sum-zero v of phi(v)."""
         return float(np.linalg.norm(self.coeffs))
 
-    def __len__(self):
-        return len(self.coeffs)
-
 
 # ---------------------------------------------------------------------------
 # batched split-spectrum cores (shared with limcone.bulk)

@@ -11,7 +11,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from limcone import bulk, cli, words
+from limcone import InvalidParameterError, bulk, cli, words
 from limcone.spectra import (
     _CLOSED_FORM,
     _split_spectrum,
@@ -247,6 +247,10 @@ class TestWordProducts:
 
 
 class TestClassSpectra:
+    def test_needs_two_levels(self, s2):
+        with pytest.raises(InvalidParameterError):
+            bulk.class_spectra(s2, 1)
+
     def test_tree_equals_per_class_loop(self, rep):
         cs = bulk.class_spectra(rep, 12)
         for n, expect in plain_class_spectra(rep, 12).items():

@@ -14,11 +14,14 @@ from limcone import (
     Functional,
     InsufficientDataError,
     InvalidParameterError,
+    NotInDualConeError,
+    OrbitCountTable,
     asymptotic_cone,
     critical_exponent_direct,
     growth_indicator_direct,
     limit_cone,
     orbit_count_ratio,
+    sym_power_embed,
     words,
 )
 from limcone import counting
@@ -48,6 +51,15 @@ class TestCompleteWindow:
         assert abs(element_estimate.value - LOG3) < 0.005
         conj = critical_exponent_direct(s2, None, 12, "conjugacy", weight_hook=word_length)
         assert conj.value < LOG3
+
+    def test_unknown_mode_refused(self, s2):
+        with pytest.raises(InvalidParameterError):
+            critical_exponent_direct(s2, Functional.gap(2, 1), 8, "bogus")
+
+    @pytest.mark.parametrize("mode", ["conjugacy", "element"])
+    def test_functional_outside_dual_cone_refused(self, p3, mode):
+        with pytest.raises(NotInDualConeError):
+            critical_exponent_direct(p3, Functional([-1, 0, 1]), 8, mode)
 
     @pytest.mark.parametrize("mode", ["conjugacy", "element"])
     def test_collapsed_grid_refused(self, p3, mode):
@@ -106,6 +118,20 @@ class TestCones:
         with pytest.raises(InsufficientDataError):
             asymptotic_cone(p3, 6, 1e6)
 
+    @pytest.mark.parametrize("cone, rep_name, args", [
+        (limit_cone, "p3", (3,)), (limit_cone, "d4", (6,)), (asymptotic_cone, "p3", (3, 1.0)),
+        (asymptotic_cone, "p3", (8, 0.0)), (asymptotic_cone, "d4", (6, 1.0)),
+    ])
+    def test_preconditions(self, s2, p3, cone, rep_name, args):
+        rep = p3 if rep_name == "p3" else sym_power_embed(s2, 4)
+        with pytest.raises(InvalidParameterError):
+            cone(rep, *args)
+
+    def test_d2_cone_has_zero_area(self, s2):
+        # every d = 2 direction has gap coordinate 0: the interval is (0, 0)
+        cone = limit_cone(s2, 8)
+        assert cone.interval == (0.0, 0.0) and cone.cone_area() == 0.0
+
 
 class TestDirectIndicator:
     @pytest.mark.parametrize("v", [[2.0, 0.0, -2.0], [1.0, 0.0, 0.0]])
@@ -137,10 +163,13 @@ class TestOrbitCountRatio:
 
     def test_thresholds_below_class_gap_cap(self, s2, table):
         cs = class_spectra(s2, 8)
-        lam = cs.all_jordan()
+        lam = np.concatenate([cs.jordan[n] for n in range(1, 9)])
         lengths = np.concatenate([np.full(len(cs.jordan[n]), n) for n in range(1, 9)])
         cap = 9 * ((lam[:, 0] - lam[:, 1]) / lengths).min()
         assert len(table.thresholds) > 0 and (table.thresholds < cap).all()
 
     def test_ratios_finite_positive(self, table):
         assert np.isfinite(table.ratios).all() and (table.ratios > 0).all()
+
+    def test_short_table_has_no_trend(self):
+        assert OrbitCountTable(np.arange(2.0), np.ones(2), 1.0).trend_toward_one() is False

@@ -22,7 +22,7 @@ from limcone import (
     psi_from_duality,
     sym_power_embed,
 )
-from limcone.growth import _chamber_direction
+from limcone.growth import _U1, _U2, _chamber_direction
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +67,25 @@ def test_s2_growth_rate_is_scaled_gap_root(s2):
     h = growth_form(boundary_curve(s2, 16)).h
     assert h == pytest.approx(np.sqrt(2) * pressure_root(s2, Functional.gap(2, 1)), abs=1e-12)
     assert h == pytest.approx(1.0610332, abs=1e-7)
+
+
+def test_audit_needs_sixteen_pairs(body):
+    with pytest.raises(InvalidParameterError):
+        concavity_audit(body, samples=8)
+
+
+def test_continuity_scan_probe_preconditions(p3, f3):
+    lo, _ = limit_cone(p3, 12).interval
+    with pytest.raises(InvalidParameterError, match="margin"):
+        continuity_scan(p3, [0.0], 1, [_chamber_direction(lo)])
+    with pytest.raises(InvalidParameterError, match="ray"):
+        continuity_scan(f3, [0.0], 1, [_chamber_direction(0.1)])
+
+
+def test_continuity_scan_marks_a_failed_step(s2):
+    # the 5.0 perturbation of s2 has a class with zero gap: that step fails, the scan goes on
+    rows = continuity_scan(s2, [0.0, 5.0], 3, [np.array([1.0, -1.0]) / np.sqrt(2.0)])
+    assert [row.failed for row in rows] == [False, True]
 
 
 def test_continuity_scan_at_zero_deformation(p3):
@@ -212,6 +231,19 @@ def test_audit_matches_looped_audit(traced):
         assert [len(s) for s in report.edge_slopes] == [len(s) for s in slopes], seed
         for got, want in zip(report.edge_slopes, slopes):
             assert np.allclose(got, want, rtol=0, atol=1e-12), seed
+
+
+def test_growth_form_is_traced_at_the_fitted_angle(traced):
+    # the functional traced at angle theta is |phi| (cos theta _U1 + sin theta _U2)
+    rep, body = traced
+    form = growth_form(body)
+    assert np.linalg.norm(form.theta.coeffs) == pytest.approx(form.h, rel=1e-12)
+    if rep.dim == 2:
+        assert form.theta == body.boundary[0].functional
+        return
+    i = int(np.argmin([bp.functional.norm() for bp in body.boundary]))
+    angle = np.arctan2(form.theta.coeffs @ _U2, form.theta.coeffs @ _U1)
+    assert body.thetas[i - 1] <= angle <= body.thetas[i + 1]
 
 
 def test_body_carries_the_limit_cone(traced):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from limcone import (
+    BracketFailureError,
     Functional,
     InvalidParameterError,
     NotInDualConeError,
@@ -25,7 +26,7 @@ from limcone import (
     pressure_table,
     word_length_weight,
 )
-from limcone import words
+from limcone import pressure, words
 from limcone.bulk import class_spectra
 from limcone.pressure import pressure_root_detail
 from reference import evaluate
@@ -133,8 +134,22 @@ class TestPressureRoot:
         assert set(detail.level_roots) == {9, 10, 11, 12}
         assert not detail.fallback
 
+    def test_level_root_beyond_t_max(self, s2):
+        # a weight of 1e-6 per letter puts every level root at log 3 / 1e-6 > _T_MAX
+        with pytest.raises(BracketFailureError):
+            pressure_root(s2, None, weight_hook=lambda n, lam: np.full(len(lam), 1e-6 * n))
+
 
 class TestPressureTable:
+    def test_each_level_summed_once(self, s2, monkeypatch):
+        # the levels and the cycle expansion read one list of level sums
+        summed = []
+        level_sum = pressure._Weights.level_sum
+        monkeypatch.setattr(pressure._Weights, "level_sum",
+                            lambda w, n, t: summed.append(n) or level_sum(w, n, t))
+        pressure_table(s2, Functional([1, -1]), 0.7, 12)
+        assert sorted(summed) == list(range(1, 13))
+
     def test_extrapolated_within_last_predictions(self, s2):
         phi = Functional([1.0, -1.0])
         table = pressure_table(s2, phi, 0.5, 10)
@@ -301,7 +316,7 @@ class TestCycleExpansion:
         # one expansion routine serves the root and the table
         rep = request.getfixturevalue(rep_name)
         phi = Functional(coeffs)
-        root = pressure_root(rep, phi, tol=1e-10)
+        root = pressure_root(rep, phi)
         assert abs(pressure_table(rep, root * phi, 1.0).extrapolated) < 1e-8
 
     @pytest.mark.parametrize("rep_name, coeffs", [("s2", [1.0, -1.0]), ("p3", [1.0, 0.0, -1.0])])

@@ -40,6 +40,14 @@ class TestRepresentation:
         with pytest.raises(InvalidParameterError):
             Representation(2, np.stack([np.eye(2), np.eye(2)]), ("a", "a"))
 
+    def test_dimension_and_finite_entries_enforced(self, s2):
+        with pytest.raises(InvalidParameterError, match="dimension"):
+            Representation(1, np.ones((2, 1, 1)), ("a", "b"))
+        gens = s2.generators.copy()
+        gens[0, 0, 0] = np.inf
+        with pytest.raises(InvalidParameterError, match="finite"):
+            Representation(2, gens, s2.labels)
+
     def test_hashable_and_immutable(self, s2):
         assert hash(s2) == hash(Representation(2, s2.generators, s2.labels))
         with pytest.raises(ValueError):
@@ -99,6 +107,10 @@ class TestSymPower:
     def test_dim_guard(self, f3):
         with pytest.raises(InvalidParameterError):
             sym_power_embed(f3, 4)
+
+    def test_target_dimension_guard(self, s2):
+        with pytest.raises(InvalidParameterError):
+            sym_power_embed(s2, 1)
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_multiplicative_on_random_words(self, s2, d):

@@ -156,6 +156,10 @@ class TestWordType:
         with pytest.raises(InvalidInputError):
             Word((0, 1))
 
+    def test_rejects_unknown_letter(self):
+        with pytest.raises(InvalidInputError):
+            Word((0, -1))
+
     def test_inverse(self):
         assert inverse(Word((0, 2))).letters == (3, 1)
 
@@ -325,6 +329,10 @@ class TestTextForms:
         text = format_word(w, s2.labels)
         assert text == "aBabA"
         assert parse_word(text, s2.labels) == w
+
+    def test_multi_character_labels(self):
+        # a label of more than one letter marks its inverse with a prime and spaces the word
+        assert format_word((0, 1, 2, 3), ("ab", "c")) == "ab ab' c C"
 
     def test_parse_unknown(self, s2):
         with pytest.raises(InvalidInputError):
