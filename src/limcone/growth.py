@@ -11,6 +11,12 @@ the boundary.  Each traced point carries its Gibbs direction (the
 tangency direction of the boundary functional) and the entropy value
 psi takes there.
 
+Pressure, the limit cone and psi are invariant under the opposition
+involution iota(v) = -(v_d, ..., v_1), since lambda(g^-1) = iota
+lambda(g).  For d = 3 iota maps the tracing angle theta to -theta, so
+the traced window is symmetric about 0: only its angles >= 0 are
+root-found, and each point at -theta is the iota-image of its partner.
+
 psi itself is the lower envelope min_phi phi(v) over the traced
 boundary, evaluated at a whole stack of directions by one matrix
 product; it is concave by construction and an overestimate at finite
@@ -75,7 +81,8 @@ class DualBody:
     dual plane, inside the polar of `cone`; d = 2: a single point)."""
 
     boundary: tuple              # BoundaryPoints ordered by angle
-    thetas: tuple                # curve parameter per point (d = 3)
+    thetas: tuple                # curve parameter per point (d = 3); antisymmetric, the
+                                 # points below 0 are the iota-images of those above
     cone: ConeHull               # sampled limit cone; the traced window is its polar
     gaps: tuple                  # parameters of failed directions
     degenerate: bool             # sampled cone had (numerically) empty interior
@@ -119,6 +126,21 @@ def boundary_point(rep, u, n_max: int = DEFAULT_N_MAX) -> BoundaryPoint:
     return BoundaryPoint(un, float(s_star), phi, g, float(phi.coeffs @ g))
 
 
+def _opposition(c) -> np.ndarray:
+    """The opposition involution iota(v) = -(v_d, ..., v_1) on coefficient
+    vectors; it maps lambda(g) to lambda(g^-1)."""
+    return -np.asarray(c)[::-1]
+
+
+def _mirror(bp: BoundaryPoint) -> BoundaryPoint:
+    """The boundary point traced at iota(bp.direction): pressure is
+    iota-invariant, so s* and the entropy carry over and the Gibbs mean
+    is the iota-image."""
+    return BoundaryPoint(Functional(_opposition(bp.direction.coeffs)), bp.s_star,
+                         Functional(_opposition(bp.functional.coeffs)),
+                         _opposition(bp.gibbs_vector), bp.entropy)
+
+
 def boundary_curve(rep, resolution: int = 16, n_max: int = DEFAULT_N_MAX,
                    allow_degenerate: bool = False, threads: int = 1) -> DualBody:
     """Trace the dual-body boundary at `resolution` directions, evenly
@@ -126,11 +148,17 @@ def boundary_curve(rep, resolution: int = 16, n_max: int = DEFAULT_N_MAX,
     fixed 5 percent of that window's width away from each end.  Each
     pressure root is found to within 1e-6.
 
-    Individual direction failures are recorded as gaps; more than 20
-    percent failing aborts.  A representation whose sampled limit cone
-    is a single ray has a dual body with flat boundary; that degenerate
-    case errors out unless allow_degenerate is set (deformation scans
-    set it to keep the unperturbed baseline usable).
+    The window is symmetric about angle 0 by construction (its half-width
+    is half the polar's): the ceil(resolution / 2) angles >= 0 are traced,
+    and the points below 0 are their mirror images under iota, with the
+    same s* and entropy.  `threads` workers share the traced half.
+
+    Individual direction failures are recorded as gaps, a failed angle
+    together with its mirror; more than 20 percent failing aborts.  A
+    representation whose sampled limit cone is a single ray has a dual
+    body with flat boundary; that degenerate case errors out unless
+    allow_degenerate is set (deformation scans set it to keep the
+    unperturbed baseline usable).
     """
     if rep.dim == 2:
         bp = boundary_point(rep, Functional(np.array([1.0, -1.0])), n_max=n_max)
@@ -148,9 +176,11 @@ def boundary_curve(rep, resolution: int = 16, n_max: int = DEFAULT_N_MAX,
             "sampled limit cone is a single ray; dual body boundary is flat"
             " (pass allow_degenerate=True to trace it anyway)"
         )
-    width = hi - lo
-    lo_i, hi_i = lo + _EDGE_MARGIN * width, hi - _EDGE_MARGIN * width
-    thetas = np.linspace(lo_i, hi_i, resolution)
+    # the cone is iota-invariant, so its polar is symmetric about 0: the
+    # window is [-a, a], and upper holds the angles >= 0 of resolution
+    # evenly spaced ones across it
+    a = (1.0 - 2.0 * _EDGE_MARGIN) * (hi - lo) / 2.0
+    upper = a * np.arange(1 - resolution % 2, resolution, 2) / (resolution - 1)
 
     def trace(theta):
         u = Functional(np.cos(theta) * _U1 + np.sin(theta) * _U2)
@@ -161,9 +191,12 @@ def boundary_curve(rep, resolution: int = 16, n_max: int = DEFAULT_N_MAX,
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(trace, thetas))
+            traced = list(pool.map(trace, upper))
     else:
-        results = [trace(th) for th in thetas]
+        traced = [trace(th) for th in upper]
+    lower = resolution // 2                       # theta = 0 is traced once
+    thetas = np.concatenate([-upper[::-1][:lower], upper])
+    results = [None if bp is None else _mirror(bp) for bp in traced[::-1][:lower]] + traced
     points = tuple(bp for bp in results if bp is not None)
     gaps = tuple(float(th) for th, bp in zip(thetas, results) if bp is None)
     if len(gaps) > 0.2 * resolution:

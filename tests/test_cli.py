@@ -279,6 +279,20 @@ def test_boundary_reproducible_across_runs_and_threads(tmp_path, reps):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_boundary_records_pair_off_by_the_opposition_involution(tmp_path, reps):
+    # record n - 1 - i sits at the mirrored angle: its direction and Gibbs
+    # vector are the images under iota(v) = -(v_3, v_2, v_1) of record i's
+    rc, out = run(tmp_path, reps, "p3", "boundary", out="b.json")
+    assert rc == 0
+    records = json.loads(out.read_text())
+    assert len(records) == 16
+    for rec, partner in zip(records, reversed(records)):
+        assert rec["s_star"] == partner["s_star"] and rec["entropy"] == partner["entropy"]
+        assert rec["gibbs_dir"] == [-x for x in reversed(partner["gibbs_dir"])]
+        np.testing.assert_allclose(rec["direction"], [-x for x in reversed(partner["direction"])],
+                                   rtol=0, atol=1e-15)
+
+
 def test_direct_psi_needs_no_dual_body(tmp_path, reps):
     # f3's sampled cone is one ray, so its dual boundary cannot be traced;
     # the direct count does not use it

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from limcone import (
+    BracketFailureError,
     DegenerateConeError,
     Functional,
     InvalidParameterError,
@@ -22,6 +23,7 @@ from limcone import (
     psi_from_duality,
     sym_power_embed,
 )
+from limcone import growth
 from limcone.growth import _U1, _U2, _chamber_direction
 
 
@@ -110,6 +112,121 @@ def test_boundary_curve_preconditions(p3, s2):
         boundary_curve(p3, 7)
     with pytest.raises(InvalidParameterError):
         boundary_curve(sym_power_embed(s2, 4), 16)
+
+
+# ---------------------------------------------------------------------------
+# the opposition involution iota(v) = -(v_3, v_2, v_1)
+# ---------------------------------------------------------------------------
+
+def iota(c):
+    return -np.asarray(c)[::-1]
+
+
+@pytest.fixture(scope="module", params=["p3", "f3-0.03-7"])
+def mirrored(request, f3, p3):
+    rep = p3 if request.param == "p3" else perturb(f3, 0.03, 7)
+    return rep, boundary_curve(rep, 16)
+
+
+def test_window_is_antisymmetric(mirrored):
+    _, body = mirrored
+    th = body.thetas
+    assert len(th) == 16 and all(th[i] == -th[-1 - i] for i in range(16))
+    assert list(th) == sorted(th)
+
+
+def test_points_at_opposite_angles_are_iota_images(mirrored):
+    _, body = mirrored
+    for bp, partner in zip(body.boundary, reversed(body.boundary)):
+        np.testing.assert_allclose(bp.direction.coeffs, iota(partner.direction.coeffs),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(bp.functional.coeffs, iota(partner.functional.coeffs),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(bp.gibbs_vector, iota(partner.gibbs_vector),
+                                   rtol=0, atol=1e-15)
+        assert bp.s_star == partner.s_star and bp.entropy == partner.entropy
+
+
+def test_mirrored_points_carry_their_own_root(mirrored):
+    # the lower half is mirrored, not traced: its s* is the root at iota(u)
+    # up to the summation order of the level sums
+    rep, body = mirrored
+    for bp in body.boundary[:8]:
+        assert pressure_root(rep, bp.direction) == pytest.approx(bp.s_star, rel=1e-15, abs=0)
+
+
+def test_pressure_root_is_iota_invariant(mirrored):
+    rep, _ = mirrored
+    phi = Functional(np.array([1.0, 0.3, -1.3]))
+    assert pressure_root(rep, Functional(iota(phi.coeffs))) == pytest.approx(
+        pressure_root(rep, phi), rel=1e-15, abs=0)
+
+
+def test_sampled_cone_is_iota_invariant(mirrored):
+    rep, _ = mirrored
+    lo, hi = limit_cone(rep, 12).interval
+    assert lo < 0 < hi and abs(lo + hi) <= 1e-15
+
+
+def test_psi_is_iota_invariant(mirrored):
+    # iota(v) is the chamber direction at -t; finite values sum three
+    # products in reversed order, so they agree to rounding
+    rep, body = mirrored
+    lo, hi = limit_cone(rep, 12).interval
+    finite = 0
+    for t in 0.5 * (lo + hi) + 0.4 * (hi - lo) * np.linspace(-1.0, 1.0, 9):
+        v = _chamber_direction(t)
+        a, b = psi_from_duality(body, v), psi_from_duality(body, iota(v))
+        if a is NEG_INFINITY:
+            assert b is NEG_INFINITY, t
+        else:
+            assert isinstance(b, float) and abs(a - b) <= 1e-15, t
+            finite += 1
+    assert 0 < finite < 9
+
+
+@pytest.mark.parametrize("resolution, traced", [(16, 8), (17, 9), (64, 32)])
+def test_half_the_window_is_traced(p3, monkeypatch, resolution, traced):
+    calls = []
+    trace = growth.boundary_point
+
+    def counted(rep, u, n_max):
+        calls.append(np.arctan2(u.coeffs @ _U2, u.coeffs @ _U1))
+        return trace(rep, u, n_max=n_max)
+
+    monkeypatch.setattr(growth, "boundary_point", counted)
+    body = boundary_curve(p3, resolution=resolution)
+    assert len(calls) == traced and len(body) == resolution and body.gaps == ()
+    np.testing.assert_allclose(calls, body.thetas[resolution // 2:], rtol=0, atol=1e-15)
+    if resolution % 2:
+        assert body.thetas[resolution // 2] == 0.0
+
+
+def test_failed_angle_is_a_gap_on_both_sides(p3, monkeypatch):
+    trace = growth.boundary_point
+    calls = []
+
+    def fail_third(rep, u, n_max):
+        calls.append(u)
+        if len(calls) == 3:
+            raise BracketFailureError("injected")
+        return trace(rep, u, n_max=n_max)
+
+    whole = boundary_curve(p3, resolution=17)
+    monkeypatch.setattr(growth, "boundary_point", fail_third)
+    body = boundary_curve(p3, resolution=17)
+    assert len(calls) == 9 and len(body) == 15
+    assert body.gaps == (whole.thetas[6], whole.thetas[10]) and body.gaps[0] == -body.gaps[1]
+    assert body.thetas == whole.thetas[:6] + whole.thetas[7:10] + whole.thetas[11:]
+    assert body.functionals().tolist() == np.delete(whole.functionals(), [6, 10], 0).tolist()
+
+
+def test_threads_trace_the_same_half(p3):
+    one, two = boundary_curve(p3, 17), boundary_curve(p3, 17, threads=2)
+    assert one.thetas == two.thetas
+    assert np.array_equal(one.functionals(), two.functionals())
+    assert all(np.array_equal(a.gibbs_vector, b.gibbs_vector)
+               for a, b in zip(one.boundary, two.boundary))
 
 
 # ---------------------------------------------------------------------------
