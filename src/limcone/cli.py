@@ -196,8 +196,8 @@ def _cmd_perturb_scan(rep, args):
         rep, args.epsilons, args.seed, probes,
         n_max=args.n_max, resolution=args.resolution,
     )
-    table = _csv(args.out, ["epsilon", "hausdorff", "dpsi_max", "dh"],
-                 [[r.epsilon, r.hausdorff, r.dpsi_max, r.dh] for r in rows])
+    table = _csv(args.out, ["epsilon", "hausdorff", "dpsi_max", "dh", "dtheta"],
+                 [[r.epsilon, r.hausdorff, r.dpsi_max, r.dh, r.dtheta] for r in rows])
     ok = sum(1 for r in rows if not r.failed)
     return [table], f"perturb-scan: {ok}/{len(rows)} ladder steps"
 

@@ -272,7 +272,6 @@ class GrowthIndicatorSample:
     projections inside the round cone around the direction."""
 
     value: object               # float or NEG_INFINITY
-    std_error: float = float("nan")
 
 
 def growth_indicator_direct(rep, v, half_angle: float, N: int) -> GrowthIndicatorSample:
@@ -295,10 +294,10 @@ def growth_indicator_direct(rep, v, half_angle: float, N: int) -> GrowthIndicato
     if not inside.any():
         return GrowthIndicatorSample(NEG_INFINITY)
     try:
-        slope, se, _, _ = _slope_fit(norms[inside], _completeness_cap(norms, starts))
+        slope = _slope_fit(norms[inside], _completeness_cap(norms, starts))[0]
     except InsufficientDataError:
         return GrowthIndicatorSample(NEG_INFINITY)
-    return GrowthIndicatorSample(slope, se)
+    return GrowthIndicatorSample(slope)
 
 
 # ---------------------------------------------------------------------------

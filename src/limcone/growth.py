@@ -60,7 +60,7 @@ __all__ = [
 
 _ENDPOINT_SLOPE_FACTOR = 1.5
 _EDGE_MARGIN = 0.05     # share of the traced window, and of the audited one, left out at each end
-_MARGIN_TOL = 1e-6      # audit margins within this of 0 are rounding, not strict
+_MARGIN_TOL = 1e-6      # audit margins down to -_MARGIN_TOL are rounding, not violations
 _DEGENERATE_WIDTH = 1e-9  # sampled cones narrower than this (gap coordinate) are one ray
 
 
@@ -84,8 +84,6 @@ class DualBody:
     thetas: tuple                # curve parameter per point (d = 3); antisymmetric, the
                                  # points below 0 are the iota-images of those above
     cone: ConeHull               # sampled limit cone; the traced window is its polar
-    gaps: tuple                  # parameters of failed directions
-    degenerate: bool             # sampled cone had (numerically) empty interior
 
     def __len__(self):
         return len(self.boundary)
@@ -153,16 +151,16 @@ def boundary_curve(rep, resolution: int = 16, n_max: int = DEFAULT_N_MAX,
     and the points below 0 are their mirror images under iota, with the
     same s* and entropy.  `threads` workers share the traced half.
 
-    Individual direction failures are recorded as gaps, a failed angle
-    together with its mirror; more than 20 percent failing aborts.  A
-    representation whose sampled limit cone is a single ray has a dual
-    body with flat boundary; that degenerate case errors out unless
-    allow_degenerate is set (deformation scans set it to keep the
-    unperturbed baseline usable).
+    A failed direction is left out, a failed angle together with its
+    mirror, so the body then holds fewer than `resolution` points; more
+    than 20 percent failing aborts.  A representation whose sampled limit
+    cone is a single ray has a dual body with flat boundary; that
+    degenerate case errors out unless allow_degenerate is set
+    (deformation scans set it to keep the unperturbed baseline usable).
     """
     if rep.dim == 2:
         bp = boundary_point(rep, Functional(np.array([1.0, -1.0])), n_max=n_max)
-        return DualBody((bp,), (0.0,), limit_cone(rep, n_max), (), False)
+        return DualBody((bp,), (0.0,), limit_cone(rep, n_max))
     if rep.dim != 3:
         raise InvalidParameterError("boundary_curve is implemented for d in {2, 3}")
     if resolution < 8:
@@ -170,8 +168,7 @@ def boundary_curve(rep, resolution: int = 16, n_max: int = DEFAULT_N_MAX,
     cone = limit_cone(rep, n_max)
     angles = np.arctan2(cone.hull @ _U2, cone.hull @ _U1)
     lo, hi = angles.max() - np.pi / 2, angles.min() + np.pi / 2
-    degenerate = cone.width < _DEGENERATE_WIDTH
-    if degenerate and not allow_degenerate:
+    if cone.width < _DEGENERATE_WIDTH and not allow_degenerate:
         raise DegenerateConeError(
             "sampled limit cone is a single ray; dual body boundary is flat"
             " (pass allow_degenerate=True to trace it anyway)"
@@ -198,13 +195,11 @@ def boundary_curve(rep, resolution: int = 16, n_max: int = DEFAULT_N_MAX,
     thetas = np.concatenate([-upper[::-1][:lower], upper])
     results = [None if bp is None else _mirror(bp) for bp in traced[::-1][:lower]] + traced
     points = tuple(bp for bp in results if bp is not None)
-    gaps = tuple(float(th) for th, bp in zip(thetas, results) if bp is None)
-    if len(gaps) > 0.2 * resolution:
-        raise InsufficientDataError(
-            f"{len(gaps)} of {resolution} boundary directions failed"
-        )
+    failed = resolution - len(points)
+    if failed > 0.2 * resolution:
+        raise InsufficientDataError(f"{failed} of {resolution} boundary directions failed")
     kept = tuple(float(th) for th, bp in zip(thetas, results) if bp is not None)
-    return DualBody(points, kept, cone, gaps, degenerate)
+    return DualBody(points, kept, cone)
 
 
 def _envelope(F, V):
@@ -270,10 +265,6 @@ def growth_form(body: DualBody) -> GrowthForm:
 class ConcavityReport:
     pairs_tested: int
     concave_pairs: int
-    strict_pairs: int
-    min_margin: float
-    vertical_tangent_trend: bool
-    edge_slopes: tuple
 
     @property
     def concave_ok(self) -> bool:
@@ -282,19 +273,16 @@ class ConcavityReport:
 
 def concavity_audit(body: DualBody, samples: int = 32, seed: int = 0) -> ConcavityReport:
     """Sample direction pairs inside the traced window and check
-    midpoint concavity of the reconstructed indicator, recording strict
-    margins; probe the slope growth toward the window edges (the
-    vertical-tangent trend).  Every value is read off one envelope
-    evaluation over the traced functionals; a pair counts only when its
-    ends and its three midpoints are all finite.  A pair is concave when
-    its worst margin is at least -_MARGIN_TOL and strict when it exceeds
-    _MARGIN_TOL, so rounding-level margins count as neither violations
-    nor strict ones."""
+    midpoint concavity of the reconstructed indicator.  Every value is
+    read off one envelope evaluation over the traced functionals; a pair
+    counts only when its ends and its three midpoints are all finite.  A
+    pair is concave when its worst margin is at least -_MARGIN_TOL, so
+    rounding-level margins count as no violation."""
     if samples < 16:
         raise InvalidParameterError("need at least 16 sample pairs")
     if len(body.boundary) == 1:
         # single-point body: psi is linear, concavity holds with equality
-        return ConcavityReport(samples, samples, 0, 0.0, True, ())
+        return ConcavityReport(samples, samples)
     F = body.functionals()
     tg = gap_slice_coord(np.stack([bp.gibbs_vector for bp in body.boundary]))
     lo, hi = tg.min(), tg.max()
@@ -306,18 +294,7 @@ def concavity_audit(body: DualBody, samples: int = 32, seed: int = 0) -> Concavi
     pm = _envelope(F, w[..., None] * ends[:, 0] + (1 - w[..., None]) * ends[:, 1])
     worst = (pm - (w * pa + (1 - w) * pb)).min(axis=0)
     worst = worst[~np.isnan(worst)]                    # pairs with all five finite
-    concave, strict = int((worst >= -_MARGIN_TOL).sum()), int((worst > _MARGIN_TOL).sum())
-    # slope trend toward each window edge
-    ts = np.linspace(0.5 * (lo + hi), [lo_i, hi_i], 7, axis=1)
-    slopes = []
-    for t, p in zip(ts, _envelope(F, _chamber_direction(ts))):
-        dt, dp = np.diff(t), np.diff(p)
-        keep = ~np.isnan(dp) & (dt != 0)
-        slopes.append(tuple(np.abs(dp[keep] / dt[keep])))
-    trends = [s[-3] <= s[-2] + 1e-12 and s[-2] <= s[-1] + 1e-12 for s in slopes if len(s) >= 3]
-    trend = bool(trends) and all(trends)
-    return ConcavityReport(len(worst), concave, strict, float(worst.min(initial=np.inf)),
-                           trend, tuple(slopes))
+    return ConcavityReport(len(worst), int((worst >= -_MARGIN_TOL).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +305,6 @@ def concavity_audit(body: DualBody, samples: int = 32, seed: int = 0) -> Concavi
 class ContinuityRow:
     epsilon: float
     hausdorff: float
-    dpsi: tuple
     dpsi_max: float
     dh: float
     dtheta: float
@@ -370,14 +346,13 @@ def continuity_scan(rep, epsilons, seed: int, probes, n_max: int = DEFAULT_N_MAX
             rep_eps = perturb(rep, eps, seed)
             cone, form, psi = _analysis(rep_eps, n_max, resolution, probes)
         except LimconeError:
-            rows.append(ContinuityRow(float(eps), np.nan, (), np.nan, np.nan, np.nan, True))
+            rows.append(ContinuityRow(float(eps), np.nan, np.nan, np.nan, np.nan, True))
             continue
         dpsi = np.abs(psi - base_psi)
         rows.append(
             ContinuityRow(
                 float(eps),
                 base_cone.hausdorff(cone),
-                tuple(dpsi),
                 float(np.nanmax(dpsi)),
                 abs(form.h - base_form.h),
                 float(np.linalg.norm(form.theta.coeffs - base_form.theta.coeffs)),

@@ -69,19 +69,21 @@ def word_length_weight(n, lam):
     return np.full(len(lam), float(n))
 
 
+def _level_weights(cs, phi, n, weight_hook):
+    """The weight of every class of level n of the class table cs."""
+    if weight_hook is not None:
+        return np.asarray(weight_hook(n, cs.jordan[n]), dtype=float)
+    return cs.jordan[n] @ phi.coeffs
+
+
 class _Weights:
     """Weight values and log multiplicities of levels 1..n_max, read off
     the cached class table of depth n_max; what the pressures sum over."""
 
     def __init__(self, rep, phi, n_max, weight_hook=None):
         cs = class_spectra(rep, n_max)
-        self.values = {}
+        self.values = {n: _level_weights(cs, phi, n, weight_hook) for n in range(1, n_max + 1)}
         self.log_mult = cs.log_mult
-        for n in range(1, n_max + 1):
-            if weight_hook is not None:
-                self.values[n] = np.asarray(weight_hook(n, cs.jordan[n]), dtype=float)
-            else:
-                self.values[n] = cs.jordan[n] @ phi.coeffs
         # every level sum writes its exponents here, so a sum allocates nothing
         self._scratch = np.empty(max(len(v) for v in self.values.values()))
 
@@ -195,14 +197,12 @@ class RootResult:
     """Pressure root with its diagnostics.
 
     value is the root of the truncated cycle-expansion pressure at
-    N = n_max; level_roots maps n to the root r_n of the level pressure
-    P_n for n_max - 3 <= n <= n_max.  fallback is True when the expansion
-    has no positive real zero along the Newton iteration or the
-    iteration does not converge; value is then r_(n_max).
+    N = n_max.  fallback is True when the expansion has no positive real
+    zero along the Newton iteration or the iteration does not converge;
+    value is then the root r_(n_max) of the level pressure P_(n_max).
     """
 
     value: float
-    level_roots: dict
     fallback: bool
 
 
@@ -236,14 +236,14 @@ def pressure_root_detail(rep, phi, n_max=DEFAULT_N_MAX, weight_hook=None) -> Roo
             f"weight takes non-positive value {worst:.3e} on an enumerated class;"
             " functional is not in the interior of the dual cone"
         )
-    roots, start = {}, 0.0
-    for n in range(n_max - 3, n_max + 1):  # each level starts from the root below it
-        roots[n] = start = w.level_root(n, start)
+    top = 0.0
+    for n in range(n_max - 3, n_max + 1):  # each level root r_n starts from r_(n-1)
+        top = w.level_root(n, top)
     value = _decreasing_root(
-        lambda t: _cycle_pressure([w.level_sum(n, t) for n in range(1, n_max + 1)]), roots[n_max])
+        lambda t: _cycle_pressure([w.level_sum(n, t) for n in range(1, n_max + 1)]), top)
     if value is None:
-        return RootResult(roots[n_max], roots, True)
-    return RootResult(float(value), roots, False)
+        return RootResult(top, True)
+    return RootResult(float(value), False)
 
 
 def pressure_root(rep, phi, n_max=DEFAULT_N_MAX, weight_hook=None) -> float:
@@ -279,5 +279,8 @@ def entropy_of_state(rep, phi0, n=DEFAULT_N_MAX, weight_hook=None) -> float:
         raise NotOnBoundaryError(
             f"pressure root along the ray is {root:.6f}, not 1: functional not on the boundary"
         )
-    w = _Weights(rep, phi0, n, weight_hook)
-    return w.level_sum(n, 1.0)[1] / n
+    cs = class_spectra(rep, n)           # level n of the table pressure_root read
+    v = _level_weights(cs, phi0, n, weight_hook)
+    x = cs.log_mult[n] - v
+    g = np.exp(x - x.max())
+    return float(g @ v / g.sum()) / n

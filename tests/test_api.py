@@ -7,9 +7,13 @@ perfbench scripts use, the traced attach points included.  A test is
 not a caller.  An edge is a module-qualified reference only: a name
 bound by `from .x import y`, or the attribute y of a bound module x, so
 an attribute such as `ClassSpectra.jordan` reaches nothing.  Every field
-of a public dataclass is read as `.field` somewhere in the package,
-tests/ or perfbench/.  Every error class is raised in the package or
-is a base of one that is.  Every defaulted parameter of a package
+of a public dataclass is read by an attribute load in the package or
+perfbench/, again not in tests/, on a receiver of its own class where
+the receiver resolves: `self` inside a class, a call to a class or to a
+package function annotated with its return class, or a name assigned
+from such a call in the same function.  A read of a name that two public
+dataclasses declare counts only on a resolved receiver.  Every error
+class is raised in the package or is a base of one that is.  Every defaulted parameter of a package
 function or method is passed, by keyword or by position, by some call in
 the package or perfbench/; a call in tests/ counts only for the
 exact-oracle seam weight_hook, which tests alone set.  Every name the
@@ -18,11 +22,10 @@ traced benchmark run patches exists."""
 import ast
 import importlib
 import importlib.util
-import re
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "limcone"
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _TEST_SEAMS = {"weight_hook"}       # defaulted parameters only tests pass
 
@@ -145,8 +148,7 @@ def test_every_error_is_raised():
     assert not unraised, f"error classes the package never raises: {unraised}"
 
 
-def public_dataclass_fields(path):
-    tree = ast.parse(path.read_text())
+def public_dataclass_fields(tree):
     return [(node.name, item.target.id)
             for node in tree.body
             if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
@@ -154,14 +156,122 @@ def public_dataclass_fields(path):
             for item in node.body if isinstance(item, ast.AnnAssign)]
 
 
+def unread_fields(root):
+    """Fields of the public dataclasses of root/src/limcone that no
+    attribute load in the package or root/perfbench reads, as sorted
+    "Class.field" strings; a test is not a reader.  A receiver resolves
+    to a class: self to the class it is used in, a call to a package
+    class or to a package function annotated with a return class to that
+    class, and a name its function assigns from such calls of one class
+    only to that class.  A read counts for the class its receiver
+    resolves to; an unresolved read counts for the one public dataclass
+    that declares the name, and for none when two declare it."""
+    package = [ast.parse(p.read_text()) for p in (root / "src" / "limcone").glob("*.py")]
+    declared = {}
+    for tree in package:
+        for cls, field in public_dataclass_fields(tree):
+            declared.setdefault(field, []).append(cls)
+    made = {n.name: n.name if isinstance(n, ast.ClassDef) else ast.unparse(n.returns)
+            for tree in package for n in tree.body
+            if isinstance(n, ast.ClassDef) or (isinstance(n, ast.FunctionDef) and n.returns)}
+
+    def kind(expr):               # the class a call builds or returns, else None
+        if isinstance(expr, ast.Call):
+            f = expr.func
+            return made.get(f.id if isinstance(f, ast.Name) else getattr(f, "attr", None))
+
+    def assigned(fn):             # names fn assigns from calls of one class only
+        pairs = [(t.id, kind(a.value)) for a in ast.walk(fn) if isinstance(a, ast.Assign)
+                 for t in a.targets if isinstance(t, ast.Name)]
+        return {n: k for n, k in pairs if k and all(k2 == k for n2, k2 in pairs if n2 == n)}
+
+    read = set()
+
+    def visit(node, cls, local):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                r = sub.value
+                owner = (kind(r) if not isinstance(r, ast.Name)
+                         else cls if r.id == "self" else local.get(r.id))
+                if owner is not None:
+                    read.add((owner, sub.attr))
+                elif len(declared.get(sub.attr, ())) == 1:
+                    read.add((declared[sub.attr][0], sub.attr))
+            visit(sub, sub.name if isinstance(sub, ast.ClassDef) else cls,
+                  assigned(sub) if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  else local)
+
+    for tree in package + [ast.parse(p.read_text()) for p in (root / "perfbench").glob("*.py")]:
+        visit(tree, None, {})
+    return sorted(f"{cls}.{field}" for field, owners in declared.items() for cls in owners
+                  if (cls, field) not in read)
+
+
 def test_public_dataclass_fields_are_read():
-    modules = sorted(PACKAGE.glob("*.py"))
-    sources = modules + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    text = "\n".join(p.read_text() for p in sources)
-    unread = [f"{module.name}:{cls}.{field}"
-              for module in modules for cls, field in public_dataclass_fields(module)
-              if not re.search(rf"\.{field}\b", text)]
-    assert not unread, f"dataclass fields nothing reads: {unread}"
+    unread = unread_fields(ROOT)
+    assert not unread, f"dataclass fields nothing outside tests/ reads: {unread}"
+
+
+def test_field_lint_flags_false_readers(tmp_path):
+    # one field read properly, and one for each reader that is not one: a
+    # test, another object's same-named attribute, self in another class,
+    # and a name two dataclasses share, read through the other class or
+    # through a receiver that does not resolve
+    files = {
+        "src/limcone/box.py": """
+            import argparse
+            from dataclasses import dataclass
+
+            @dataclass(frozen=True)
+            class Sample:
+                kept: float
+                tested: float
+                t: float
+                degenerate: bool
+                value: float
+
+            @dataclass(frozen=True)
+            class Estimate:
+                value: float
+
+            class Count:
+                def __init__(self):
+                    self.degenerate = False
+
+                def op(self):
+                    return self.degenerate
+
+            def parse(argv) -> argparse.Namespace:
+                return argparse.Namespace(t=float(argv[0]))
+
+            def estimate() -> Estimate:
+                return Estimate(1.0)
+
+            def main(argv):
+                args = parse(argv)
+                est = estimate()
+                return Sample(1.0, 2.0, 3.0, False, 4.0).kept + args.t + est.value
+
+            def note(result):
+                return result.value
+            """,
+        "tests/test_box.py": """
+            from limcone.box import Sample
+
+            def test_tested():
+                assert Sample(1.0, 2.0, 3.0, False, 4.0).tested == 2.0
+            """,
+        "perfbench/run.py": """
+            from limcone import box
+
+            box.Count().op()
+            """,
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(textwrap.dedent(text))
+    assert unread_fields(tmp_path) == [
+        "Sample.degenerate", "Sample.t", "Sample.tested", "Sample.value"]
 
 
 def defaulted_parameters(tree):

@@ -204,7 +204,7 @@ def test_perturb_scan_csv_matches_library(tmp_path, reps):
     v /= np.linalg.norm(v)
     rows = continuity_scan(load_rep(reps["p3"]), [0.0, 0.01], 0, [v])
     np.testing.assert_array_equal(
-        read_rows(out), [[r.epsilon, r.hausdorff, r.dpsi_max, r.dh] for r in rows])
+        read_rows(out), [[r.epsilon, r.hausdorff, r.dpsi_max, r.dh, r.dtheta] for r in rows])
 
 
 def test_degenerate_cone_is_numerical(tmp_path, reps):

@@ -129,11 +129,6 @@ class TestPressureRoot:
         est = critical_exponent_direct(s2, phi, 12, "element")
         assert abs(root - est.value) / root < 0.07
 
-    def test_detail_reports_levels(self, s2):
-        detail = pressure_root_detail(s2, None, weight_hook=word_length_weight)
-        assert set(detail.level_roots) == {9, 10, 11, 12}
-        assert not detail.fallback
-
     def test_level_root_beyond_t_max(self, s2):
         # a weight of 1e-6 per letter puts every level root at log 3 / 1e-6 > _T_MAX
         with pytest.raises(BracketFailureError):
@@ -319,26 +314,16 @@ class TestCycleExpansion:
         root = pressure_root(rep, phi)
         assert abs(pressure_table(rep, root * phi, 1.0).extrapolated) < 1e-8
 
-    @pytest.mark.parametrize("rep_name, coeffs", [("s2", [1.0, -1.0]), ("p3", [1.0, 0.0, -1.0])])
-    def test_level_roots_zero_level_pressures(self, request, rep_name, coeffs):
-        rep = request.getfixturevalue(rep_name)
-        phi = Functional(coeffs)
-        detail = pressure_root_detail(rep, phi)
-        assert set(detail.level_roots) == {9, 10, 11, 12}
-        for n, r in detail.level_roots.items():
-            # every level read off the one depth-12 table the root used
-            assert abs(pressure_table(rep, phi, r, 12).levels[n]) < 1e-9
-
     def test_level_pressures_share_one_class_table(self, s2):
-        # a root, its level roots, a table and a Gibbs direction at one
-        # depth read one class table
+        # a root, a table, a Gibbs direction and an entropy at one depth
+        # read one class table
         rep = perturb(s2, 0.02, 9)                # fresh: no cached table yet
         phi = Functional([1.0, -1.0])
         before = class_spectra.cache_info().misses
-        detail = pressure_root_detail(rep, phi)
-        for n, r in detail.level_roots.items():
-            pressure_table(rep, phi, r, 12).levels[n]
+        root = pressure_root_detail(rep, phi).value
+        pressure_table(rep, phi, root, 12)
         gibbs_direction(rep, phi, 12)
+        entropy_of_state(rep, root * phi, 12)
         assert class_spectra.cache_info().misses - before == 1
 
     def test_shared_levels_equal_own_tables(self, s2):
@@ -377,4 +362,4 @@ class TestCycleExpansion:
         assert table.extrapolated == table.levels[4]
         detail = pressure_root_detail(s2, None, n_max=4, weight_hook=hook)
         assert detail.fallback
-        assert detail.value == detail.level_roots[4]
+        assert abs(pressure_table(s2, None, detail.value, 4, weight_hook=hook).levels[4]) < 1e-9
