@@ -303,6 +303,10 @@ def concavity_audit(body: DualBody, samples: int = 32, seed: int = 0) -> Concavi
 
 @dataclass(frozen=True)
 class ContinuityRow:
+    """One ladder step of continuity_scan.  dpsi_max is the largest
+    |psi_eps - psi_0| over the probes where psi by duality is finite on
+    both sides, and NaN when there is no such probe."""
+
     epsilon: float
     hausdorff: float
     dpsi_max: float
@@ -349,11 +353,12 @@ def continuity_scan(rep, epsilons, seed: int, probes, n_max: int = DEFAULT_N_MAX
             rows.append(ContinuityRow(float(eps), np.nan, np.nan, np.nan, np.nan, True))
             continue
         dpsi = np.abs(psi - base_psi)
+        dpsi = dpsi[np.isfinite(dpsi)]          # NaN psi stands for minus infinity
         rows.append(
             ContinuityRow(
                 float(eps),
                 base_cone.hausdorff(cone),
-                float(np.nanmax(dpsi)),
+                float(dpsi.max()) if len(dpsi) else np.nan,
                 abs(form.h - base_form.h),
                 float(np.linalg.norm(form.theta.coeffs - base_form.theta.coeffs)),
                 False,

@@ -8,38 +8,49 @@ traceless diagonals).
 
 Word products are violently graded: at word length 12 the condition
 number sits around e^40, where one-sided solvers lose every coordinate
-below the midpoint.  Both projections are therefore computed from two
-passes, m and m^{-1}: the top half of the spectrum from m, the bottom
-half from the inverse, and for odd d the middle coordinate from the
-zero-sum constraint.  Every product comes with its exact inverse,
-multiplied from the generator inverses (limcone.bulk), so no inverse is
-ever computed here.  That keeps every coordinate near machine accuracy
-regardless of conditioning (validated against a 60-digit reference in
-the test suite).
+below the midpoint.  Every product therefore comes with its exact
+inverse, multiplied from the generator inverses (limcone.bulk), so no
+inverse is ever computed here, and both products feed every row.  For
+d >= 4, and for the rows the closed forms below reject, LAPACK takes
+the top half of the spectrum from m and the bottom half from m^{-1},
+with the middle coordinate of odd d from the zero-sum constraint.  That
+keeps every coordinate near machine accuracy regardless of conditioning
+(validated against a 60-digit reference in the test suite).
 
-For d <= 3 the kernels need only the top value of m and of m^{-1}, and
-take it in closed form from polynomials whose coefficients come from
-both products at once:
+For d <= 3 only the top and bottom values are needed, and each row
+solves one polynomial whose coefficients come from both products:
 
 * Jordan, d = 3: the characteristic polynomial of a det = 1 matrix is
-  x^3 - tr(m) x^2 + tr(m^{-1}) x - 1, because c2 = det(m) tr(m^{-1}); the
-  one of m^{-1} is its reversal.  The top modulus is the largest real
-  root, or |r|^(-1/2) for a complex pair over a single real root r.
-* Jordan, d = 2: x^2 - tr(m) x + 1.
+  x^3 - a x^2 + b x - 1 with a = tr(m) and b = tr(m^{-1}), because
+  c2 = det(m) tr(m^{-1}).  Its top-modulus root is either a real x or a
+  complex pair of modulus |r|^(-1/2) over the single real root r, which
+  is then the bottom.  A real top x leaves the other two roots as those
+  of z^2 - S z + 1/x with S = (b - 1/x)/x, which needs no difference of
+  large roots; the larger z is taken without cancellation, the bottom is
+  w = 1/(x z), and a complex bottom pair has modulus exactly x^(-1/2).
+* Jordan, d = 2: det = 1 makes the spectrum (l, -l), with l read from
+  tr(m) alone.
 * Cartan, d = 3: sigma_i^2 are the roots of the Gram polynomial
   x^3 - |m|_F^2 x^2 + |m^{-1}|_F^2 x - 1, whose coefficients are sums of
-  squares and cannot cancel.
-* Cartan, d = 2: sigma_1 = (hypot(a + d, c - b) + hypot(a - d, c + b)) / 2.
+  squares and cannot cancel; sigma_1^2 is solved and sigma_3^2 deflated
+  as above, and every root is positive.
+* Cartan, d = 2: sigma_1 = (hypot(a + d, c - b) + hypot(a - d, c + b)) / 2
+  and sigma_2 = 1 / sigma_1.
 
-Each cubic is scaled by its leading coefficient, started from the
-trigonometric or Cardano root and polished by Newton steps.  A row keeps
-its closed-form value only when a first-order certificate holds: the
-residual plus the rounding of each coefficient times |x|^i, over |f'(x)|,
-bounds the relative root error by _CERT_TOL, and the top modulus clears
-the others by _TOP_GAP (or, for a complex pair, the pair is clearly off
-the real axis).  Modulus ties, parabolic and near-elliptic rows, rows near
-the real/complex switch and rows that are not finite go to the full
-LAPACK solve instead, which also serves d >= 4.
+Each cubic is scaled by its leading coefficient, its top root started
+from the trigonometric or Cardano formula and polished by Newton steps.
+A row keeps its closed-form values only when a first-order certificate
+holds for both ends.  For a root y, the residual plus the rounding of
+each coefficient times |y|^i, over |f'(y)|, bounds the relative error by
+_CERT_TOL.  The deflated bottom w uses the rounding terms alone, with
+f'(w) = (w - x)(w - z): that is w's first-order dependence on a and b,
+and x's own error reaches w only damped by |w - 1/x^2| / |w - z|.  A
+Jordan row also needs both ends to clear their neighbours' moduli by
+_TOP_GAP, and a complex pair needs its discriminant clearly negative:
+the cubic's by _SWITCH_MARGIN, the deflated one by its own rounding
+bound.  Modulus ties, near double roots, parabolic and near-elliptic
+rows, rows near the real/complex switch and rows that are not finite go
+to the full LAPACK solve.
 """
 
 from dataclasses import dataclass
@@ -156,18 +167,18 @@ def _polish(y, A, B, C):
     return y
 
 
-def _certified(y, A, B, C, TA, TB, TC):
+def _certified(y, f, df, TA, TB, TC):
     """Whether the first-order bound on the relative error of the simple
-    root y of y^3 + A y^2 + B y + C, whose coefficients carry absolute
-    rounding up to _ROUND * (TA, TB, TC), is within _CERT_TOL: residual
-    plus coefficient perturbation times |y|^i, over |f'(y)|."""
+    root y of a cubic y^3 + A y^2 + B y + C, with residual f and
+    derivative df at y and coefficients that carry absolute rounding up to
+    _ROUND * (TA, TB, TC), is within _CERT_TOL: residual plus coefficient
+    perturbation times |y|^i, over |f'(y)|."""
     ay = np.abs(y)
-    f, df = _cubic(y, A, B, C)
     slack = np.abs(f) + _ROUND * (((ay + TA) * ay + TB) * ay + TC)
     return slack <= _CERT_TOL * np.abs(df) * ay
 
 
-def _trig_roots(A, B, C, ks=(0, 1, 2)):
+def _trig_roots(A, B, C, ks):
     """Real roots k of y^3 + A y^2 + B y + C by the trigonometric formula,
     k = 0 the largest and k = 2 the smallest, with the depressed
     coefficients P, Q.  A start for polishing: rows without three real
@@ -181,102 +192,116 @@ def _trig_roots(A, B, C, ks=(0, 1, 2)):
     return [m * np.cos(th - k * (2 * np.pi / 3)) - a3 for k in ks], P, Q
 
 
-def _cubic_top_modulus(a, b, Ta, Tb):
-    """log of the top eigenvalue modulus of a det = 1 matrix with
-    characteristic polynomial x^3 - a x^2 + b x - 1, and whether it is
-    certified; _ROUND * Ta and _ROUND * Tb bound the rounding of a and b.
+def _deflate(x, a, b, Ta, Tb):
+    """The other two roots of x^3 - a x^2 + b x - 1 given its root x; they
+    solve z^2 - S z + 1/x with S = (b - 1/x)/x.  Returns S, the
+    discriminant S^2 - 4/x, the larger root z, taken without cancellation,
+    and the bottom w = 1/(x z) with whether it is certified.  _ROUND * Ta
+    and _ROUND * Tb bound the rounding of a and b; w's bound is its
+    first-order dependence on them, with no residual term, because the
+    relative error of the polished x reaches w only times
+    |w - 1/x^2| / |w - z|, which the _ROUND allowance covers."""
+    S = (b - 1 / x) / x
+    disc = S * S - 4 / x
+    z = 0.5 * (S + np.copysign(np.sqrt(np.maximum(disc, 0.0)), S))
+    w = 1 / (x * z)
+    okw = _certified(w, 0.0, (w - x) * (w - z), Ta, Tb, 1.0)
+    return S, disc, z, w, okw
 
-    The top is either an isolated real root, whose modulus clears every
-    other one by _TOP_GAP, or a complex pair of modulus |r|^(-1/2), r the
-    single real root, which needs the pair clearly off the real axis.
-    """
+
+def _diagonal_sums(m):
+    """tr(m) and the sum of |m_ii|, summed in index order as np.trace does."""
+    t, T = m[:, 0, 0], np.abs(m[:, 0, 0])
+    for i in range(1, m.shape[-1]):
+        t, T = t + m[:, i, i], T + np.abs(m[:, i, i])
+    return t, T
+
+
+def _jordan2_tops(m, minv):
+    # det = 1, so the spectrum is (l, -l) with l = arccosh(|tr m| / 2)
+    t, T = _diagonal_sums(m)
+    at = np.abs(t)
+    margin = at - 2.0
+    err = _ROUND * (T + 1.0)
+    hyper = err / np.sqrt(margin * (at + 2.0)) <= _CERT_TOL
+    top = np.where(margin > 0, np.arccosh(np.maximum(at, 2.0) / 2), 0.0)
+    return top, top, np.where(margin > 0, hyper, -margin > err)
+
+
+def _jordan3_tops(m, minv):
+    # c2 = det(M) tr(M^-1): M's characteristic polynomial is x^3 - a x^2 + b x - 1
+    (a, Ta), (b, Tb) = _diagonal_sums(m), _diagonal_sums(minv)
     s = np.maximum(np.maximum(np.abs(a), np.sqrt(np.abs(b))), 1.0)
     s2 = s * s
     A, B, C = -a / s, b / s2, -1 / s2 / s
-    (y0, y1, y2), P, Q = _trig_roots(A, B, C)
+    (y0, y2), P, Q = _trig_roots(A, B, C, ks=(0, 2))
     D = (Q / 2) ** 2 + (P / 3) ** 3
     one = D >= 0
     # Cardano for the single real root, added without cancellation
     u = np.cbrt(-Q / 2 - np.copysign(np.sqrt(np.maximum(D, 0.0)), Q))
     y_one = np.where(u != 0, u - P / (3 * u), 0.0) - A / 3
-    y_three = np.where(np.abs(y0) >= np.abs(y2), y0, y2)
-    y = _polish(np.where(one, y_one, y_three), A, B, C)
-    ok = _certified(y, A, B, C, Ta / s, Tb / s2, 1 / s2 / s)
-    logr = np.log(np.abs(y)) + np.log(s)
-    rest = np.maximum(np.abs(y1), np.minimum(np.abs(y0), np.abs(y2)))
-    isolated3 = ~one & (np.abs(y_three) - rest > _TOP_GAP * np.abs(y_three))
-    isolated1 = one & (logr > _TOP_GAP)
+    y = _polish(np.where(one, y_one, np.where(np.abs(y0) >= np.abs(y2), y0, y2)), A, B, C)
+    okx = _certified(y, *_cubic(y, A, B, C), Ta / s, Tb / s2, -C)
+    x = y * s
+    S, disc, z, w, okw = _deflate(x, a, b, Ta, Tb)
+    ax, az = np.abs(x), np.abs(z)
+    logx = np.log(ax)
+    # a complex pair on top, of modulus |x|^(-1/2) over the single real root x
     switch = _SWITCH_MARGIN * ((Q / 2) ** 2 + np.abs(P / 3) ** 3)
-    pair = one & (logr < -_TOP_GAP) & (D > switch)
-    return np.where(pair, -0.5 * logr, logr), ok & (isolated3 | isolated1 | pair)
-
-
-def _trace(m):
-    return np.trace(m, axis1=-2, axis2=-1)
-
-
-def _abs_trace(m):
-    return np.abs(np.diagonal(m, axis1=-2, axis2=-1)).sum(axis=-1)
-
-
-def _jordan2_tops(m, minv):
-    def top(t, T):
-        at = np.abs(t)
-        margin = at - 2.0
-        err = _ROUND * (T + 1.0)
-        hyper = err / np.sqrt(margin * (at + 2.0)) <= _CERT_TOL
-        val = np.where(margin > 0, np.arccosh(np.maximum(at, 2.0) / 2), 0.0)
-        return val, np.where(margin > 0, hyper, -margin > err)
-
-    fwd, okf = top(_trace(m), _abs_trace(m))
-    bwd, okb = top(_trace(minv), _abs_trace(minv))
-    return fwd, bwd, okf & okb
-
-
-def _jordan3_tops(m, minv):
-    # c2 = det(M) tr(M^-1), so the polynomial of M^-1 is the reversed one
-    t, ti = _trace(m), _trace(minv)
-    Tt, Tti = _abs_trace(m), _abs_trace(minv)
-    fwd, okf = _cubic_top_modulus(t, ti, Tt, Tti)
-    bwd, okb = _cubic_top_modulus(ti, t, Tti, Tt)
-    return fwd, bwd, okf & okb
+    pair = one & (logx < -_TOP_GAP) & (D > switch)
+    # a real top x: the discriminant's rounding, with x's error at most _CERT_TOL,
+    # decides between a complex bottom pair of modulus x^(-1/2) and a real bottom w
+    dS = _ROUND * (Tb + 1 / ax) / ax + _CERT_TOL * (np.abs(S) + 1 / (ax * ax))
+    derr = 2 * np.abs(S) * dS + _ROUND * S * S + 4 * (_CERT_TOL + _ROUND) / ax
+    low_pair = (disc < -derr) & (logx > _TOP_GAP)
+    low_real = ((disc > derr) & (az < (1 - _TOP_GAP) * ax) & (np.abs(w) < (1 - _TOP_GAP) * az)
+            & okw)
+    bwd = np.where(low_pair, 0.5 * logx, np.log(np.abs(x * z)))
+    return (np.where(pair, -0.5 * logx, logx), np.where(pair, -logx, bwd),
+            okx & (pair | low_pair | low_real))
 
 
 def _cartan2_tops(m, minv):
-    def top(a):
-        p, q, r, s = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
-        return np.log(0.5 * (np.hypot(p + s, r - q) + np.hypot(p - s, r + q)))
-
-    fwd, bwd = top(m), top(minv)
-    return fwd, bwd, np.isfinite(fwd) & np.isfinite(bwd)
-
-
-def _gram_top(F, G):
-    """log of the top root of the Gram polynomial x^3 - F x^2 + G x - 1,
-    F = |M|_F^2 and G = |M^-1|_F^2.  Scaled by F, its roots are positive
-    and sum to one; rows whose F or G overflows are left uncertified."""
-    B = G / F / F
-    C = -1 / F / F / F
-    (y,), _, _ = _trig_roots(-1.0, B, C, ks=(0,))
-    y = _polish(y, -1.0, B, C)
-    ok = _certified(y, -1.0, B, C, 1.0, B, -C) & np.isfinite(F) & np.isfinite(G)
-    return np.log(y) + np.log(F), ok
+    p, q, r, s = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+    top = np.log(0.5 * (np.hypot(p + s, r - q) + np.hypot(p - s, r + q)))
+    return top, top, np.isfinite(top)
 
 
 def _cartan3_tops(m, minv):
     # sigma_i^2 are the roots of the Gram polynomial of M: c1 = |M|_F^2,
-    # c2 = det(M)^2 |M^-1|_F^2, c3 = det(M)^2 = 1; sums of squares only
+    # c2 = det(M)^2 |M^-1|_F^2, c3 = det(M)^2 = 1; sums of squares only, so
+    # every root is positive and the coefficients carry their own rounding.
+    # An infinite F or G makes x or w NaN, which fails the certificate.
     F = np.einsum("nij,nij->n", m, m)
     G = np.einsum("nij,nij->n", minv, minv)
-    lf, okf = _gram_top(F, G)
-    lb, okb = _gram_top(G, F)
-    return 0.5 * lf, 0.5 * lb, okf & okb
+    B, C = G / F / F, -1 / F / F / F
+    (y,), _, _ = _trig_roots(-1.0, B, C, ks=(0,))
+    y = _polish(y, -1.0, B, C)
+    okx = _certified(y, *_cubic(y, -1.0, B, C), 1.0, B, -C)
+    x = y * F
+    _, _, z, _, okw = _deflate(x, F, G, F, G)
+    return 0.5 * np.log(x), 0.5 * np.log(x * z), okx & okw
 
 
 _CLOSED_FORM = {
     "cartan": {2: _cartan2_tops, 3: _cartan3_tops},
     "jordan": {2: _jordan2_tops, 3: _jordan3_tops},
 }
+
+
+def _closed_spectrum(tops, d):
+    """_split_spectrum(tops[:, :1], tops[:, 1:], d) for d = 2, 3, bit for
+    bit, without its concatenated and centred temporaries."""
+    fwd, bwd = tops[:, 0], tops[:, 1]
+    out = np.empty((len(tops), d))
+    if d == 2:
+        mean = (fwd - bwd) / 2
+        out[:, 0], out[:, 1] = fwd - mean, -bwd - mean
+    else:
+        mid = -(fwd - bwd)
+        mean = (fwd + mid - bwd) / 3
+        out[:, 0], out[:, 1], out[:, 2] = fwd - mean, mid - mean, -bwd - mean
+    return out
 
 
 def _batched(kind, lapack_top, prods, inv_prods):
@@ -300,19 +325,21 @@ def _batched(kind, lapack_top, prods, inv_prods):
     if bad.any():
         tops[bad, 0] = lapack_top(m[bad], 1)[:, 0]
         tops[bad, 1] = lapack_top(minv[bad], 1)[:, 0]
-    return _split_spectrum(tops[:, :1], tops[:, 1:], d).reshape(prods.shape[:-2] + (d,))
+    return _closed_spectrum(tops, d).reshape(prods.shape[:-2] + (d,))
 
 
 def batched_cartan(prods, inv_prods):
     """Cartan projections of a stack of |det| = 1 matrices, given the
-    stack and its inverses: Gram-polynomial closed form for d <= 3 with
-    LAPACK `svd` on the rows the certificate rejects, LAPACK for d >= 4."""
+    stack and its inverses: for d <= 3 one closed-form solve of the Gram
+    polynomial per row, the bottom by deflation, with LAPACK `svd` on the
+    rows the certificate rejects; LAPACK for d >= 4."""
     return _batched("cartan", _top_log_svals, prods, inv_prods)
 
 
 def batched_jordan(prods, inv_prods):
     """Jordan projections of a stack of det = 1 matrices (SL(d, R) word
-    products), given the stack and its inverses: characteristic-polynomial
-    closed form for d <= 3 with LAPACK `eigvals` on the rows the
-    certificate rejects, LAPACK for d >= 4."""
+    products), given the stack and its inverses: for d <= 3 one
+    closed-form solve of the characteristic polynomial per row, the bottom
+    by deflation, with LAPACK `eigvals` on the rows the certificate
+    rejects; LAPACK for d >= 4."""
     return _batched("jordan", _top_log_eigmods, prods, inv_prods)

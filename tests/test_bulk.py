@@ -14,6 +14,8 @@ import pytest
 from limcone import InvalidParameterError, bulk, cli, words
 from limcone.spectra import (
     _CLOSED_FORM,
+    _closed_spectrum,
+    _diagonal_sums,
     _split_spectrum,
     _top_log_eigmods,
     _top_log_svals,
@@ -192,6 +194,101 @@ class TestEdgeCases:
         m = np.full((1, 3, 3), 1e200)
         with np.errstate(all="ignore"):
             assert not certified("cartan", m, m)[0]
+
+
+T300 = 2.0 ** 433            # about e^300
+NEAR = 0.5 + 1e-8
+NEAR5 = 0.5 + 5e-9
+GAP4 = 0.5 + 5e-5
+
+DEFLATION_CASES = {
+    # name: (m, m^-1, {kind: whether the closed form keeps the row})
+    "bottom near tie 4, 1/2 + 1e-8": (
+        *conj(np.diag([4.0, NEAR, 1 / (4 * NEAR)]), np.diag([0.25, 1 / NEAR, 4 * NEAR])),
+        {"jordan": False}),
+    # here the computed discriminant of the bottom pair reads below zero,
+    # inside its rounding bound: only that bound keeps it from passing as
+    # a complex pair of modulus 1/2
+    "bottom near tie 4, 1/2 + 5e-9": (
+        *conj(np.diag([4.0, NEAR5, 1 / (4 * NEAR5)]), np.diag([0.25, 1 / NEAR5, 4 * NEAR5])),
+        {"jordan": False}),
+    "real top over a complex bottom pair": (
+        *block(np.array([[0.5, -0.5], [0.5, 0.0]]), np.array([[0.0, 2.0], [-2.0, 2.0]]), 4.0),
+        {"jordan": True}),
+    "negative middle root": (
+        *conj(np.diag([4.0, -2.0, -0.125]), np.diag([0.25, -0.5, -8.0])), {"jordan": True}),
+    "graded to e^(+-300)": (
+        np.array([[T300, 1.0, 1.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1 / T300]]),
+        np.array([[1 / T300, 1 / T300, 2.0], [0.0, -1.0, -T300], [0.0, 0.0, -T300]]),
+        {"jordan": True, "cartan": True}),
+    "bottom gap 1e-4, beyond w's bound": (
+        *conj(np.diag([4.0, GAP4, 1 / (4 * GAP4)]), np.diag([0.25, 1 / GAP4, 4 * GAP4])),
+        {"jordan": False}),
+    "bottom modulus tie -4, 1/2, -1/2": (
+        *conj(np.diag([-4.0, 0.5, -0.5]), np.diag([-0.25, 2.0, -2.0])), {"jordan": False}),
+    "Cartan near tie sigma_2 ~ sigma_3": (
+        np.array([[0.0, 4.0, 0.0], [0.0, 0.0, NEAR], [1 / (4 * NEAR), 0.0, 0.0]]),
+        np.array([[0.0, 0.0, 1 / (1 / (4 * NEAR))], [0.25, 0.0, 0.0], [0.0, 1 / NEAR, 0.0]]),
+        {"cartan": False}),
+}
+
+# element rows of levels 1..10 (118,096 per fixture) that the closed forms
+# sent to LAPACK when each row solved two polynomials: 1.68 % on s2,
+# 8.31 % on f3 and 8.16 % on p3 for Jordan, none for Cartan
+LAPACK_ROW_CAPS = {"jordan": {"s2": 1984, "f3": 9816, "p3": 9642},
+                    "cartan": {"s2": 0, "f3": 0, "p3": 0}}
+
+
+class TestDeflation:
+    """One solve per row: the top root certified, the bottom deflated."""
+
+    @pytest.mark.parametrize("case", sorted(DEFLATION_CASES))
+    @pytest.mark.parametrize("kind", sorted(KERNELS))
+    def test_against_oracle(self, case, kind):
+        m, minv, routes = DEFLATION_CASES[case]
+        assert np.abs(m @ minv - np.eye(3)).max() < 1e-15
+        got = KERNELS[kind][0](m[None], minv[None])[0]
+        assert np.abs(got - oracle(m, kind)).max() < ORACLE_TOL
+        if kind in routes:
+            assert certified(kind, m[None], minv[None])[0] == routes[kind]
+
+    def test_overflowing_frobenius_norm_falls_back(self):
+        # |m|_F^2 overflows while |m^-1|_F^2 stays finite
+        m = np.diag([2.0 ** 600, 2.0 ** -300, 2.0 ** -300])
+        minv = np.diag([2.0 ** -600, 2.0 ** 300, 2.0 ** 300])
+        assert not certified("cartan", m[None], minv[None])[0]
+
+    @pytest.mark.parametrize("name", ["s2", "f3", "p3"])
+    @pytest.mark.parametrize("kind", sorted(KERNELS))
+    def test_no_more_lapack_rows_than_two_solves(self, request, name, kind):
+        bad = 0
+        for n, lo, fwd, bwd in bulk.word_products(request.getfixturevalue(name), 10):
+            bad += int((~certified(kind, fwd, bwd)).sum())
+        assert bad <= LAPACK_ROW_CAPS[kind][name]
+
+    @pytest.mark.parametrize("kind", sorted(KERNELS))
+    def test_d2_rows_are_exactly_opposite(self, s2, kind):
+        fwd, bwd = next((f, b) for n, lo, f, b in bulk.word_products(s2, 8) if n == 8)
+        keep = certified(kind, fwd, bwd)
+        assert keep.mean() > 0.9
+        out = KERNELS[kind][0](fwd, bwd)[keep]
+        assert np.array_equal(out[:, 1], -out[:, 0])
+
+
+class TestBitwisePieces:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_diagonal_sums_equal_numpy(self, d):
+        m = np.random.default_rng(d).normal(size=(1000, d, d))
+        t, T = _diagonal_sums(m)
+        assert t.tobytes() == np.trace(m, axis1=-2, axis2=-1).tobytes()
+        assert T.tobytes() == np.abs(np.diagonal(m, axis1=-2, axis2=-1)).sum(-1).tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_closed_spectrum_equals_split_spectrum(self, d):
+        tops = np.random.default_rng(d).normal(size=(1000, 2)) * [[30.0, 20.0]]
+        tops[:10, 1] = tops[:10, 0]       # equal ends, the d = 2 closed-form case
+        want = _split_spectrum(tops[:, :1], tops[:, 1:], d)
+        assert _closed_spectrum(tops, d).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,26 @@ def test_perturb_scan_csv_matches_library(tmp_path, reps):
         read_rows(out), [[r.epsilon, r.hausdorff, r.dpsi_max, r.dh, r.dtheta] for r in rows])
 
 
+def test_perturb_scan_one_sided_psi_is_quiet(tmp_path, reps):
+    # at eps = 0.01 psi by duality is minus infinity at this probe, so that
+    # step has no probe finite on both sides: its dpsi_max is NaN, and no
+    # numpy warning reaches stderr
+    out = tmp_path / "scan.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "limcone.cli", "--seed", "0", "perturb-scan", "--rep", reps["p3"],
+         "--out", str(out), "--epsilons", "0", "0.01", "0.03", "--probe", "1", "0.01", "-1.01"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    v = np.array([1.0, 0.01, -1.01])
+    v /= np.linalg.norm(v)
+    rows = continuity_scan(load_rep(reps["p3"]), [0.0, 0.01, 0.03], 0, [v])
+    np.testing.assert_array_equal(
+        read_rows(out), [[r.epsilon, r.hausdorff, r.dpsi_max, r.dh, r.dtheta] for r in rows])
+    np.testing.assert_allclose([r.dpsi_max for r in rows], [0.0, np.nan, 0.0355235371487],
+                               rtol=1e-9)
+
+
 def test_degenerate_cone_is_numerical(tmp_path, reps):
     rc, out = run(tmp_path, reps, "f3", "boundary")
     assert rc == cli.EXIT_NUMERICAL and not out.exists()
