@@ -19,9 +19,10 @@ follows the same prefix path and the kernels act row by row:
 
 Every product comes with the reversed inverse product that the
 split-spectrum rule needs.  All products come from one engine,
-`_tree_products`, which walks a prefix tree depth by depth with one
-batched multiply per tree node and direction: the forward product
-extends its parent's on the right, the inverse product on the left.
+`_tree_products`, which walks a prefix tree depth by depth and extends
+each block of parents by every letter at once, one product per block and
+direction: the forward products extend their parents' on the right, the
+inverse products on the left, and each child picks its letter's rows.
 Element products walk the tree of reduced words (`word_products`, shared
 by element_spectra and the CLI `spectra` dump); class products walk the
 tree of reduced pre-necklaces, cut to the class words at the top depth
@@ -31,8 +32,10 @@ from scratch.  The engine streams the top depth through the kernel in
 row blocks, so at N = 12 the 708,588 top-level element products are
 never held at once and the Cartan table is written into arrays
 allocated up front.  Everything is deterministic: fixed enumeration
-order, fixed association order, no threading, and the kernels act row
-by row, so blocking does not change a single bit.
+order, fixed association order, and the kernels act row by row, so
+blocking does not change a single bit.  BLAS may split the forward GEMM
+across threads, but each entry stays one d-term sum; the CLI files are
+byte-identical with BLAS on one thread or many (tests/test_cli.py).
 """
 
 from dataclasses import dataclass
@@ -70,10 +73,10 @@ class ElementSpectra:
     starts: np.ndarray   # (n_max + 1,), starts[0] = 0 and starts[-1] = M
 
 
-# the top depth streams in blocks of the children of _BLOCK_PARENTS full
-# reduced-word parents: 3 * 2^12 d = 3 products are 0.9 MB per stack,
-# against 51 MB for the whole of element level 12 and 3.2 MB for class
-# level 12, whose blocks ride on the depth-11 stacks
+# the engine extends _BLOCK_PARENTS parents at a time by all 2k letters:
+# each direction's block product is 2^12 * 2k * d^2 doubles, 1.2 MB at
+# k = 2, d = 3, against 51 MB for the whole of element level 12; the top
+# depth is yielded one parent block at a time
 _BLOCK_PARENTS = 1 << 12
 
 
@@ -82,24 +85,50 @@ def _tree_products(rep, edges, n_max: int):
 
     edges yields, for depth 1..n_max in turn, (parents, last): the row of
     each node's parent one depth up (0, the identity root, at depth 1) and
-    the node's last letter.  Yields (n, lo, fwd, bwd): the products of rows
-    lo, lo + 1, ... of depth n as (rows, d, d) stacks, fwd = fwd[parent] @
-    letter and bwd = letter^-1 @ bwd[parent].  Every depth below n_max
-    comes whole, because it holds the parents of the next; depth n_max
-    comes in row blocks, so its full stacks are never held.
+    the node's last letter, parents in non-decreasing order.  Yields
+    (n, lo, fwd, bwd): the products of rows lo, lo + 1, ... of depth n as
+    (rows, d, d) stacks, fwd = fwd[parent] @ letter and bwd = letter^-1 @
+    bwd[parent].  Every depth below n_max comes whole, because it holds the
+    parents of the next; depth n_max comes in row blocks, so its full
+    stacks are never held.
+
+    Each block of parents is extended by every letter at once: the forward
+    products are one GEMM of the block's stacked rows against the letters
+    side by side, F = fwd_block.reshape(-1, d) @ [L_0 | ... | L_2k-1],
+    whose row ((p - p0) d + r) 2k + a, read d wide, is row r of
+    fwd[p] @ L_a; the inverse products are [L_0^-1; ...; L_2k-1^-1] @
+    bwd_block, whose (p - p0) 2k + a-th d x d block is L_a^-1 @ bwd[p].
+    Each child takes its letter's rows, bit for bit the product of its
+    parent and letter alone (tests/test_bulk.py holds it to that).
     """
-    k = rep.num_generators
+    k, d = rep.num_generators, rep.dim
     stack = rep.letter_matrices()
-    inv_stack = np.ascontiguousarray(stack[np.arange(2 * k) ^ 1])
-    fwd = bwd = np.eye(rep.dim)[None]
+    right = np.ascontiguousarray(stack.transpose(1, 0, 2).reshape(d, 2 * k * d))
+    left = stack[np.arange(2 * k) ^ 1].reshape(2 * k * d, d)
+    rows = np.arange(d) * 2 * k                 # offsets of a child's d forward rows
+    fwd = bwd = np.eye(d)[None]
     for n, (parents, last) in enumerate(edges, 1):
-        block = _BLOCK_PARENTS * (2 * k - 1) if n == n_max else len(last)
-        for lo in range(0, len(last), block):
-            up, tail = parents[lo:lo + block], last[lo:lo + block]
-            child_fwd = fwd[up] @ stack[tail]
-            child_bwd = inv_stack[tail] @ bwd[up]
-            yield n, lo, child_fwd, child_bwd
-        fwd, bwd = child_fwd, child_bwd
+        top = n == n_max
+        if not top:
+            child_fwd = np.empty((len(last), d, d))
+            child_bwd = np.empty_like(child_fwd)
+        p0s = np.arange(0, len(fwd), _BLOCK_PARENTS)
+        cuts = np.searchsorted(parents, np.append(p0s, len(fwd)))
+        for p0, lo, hi in zip(p0s, cuts[:-1], cuts[1:]):
+            if lo == hi:            # a class-tree parent block without children
+                continue
+            up, a = parents[lo:hi] - p0, last[lo:hi]
+            ext_fwd = (fwd[p0:p0 + _BLOCK_PARENTS].reshape(-1, d) @ right).reshape(-1, d)
+            ext_bwd = (left @ bwd[p0:p0 + _BLOCK_PARENTS]).reshape(-1, d, d)
+            fwd_rows, bwd_rows = (up * (2 * k * d) + a)[:, None] + rows, up * (2 * k) + a
+            if top:
+                yield n, lo, np.take(ext_fwd, fwd_rows, axis=0), np.take(ext_bwd, bwd_rows, axis=0)
+            else:                   # rows are in range; "clip" writes to out unbuffered
+                np.take(ext_fwd, fwd_rows, axis=0, out=child_fwd[lo:hi], mode="clip")
+                np.take(ext_bwd, bwd_rows, axis=0, out=child_bwd[lo:hi], mode="clip")
+        if not top:
+            yield n, 0, child_fwd, child_bwd
+            fwd, bwd = child_fwd, child_bwd
 
 
 def _word_edges(k, n_max):

@@ -1,9 +1,10 @@
 """Reference code for the tests, one word or one matrix at a time: the
 object-word API (reduction, inversion, rotations, canonical classes,
-evaluation, parse_word as the inverse of format_word), the Cartan and
-Jordan projections of a single matrix from LAPACK on it and on its LU
-inverse, the two errors only these raise, and dual_rep.  The library
-itself works on whole levels and stacks."""
+evaluation, parse_word as the inverse of format_word), prefix-tree
+products with one multiply per child, the Cartan and Jordan projections
+of a single matrix from LAPACK on it and on its LU inverse, the two
+errors only these raise, and dual_rep.  The library itself works on
+whole levels and stacks."""
 
 from dataclasses import dataclass
 
@@ -98,6 +99,21 @@ def evaluate(rep, w) -> np.ndarray:
     for l in letters:
         out = out @ stack[l]
     return out
+
+
+def tree_products(rep, edges):
+    """Forward and inverse products of every node of a prefix tree, one
+    product per child and a whole depth at a time: fwd[parent] @ letter
+    and letter^-1 @ bwd[parent], each a full-depth gather.  edges are
+    (parents, last) per depth, as bulk._tree_products takes them; yields
+    (fwd, bwd) for depth 1, 2, ..."""
+    k = rep.num_generators
+    stack = rep.letter_matrices()
+    inv_stack = np.ascontiguousarray(stack[np.arange(2 * k) ^ 1])
+    fwd = bwd = np.eye(rep.dim)[None]
+    for parents, last in edges:
+        fwd, bwd = fwd[parents] @ stack[last], inv_stack[last] @ bwd[parents]
+        yield fwd, bwd
 
 
 def parse_word(text: str, labels) -> Word:

@@ -7,11 +7,21 @@ of the certificate: modulus ties, a dominant complex pair, a negative top
 eigenvalue, elliptic and parabolic d = 2 elements and entries near 1e150.
 """
 
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
 
-from limcone import InvalidParameterError, bulk, cli, words
+from limcone import (
+    InvalidParameterError,
+    bulk,
+    cli,
+    make_schottky,
+    perturb,
+    sym_power_embed,
+    words,
+)
 from limcone.spectra import (
     _CLOSED_FORM,
     _closed_spectrum,
@@ -22,7 +32,7 @@ from limcone.spectra import (
     batched_cartan,
     batched_jordan,
 )
-from reference import evaluate
+from reference import evaluate, tree_products
 
 LAPACK_TOL = 1e-12
 ORACLE_TOL = 1e-9
@@ -294,6 +304,50 @@ class TestBitwisePieces:
 # ---------------------------------------------------------------------------
 # streamed products
 # ---------------------------------------------------------------------------
+
+def tree_rep(k, d):
+    s = make_schottky([2.0 + 0.25 * i for i in range(k)], np.linspace(0, np.pi, k, endpoint=False))
+    return s if d == 2 else perturb(sym_power_embed(s, d), 0.05, 1)
+
+
+class TestTreeProducts:
+    @pytest.mark.parametrize("block", [1, 7, bulk._BLOCK_PARENTS])
+    @pytest.mark.parametrize("tree", ["words", "classes"])
+    @pytest.mark.parametrize("k,d", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_bitwise_equal_to_one_product_per_child(self, k, d, tree, block, monkeypatch):
+        n_max = 8 if k == 2 else 6
+        rep = tree_rep(k, d)
+        if tree == "words":
+            edges = list(bulk._word_edges(k, n_max))
+        else:
+            edges = words.class_tree(k, n_max)[0]
+            # some top-depth parents have no class-word child
+            assert len(np.unique(edges[-1][0])) < len(edges[-2][0])
+        monkeypatch.setattr(bulk, "_BLOCK_PARENTS", block)
+        got = {}
+        for n, lo, fwd, bwd in bulk._tree_products(rep, edges, n_max):
+            assert lo == sum(len(f) for f, _ in got.get(n, []))
+            got.setdefault(n, []).append((fwd, bwd))
+        assert sorted(got) == list(range(1, n_max + 1))
+        for n, (fwd, bwd) in enumerate(tree_products(rep, edges), 1):
+            assert np.concatenate([f for f, _ in got[n]]).tobytes() == fwd.tobytes(), n
+            assert np.concatenate([b for _, b in got[n]]).tobytes() == bwd.tobytes(), n
+
+    def test_element_spectra_peak_memory(self, p3):
+        # tracemalloc peak of element_spectra(p3, 12) with its word levels
+        # cached: 105.8 MB when each child was multiplied alone from full-depth
+        # gathers, 91.6 MB with each parent block extended by every letter
+        for n in range(1, 13):
+            words.word_level_array(2, n)
+        bulk.element_spectra.cache_clear()
+        tracemalloc.start()
+        try:
+            bulk.element_spectra(p3, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 99e6, peak / 1e6
+
 
 class TestWordProducts:
     def test_products_match_evaluate(self, p3):

@@ -299,6 +299,23 @@ def test_boundary_reproducible_across_runs_and_threads(tmp_path, reps):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_files_do_not_depend_on_the_blas_thread_count(tmp_path, reps):
+    # the prefix-tree engine's forward GEMM is large enough for BLAS to thread
+    unset = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    unset["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    outs = []
+    for i, env in enumerate((dict(unset, OPENBLAS_NUM_THREADS="1"), unset)):
+        files = []
+        for argv in (["spectra", "--max-len", "8"],
+                     ["cone", "--kind", "asymptotic", "--norm-floor", "1"]):
+            out = tmp_path / f"{argv[0]}{i}.csv"
+            subprocess.run([sys.executable, "-m", "limcone.cli", argv[0], "--rep", reps["p3"],
+                            "--out", str(out), *argv[1:]], env=env, check=True, capture_output=True)
+            files.append(out.read_bytes())
+        outs.append(files)
+    assert outs[0] == outs[1]
+
+
 def test_boundary_records_pair_off_by_the_opposition_involution(tmp_path, reps):
     # record n - 1 - i sits at the mirrored angle: its direction and Gibbs
     # vector are the images under iota(v) = -(v_3, v_2, v_1) of record i's
