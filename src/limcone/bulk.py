@@ -30,8 +30,8 @@ tree of reduced pre-necklaces, cut to the class words at the top depth
 728,868 letter products of multiplying each of the 69,996 class words
 from scratch.  The engine streams the top depth through the kernel in
 row blocks, so at N = 12 the 708,588 top-level element products are
-never held at once and the Cartan table is written into arrays
-allocated up front.  Everything is deterministic: fixed enumeration
+never held at once and both tables are written into arrays allocated
+up front.  Everything is deterministic: fixed enumeration
 order, fixed association order, and the kernels act row by row, so
 blocking does not change a single bit.  BLAS may split the forward GEMM
 across threads, but each entry stays one d-term sum; the CLI files are
@@ -162,12 +162,11 @@ def class_spectra(rep, n_max: int) -> ClassSpectra:
         raise InvalidParameterError("need n_max >= 2")
     k = rep.num_generators
     edges, index = words.class_tree(k, n_max)
-    blocks = {n: [] for n in range(1, n_max + 1)}
+    jor = {n: np.empty((len(index[n - 1]), rep.dim)) for n in range(1, n_max + 1)}
     for n, lo, fwd, bwd in _tree_products(rep, edges, n_max):
         if n < n_max:               # a whole depth; the top depth holds only class words
             fwd, bwd = fwd[index[n - 1]], bwd[index[n - 1]]
-        blocks[n].append(batched_jordan(fwd, bwd))
-    jor = {n: np.concatenate(parts) for n, parts in blocks.items()}
+        jor[n][lo:lo + len(fwd)] = batched_jordan(fwd, bwd)
     logm = {n: np.log(words.class_level_arrays(k, n)[1].astype(float)) for n in jor}
     return ClassSpectra(jor, logm)
 

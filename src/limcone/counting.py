@@ -276,7 +276,9 @@ class GrowthIndicatorSample:
 
 def growth_indicator_direct(rep, v, half_angle: float, N: int) -> GrowthIndicatorSample:
     """Growth rate of #{w : a(rho w) in the cone of half_angle around v,
-    |a(rho w)| <= s}; since |v| = 1 the slope is the indicator value."""
+    |a(rho w)| <= s}; since |v| = 1 the slope is the indicator value.
+    NEG_INFINITY when the cone holds too little to count, or a count that
+    stays flat over the complete window, whose zero slope is no growth."""
     if N < 6:
         raise InvalidParameterError("need N >= 6")
     coords = np.asarray(v, dtype=float)
@@ -294,10 +296,10 @@ def growth_indicator_direct(rep, v, half_angle: float, N: int) -> GrowthIndicato
     if not inside.any():
         return GrowthIndicatorSample(NEG_INFINITY)
     try:
-        slope = _slope_fit(norms[inside], _completeness_cap(norms, starts))[0]
+        slope, _, _, counts = _slope_fit(norms[inside], _completeness_cap(norms, starts))
     except InsufficientDataError:
         return GrowthIndicatorSample(NEG_INFINITY)
-    return GrowthIndicatorSample(slope)
+    return GrowthIndicatorSample(NEG_INFINITY if counts[0] == counts[-1] else slope)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ Word products are violently graded: at word length 12 the condition
 number sits around e^40, where one-sided solvers lose every coordinate
 below the midpoint.  Every product therefore comes with its exact
 inverse, multiplied from the generator inverses (limcone.bulk), so no
-inverse is ever computed here, and both products feed every row.  For
-d >= 4, and for the rows the closed forms below reject, LAPACK takes
-the top half of the spectrum from m and the bottom half from m^{-1},
-with the middle coordinate of odd d from the zero-sum constraint.  That
-keeps every coordinate near machine accuracy regardless of conditioning
-(validated against a 60-digit reference in the test suite).
+inverse is ever computed here.  Every row takes one path: for d <= 3 a
+closed form (below) gives the top value of m and of m^{-1}; LAPACK gives
+the top d // 2 values of both on every row the closed form does not
+certify, so on every row for d >= 4; one assembly takes the top half
+from m, the middle coordinate of odd d from the zero-sum constraint and
+the bottom half from m^{-1}.  That keeps every coordinate near machine
+accuracy regardless of conditioning (validated against a 60-digit
+reference in the test suite).
 
 For d <= 3 only the top and bottom values are needed, and each row
 solves one polynomial whose coefficients come from both products:
@@ -122,25 +124,30 @@ def _top_log_eigmods(batch, count):
     return mods[..., :count]
 
 
-def _split_spectrum(fwd, bwd, tops):
-    """Assemble a full sorted log spectrum from forward and inverse data.
+def _split_spectrum(fwd, bwd, d):
+    """Assemble full sorted log spectra from forward and inverse data.
 
-    fwd : (..., h) leading values of the matrix,
-    bwd : (..., h) leading values of its inverse,
+    fwd : (M, h) leading values of each matrix,
+    bwd : (M, h) leading values of its inverse,
     whose negations reversed give the trailing values.  For odd d the
     middle coordinate comes from the zero-sum constraint (valid because
     inputs are normalised to |det| = 1); the result is re-centred to
-    absorb the residual drift either way.
+    absorb the residual drift either way.  The sums run in index order,
+    numpy's own order below 8 terms: for d <= 7 this is bit for bit the
+    concatenated columns minus their np.mean, and for d >= 8, where numpy
+    unrolls its sum, the two may differ in the last bit.
     """
-    d = tops
-    h = fwd.shape[-1]
-    tail = -bwd[..., ::-1]
-    if 2 * h == d:
-        out = np.concatenate([fwd, tail], axis=-1)
-    else:
-        mid = -(fwd.sum(axis=-1) + tail.sum(axis=-1))
-        out = np.concatenate([fwd, mid[..., None], tail], axis=-1)
-    return out - out.mean(axis=-1, keepdims=True)
+    h = fwd.shape[1]
+    cols = [fwd[:, i] for i in range(h)]
+    tail = [-bwd[:, i] for i in range(h - 1, -1, -1)]
+    if d % 2:
+        cols.append(-(sum(cols[1:], cols[0]) + sum(tail[1:], tail[0])))
+    cols += tail
+    mean = sum(cols[1:], cols[0]) / d
+    out = np.empty((len(fwd), d))
+    for j, col in enumerate(cols):
+        np.subtract(col, mean, out=out[:, j])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -283,63 +290,43 @@ def _cartan3_tops(m, minv):
     return 0.5 * np.log(x), 0.5 * np.log(x * z), okx & okw
 
 
-_CLOSED_FORM = {
-    "cartan": {2: _cartan2_tops, 3: _cartan3_tops},
-    "jordan": {2: _jordan2_tops, 3: _jordan3_tops},
-}
-
-
-def _closed_spectrum(tops, d):
-    """_split_spectrum(tops[:, :1], tops[:, 1:], d) for d = 2, 3, bit for
-    bit, without its concatenated and centred temporaries."""
-    fwd, bwd = tops[:, 0], tops[:, 1]
-    out = np.empty((len(tops), d))
-    if d == 2:
-        mean = (fwd - bwd) / 2
-        out[:, 0], out[:, 1] = fwd - mean, -bwd - mean
-    else:
-        mid = -(fwd - bwd)
-        mean = (fwd + mid - bwd) / 3
-        out[:, 0], out[:, 1], out[:, 2] = fwd - mean, mid - mean, -bwd - mean
-    return out
-
-
-def _batched(kind, lapack_top, prods, inv_prods):
+def _batched(closed, lapack_top, prods, inv_prods):
+    """Log spectra of a stack of |det| = 1 matrices and its inverses: the
+    closed form closed[d], if d is a key, then LAPACK's top d // 2 values
+    of both products on every row it does not certify, then one assembly."""
     prods = np.asarray(prods, dtype=float)
     inv_prods = np.asarray(inv_prods, dtype=float)
     d = prods.shape[-1]
-    h = d // 2
-    closed = _CLOSED_FORM[kind].get(d)
-    if closed is None:
-        return _split_spectrum(lapack_top(prods, h), lapack_top(inv_prods, h), d)
     m = prods.reshape(-1, d, d)
     minv = inv_prods.reshape(-1, d, d)
-    tops = np.empty((len(m), 2))
-    bad = np.empty(len(m), dtype=bool)
-    # cache-sized row chunks keep the many per-row temporaries small
-    with np.errstate(all="ignore"):
-        for lo in range(0, len(m), _CHUNK_ROWS):
-            rows = slice(lo, lo + _CHUNK_ROWS)
-            tops[rows, 0], tops[rows, 1], ok = closed(m[rows], minv[rows])
-            bad[rows] = ~ok
+    fwd = np.empty((len(m), d // 2))
+    bwd = np.empty_like(fwd)
+    bad = np.ones(len(m), dtype=bool)
+    if d in closed:
+        # cache-sized row chunks keep the many per-row temporaries small
+        with np.errstate(all="ignore"):
+            for lo in range(0, len(m), _CHUNK_ROWS):
+                rows = slice(lo, lo + _CHUNK_ROWS)
+                fwd[rows, 0], bwd[rows, 0], ok = closed[d](m[rows], minv[rows])
+                bad[rows] = ~ok
     if bad.any():
-        tops[bad, 0] = lapack_top(m[bad], 1)[:, 0]
-        tops[bad, 1] = lapack_top(minv[bad], 1)[:, 0]
-    return _closed_spectrum(tops, d).reshape(prods.shape[:-2] + (d,))
+        fwd[bad] = lapack_top(m[bad], d // 2)
+        bwd[bad] = lapack_top(minv[bad], d // 2)
+    return _split_spectrum(fwd, bwd, d).reshape(prods.shape[:-2] + (d,))
 
 
 def batched_cartan(prods, inv_prods):
     """Cartan projections of a stack of |det| = 1 matrices, given the
     stack and its inverses: for d <= 3 one closed-form solve of the Gram
-    polynomial per row, the bottom by deflation, with LAPACK `svd` on the
-    rows the certificate rejects; LAPACK for d >= 4."""
-    return _batched("cartan", _top_log_svals, prods, inv_prods)
+    polynomial per row, the bottom by deflation; LAPACK `svd` on the rows
+    the certificate rejects and on every row for d >= 4; one assembly."""
+    return _batched({2: _cartan2_tops, 3: _cartan3_tops}, _top_log_svals, prods, inv_prods)
 
 
 def batched_jordan(prods, inv_prods):
     """Jordan projections of a stack of det = 1 matrices (SL(d, R) word
     products), given the stack and its inverses: for d <= 3 one
     closed-form solve of the characteristic polynomial per row, the bottom
-    by deflation, with LAPACK `eigvals` on the rows the certificate
-    rejects; LAPACK for d >= 4."""
-    return _batched("jordan", _top_log_eigmods, prods, inv_prods)
+    by deflation; LAPACK `eigvals` on the rows the certificate rejects and
+    on every row for d >= 4; one assembly."""
+    return _batched({2: _jordan2_tops, 3: _jordan3_tops}, _top_log_eigmods, prods, inv_prods)

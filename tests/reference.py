@@ -1,8 +1,9 @@
 """Reference code for the tests, one word or one matrix at a time: the
 object-word API (reduction, inversion, rotations, canonical classes,
 evaluation, parse_word as the inverse of format_word), prefix-tree
-products with one multiply per child, the Cartan and Jordan projections
-of a single matrix from LAPACK on it and on its LU inverse, the two
+products with one multiply per child, the split-spectrum assembly by
+concatenation and np.mean, the Cartan and Jordan projections of a
+single matrix from LAPACK on it and on its LU inverse, the two
 errors only these raise, and dual_rep.  The library itself works on
 whole levels and stacks."""
 
@@ -114,6 +115,20 @@ def tree_products(rep, edges):
     for parents, last in edges:
         fwd, bwd = fwd[parents] @ stack[last], inv_stack[last] @ bwd[parents]
         yield fwd, bwd
+
+
+def split_spectrum(fwd, bwd, d):
+    """Full sorted log spectra from the (M, h) leading values of each
+    matrix (fwd) and of its inverse (bwd), by concatenation and np.mean:
+    the negated bwd reversed is the bottom, the middle coordinate of odd
+    d comes from the zero-sum constraint, and the whole is re-centred."""
+    tail = -bwd[..., ::-1]
+    if 2 * fwd.shape[-1] == d:
+        out = np.concatenate([fwd, tail], axis=-1)
+    else:
+        mid = -(fwd.sum(axis=-1) + tail.sum(axis=-1))
+        out = np.concatenate([fwd, mid[..., None], tail], axis=-1)
+    return out - out.mean(axis=-1, keepdims=True)
 
 
 def parse_word(text: str, labels) -> Word:

@@ -23,16 +23,18 @@ from limcone import (
     words,
 )
 from limcone.spectra import (
-    _CLOSED_FORM,
-    _closed_spectrum,
+    _cartan2_tops,
+    _cartan3_tops,
     _diagonal_sums,
+    _jordan2_tops,
+    _jordan3_tops,
     _split_spectrum,
     _top_log_eigmods,
     _top_log_svals,
     batched_cartan,
     batched_jordan,
 )
-from reference import evaluate, tree_products
+from reference import evaluate, split_spectrum, tree_products
 
 LAPACK_TOL = 1e-12
 ORACLE_TOL = 1e-9
@@ -40,19 +42,22 @@ LEVEL_SAMPLE = 5000         # rows per level compared against LAPACK
 
 KERNELS = {"cartan": (batched_cartan, _top_log_svals),
            "jordan": (batched_jordan, _top_log_eigmods)}
+CLOSED_FORMS = {"cartan": {2: _cartan2_tops, 3: _cartan3_tops},
+                "jordan": {2: _jordan2_tops, 3: _jordan3_tops}}
 
 
 def lapack(kind, fwd, bwd):
-    """The split-spectrum rule on full LAPACK spectra (the kernel before
-    the closed forms, and still the kernel for d >= 4)."""
+    """The split-spectrum rule on full LAPACK spectra, assembled by the
+    reference (the kernel before the closed forms, and what every d >= 4
+    row still gets)."""
     top = KERNELS[kind][1]
     h = fwd.shape[-1] // 2
-    return _split_spectrum(top(fwd, h), top(bwd, h), fwd.shape[-1])
+    return split_spectrum(top(fwd, h), top(bwd, h), fwd.shape[-1])
 
 
 def certified(kind, fwd, bwd):
     with np.errstate(all="ignore"):
-        return _CLOSED_FORM[kind][fwd.shape[-1]](fwd, bwd)[2]
+        return CLOSED_FORMS[kind][fwd.shape[-1]](fwd, bwd)[2]
 
 
 def class_products(rep, n):
@@ -115,11 +120,13 @@ class TestAgainstLapack:
         assert certified("jordan", fwd, bwd).all()
         assert certified("cartan", fwd, bwd).all()
 
-    def test_d4_bitwise_unchanged(self):
+    @pytest.mark.parametrize("d", [4, 5, 6, 7])
+    def test_d4_bitwise_unchanged(self, d):
+        # odd d also exercises the zero-sum middle coordinate
         rng = np.random.default_rng(3)
-        m = rng.normal(size=(64, 4, 4))
+        m = rng.normal(size=(64, d, d))
         det = np.linalg.det(m)
-        m = m / (np.sign(det) * np.abs(det) ** 0.25)[:, None, None]
+        m = m / (np.sign(det) * np.abs(det) ** (1 / d))[:, None, None]
         minv = np.linalg.inv(m)
         for kind, (kernel, _) in KERNELS.items():
             assert np.array_equal(kernel(m, minv), lapack(kind, m, minv))
@@ -293,12 +300,14 @@ class TestBitwisePieces:
         assert t.tobytes() == np.trace(m, axis1=-2, axis2=-1).tobytes()
         assert T.tobytes() == np.abs(np.diagonal(m, axis1=-2, axis2=-1)).sum(-1).tobytes()
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
     def test_closed_spectrum_equals_split_spectrum(self, d):
-        tops = np.random.default_rng(d).normal(size=(1000, 2)) * [[30.0, 20.0]]
-        tops[:10, 1] = tops[:10, 0]       # equal ends, the d = 2 closed-form case
-        want = _split_spectrum(tops[:, :1], tops[:, 1:], d)
-        assert _closed_spectrum(tops, d).tobytes() == want.tobytes()
+        rng = np.random.default_rng(d)
+        fwd = rng.normal(size=(1000, d // 2)) * 30.0
+        bwd = rng.normal(size=(1000, d // 2)) * 20.0
+        bwd[:10] = fwd[:10]               # equal ends, the d = 2 closed-form case
+        want = split_spectrum(fwd, bwd, d)
+        assert _split_spectrum(fwd, bwd, d).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

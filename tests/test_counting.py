@@ -151,6 +151,17 @@ class TestDirectIndicator:
         with pytest.raises(InvalidParameterError):
             growth_indicator_direct(p3, v, 0.15, N)
 
+    def test_flat_count_is_neg_infinity(self, p3):
+        # 48 projections lie in this thin cone, but the count is 2 at every
+        # complete threshold: a zero slope there is no growth rate
+        v = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
+        assert growth_indicator_direct(p3, v, 1e-4, 8).value is counting.NEG_INFINITY
+
+    def test_growing_count_keeps_its_slope(self, p3):
+        v = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
+        assert growth_indicator_direct(p3, v, 0.15, 8).value == pytest.approx(
+            0.560564081659187, rel=1e-12)
+
 
 
 class TestOrbitCountRatio:
