@@ -17,6 +17,12 @@ lambda(g).  For d = 3 iota maps the tracing angle theta to -theta, so
 the traced window is symmetric about 0: only its angles >= 0 are
 root-found, and each point at -theta is the iota-image of its partner.
 
+The growth rate for the Euclidean norm is h = max over unit v of psi(v),
+which by duality is the least norm on D (Quint, Comment. Math. Helv. 77,
+2002).  D and the norm are both convex and iota-invariant, so that least
+norm is attained at the iota-fixed direction U1 = (1, 0, -1)/sqrt 2
+(d = 2: U = (1, -1)/sqrt 2), and h is the pressure root of U1.
+
 psi itself is the lower envelope min_phi phi(v) over the traced
 boundary, evaluated at a whole stack of directions by one matrix
 product; it is concave by construction and an overestimate at finite
@@ -78,11 +84,11 @@ class BoundaryPoint:
 @dataclass(frozen=True)
 class DualBody:
     """Ordered sample of the dual-body boundary (d = 3: by angle in the
-    dual plane, inside the polar of `cone`; d = 2: a single point)."""
+    dual plane, inside the polar of `cone`; d = 2: a single point) and
+    the growth rate, the pressure root at the iota-fixed direction."""
 
     boundary: tuple              # BoundaryPoints ordered by angle
-    thetas: tuple                # curve parameter per point (d = 3); antisymmetric, the
-                                 # points below 0 are the iota-images of those above
+    growth_rate: float           # least norm on the dual body
     cone: ConeHull               # sampled limit cone; the traced window is its polar
 
     def __len__(self):
@@ -94,7 +100,6 @@ class DualBody:
 
 @dataclass(frozen=True)
 class GrowthForm:
-    theta: Functional            # tangent functional at the growth direction
     h: float                     # exponential growth rate for the norm
 
 
@@ -149,7 +154,9 @@ def boundary_curve(rep, resolution: int = 16, n_max: int = DEFAULT_N_MAX,
     The window is symmetric about angle 0 by construction (its half-width
     is half the polar's): the ceil(resolution / 2) angles >= 0 are traced,
     and the points below 0 are their mirror images under iota, with the
-    same s* and entropy.  `threads` workers share the traced half.
+    same s* and entropy.  `threads` workers share the traced half.  The
+    body also holds the growth rate, the pressure root at U1 (d = 2: the
+    s* of the one traced point); an error there is raised.
 
     A failed direction is left out, a failed angle together with its
     mirror, so the body then holds fewer than `resolution` points; more
@@ -160,7 +167,7 @@ def boundary_curve(rep, resolution: int = 16, n_max: int = DEFAULT_N_MAX,
     """
     if rep.dim == 2:
         bp = boundary_point(rep, Functional(np.array([1.0, -1.0])), n_max=n_max)
-        return DualBody((bp,), (0.0,), limit_cone(rep, n_max))
+        return DualBody((bp,), bp.s_star, limit_cone(rep, n_max))
     if rep.dim != 3:
         raise InvalidParameterError("boundary_curve is implemented for d in {2, 3}")
     if resolution < 8:
@@ -173,6 +180,7 @@ def boundary_curve(rep, resolution: int = 16, n_max: int = DEFAULT_N_MAX,
             "sampled limit cone is a single ray; dual body boundary is flat"
             " (pass allow_degenerate=True to trace it anyway)"
         )
+    h = pressure_root(rep, Functional(_U1), n_max=n_max)
     # the cone is iota-invariant, so its polar is symmetric about 0: the
     # window is [-a, a], and upper holds the angles >= 0 of resolution
     # evenly spaced ones across it
@@ -192,14 +200,12 @@ def boundary_curve(rep, resolution: int = 16, n_max: int = DEFAULT_N_MAX,
     else:
         traced = [trace(th) for th in upper]
     lower = resolution // 2                       # theta = 0 is traced once
-    thetas = np.concatenate([-upper[::-1][:lower], upper])
     results = [None if bp is None else _mirror(bp) for bp in traced[::-1][:lower]] + traced
     points = tuple(bp for bp in results if bp is not None)
     failed = resolution - len(points)
     if failed > 0.2 * resolution:
         raise InsufficientDataError(f"{failed} of {resolution} boundary directions failed")
-    kept = tuple(float(th) for th, bp in zip(thetas, results) if bp is not None)
-    return DualBody(points, kept, cone)
+    return DualBody(points, float(h), cone)
 
 
 def _envelope(F, V):
@@ -237,24 +243,11 @@ def psi_from_duality(body: DualBody, v):
 
 
 def growth_form(body: DualBody) -> GrowthForm:
-    """Minimal dual-norm boundary functional and its norm (the growth
-    rate for the Euclidean norm).
-
-    The minimum over the sampled curve is sharpened by a parabolic fit
-    in the tracing angle through the three points around the argmin;
-    theta is h times the unit direction traced at the fitted angle.
-    """
-    norms = np.array([bp.functional.norm() for bp in body.boundary])
-    i = int(np.argmin(norms))
-    interior = 0 < i < len(norms) - 1
-    if interior:
-        x = np.array(body.thetas[i - 1 : i + 2])
-        coef = np.polyfit(x, norms[i - 1 : i + 2], 2)
-    if not interior or coef[0] <= 0:
-        return GrowthForm(body.boundary[i].functional, float(norms[i]))
-    theta_star = float(np.clip(-coef[1] / (2 * coef[0]), x[0], x[-1]))
-    h = float(np.polyval(coef, theta_star))
-    return GrowthForm(Functional(h * (np.cos(theta_star) * _U1 + np.sin(theta_star) * _U2)), h)
+    """The growth rate for the Euclidean norm, the least norm on the dual
+    body, which boundary_curve found as one pressure root.  Every traced
+    functional's norm is at least h.  The body argument is kept only for
+    the callers in perfbench/."""
+    return GrowthForm(body.growth_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +298,13 @@ def concavity_audit(body: DualBody, samples: int = 32, seed: int = 0) -> Concavi
 class ContinuityRow:
     """One ladder step of continuity_scan.  dpsi_max is the largest
     |psi_eps - psi_0| over the probes where psi by duality is finite on
-    both sides, and NaN when there is no such probe."""
+    both sides, and NaN when there is no such probe.  dh = |h_eps - h_0|
+    is also the move of the growth form's tangent functional h U1."""
 
     epsilon: float
     hausdorff: float
     dpsi_max: float
     dh: float
-    dtheta: float
     failed: bool
 
 
@@ -350,7 +343,7 @@ def continuity_scan(rep, epsilons, seed: int, probes, n_max: int = DEFAULT_N_MAX
             rep_eps = perturb(rep, eps, seed)
             cone, form, psi = _analysis(rep_eps, n_max, resolution, probes)
         except LimconeError:
-            rows.append(ContinuityRow(float(eps), np.nan, np.nan, np.nan, np.nan, True))
+            rows.append(ContinuityRow(float(eps), np.nan, np.nan, np.nan, True))
             continue
         dpsi = np.abs(psi - base_psi)
         dpsi = dpsi[np.isfinite(dpsi)]          # NaN psi stands for minus infinity
@@ -360,7 +353,6 @@ def continuity_scan(rep, epsilons, seed: int, probes, n_max: int = DEFAULT_N_MAX
                 base_cone.hausdorff(cone),
                 float(dpsi.max()) if len(dpsi) else np.nan,
                 abs(form.h - base_form.h),
-                float(np.linalg.norm(form.theta.coeffs - base_form.theta.coeffs)),
                 False,
             )
         )

@@ -69,20 +69,17 @@ def word_length_weight(n, lam):
     return np.full(len(lam), float(n))
 
 
-def _level_weights(cs, phi, n, weight_hook):
-    """The weight of every class of level n of the class table cs."""
-    if weight_hook is not None:
-        return np.asarray(weight_hook(n, cs.jordan[n]), dtype=float)
-    return cs.jordan[n] @ phi.coeffs
-
-
 class _Weights:
     """Weight values and log multiplicities of levels 1..n_max, read off
     the cached class table of depth n_max; what the pressures sum over."""
 
     def __init__(self, rep, phi, n_max, weight_hook=None):
         cs = class_spectra(rep, n_max)
-        self.values = {n: _level_weights(cs, phi, n, weight_hook) for n in range(1, n_max + 1)}
+        if weight_hook is None:
+            self.values = {n: cs.jordan[n] @ phi.coeffs for n in range(1, n_max + 1)}
+        else:
+            self.values = {n: np.asarray(weight_hook(n, cs.jordan[n]), dtype=float)
+                           for n in range(1, n_max + 1)}
         self.log_mult = cs.log_mult
         # every level sum writes its exponents here, so a sum allocates nothing
         self._scratch = np.empty(max(len(v) for v in self.values.values()))
@@ -279,8 +276,4 @@ def entropy_of_state(rep, phi0, n=DEFAULT_N_MAX, weight_hook=None) -> float:
         raise NotOnBoundaryError(
             f"pressure root along the ray is {root:.6f}, not 1: functional not on the boundary"
         )
-    cs = class_spectra(rep, n)           # level n of the table pressure_root read
-    v = _level_weights(cs, phi0, n, weight_hook)
-    x = cs.log_mult[n] - v
-    g = np.exp(x - x.max())
-    return float(g @ v / g.sum()) / n
+    return _Weights(rep, phi0, n, weight_hook).level_sum(n, 1.0)[1] / n

@@ -204,7 +204,7 @@ def test_perturb_scan_csv_matches_library(tmp_path, reps):
     v /= np.linalg.norm(v)
     rows = continuity_scan(load_rep(reps["p3"]), [0.0, 0.01], 0, [v])
     np.testing.assert_array_equal(
-        read_rows(out), [[r.epsilon, r.hausdorff, r.dpsi_max, r.dh, r.dtheta] for r in rows])
+        read_rows(out), [[r.epsilon, r.hausdorff, r.dpsi_max, r.dh] for r in rows])
 
 
 def test_perturb_scan_one_sided_psi_is_quiet(tmp_path, reps):
@@ -222,7 +222,7 @@ def test_perturb_scan_one_sided_psi_is_quiet(tmp_path, reps):
     v /= np.linalg.norm(v)
     rows = continuity_scan(load_rep(reps["p3"]), [0.0, 0.01, 0.03], 0, [v])
     np.testing.assert_array_equal(
-        read_rows(out), [[r.epsilon, r.hausdorff, r.dpsi_max, r.dh, r.dtheta] for r in rows])
+        read_rows(out), [[r.epsilon, r.hausdorff, r.dpsi_max, r.dh] for r in rows])
     np.testing.assert_allclose([r.dpsi_max for r in rows], [0.0, np.nan, 0.0355235371487],
                                rtol=1e-9)
 
@@ -328,6 +328,13 @@ def test_boundary_records_pair_off_by_the_opposition_involution(tmp_path, reps):
         assert rec["gibbs_dir"] == [-x for x in reversed(partner["gibbs_dir"])]
         np.testing.assert_allclose(rec["direction"], [-x for x in reversed(partner["direction"])],
                                    rtol=0, atol=1e-15)
+
+
+def test_boundary_prints_the_root_at_the_iota_fixed_direction(tmp_path, reps, capsys):
+    # h is pressure_root(p3, (1, 0, -1)/sqrt 2) = 0.55125496449906
+    rc, out = run(tmp_path, reps, "p3", "boundary")
+    assert rc == 0
+    assert capsys.readouterr().out == f"boundary: 16 points, h = 0.5512549645 -> {out}\n"
 
 
 def test_direct_psi_needs_no_dual_body(tmp_path, reps):
