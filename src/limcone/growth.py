@@ -26,11 +26,11 @@ norm is attained at the iota-fixed direction U1 = (1, 0, -1)/sqrt 2
 psi itself is the lower envelope min_phi phi(v) over the traced
 boundary, evaluated at a whole stack of directions by one matrix
 product; it is concave by construction and an overestimate at finite
-resolution.  Outside the traced angular window the envelope is
-meaningless (the true function has vertical tangents at the cone
-boundary), so evaluations whose minimum sits at a curve endpoint and is
-still descending there return the explicit minus-infinity marker
-instead of an extrapolation.
+resolution.  Each traced functional touches psi at its own Gibbs
+direction, so the envelope is psi, up to resolution, exactly on the arc
+those directions span in the sum-zero plane.  Off that arc it is only
+an upper bound (and psi is minus infinity outside the limit cone), so
+there the explicit minus-infinity marker is returned instead.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -64,8 +64,7 @@ __all__ = [
     "continuity_scan",
 ]
 
-_ENDPOINT_SLOPE_FACTOR = 1.5
-_EDGE_MARGIN = 0.05     # share of the traced window, and of the audited one, left out at each end
+_EDGE_MARGIN = 0.05     # share of the angular window left untraced at each end; it narrows the arc
 _MARGIN_TOL = 1e-6      # audit margins down to -_MARGIN_TOL are rounding, not violations
 _DEGENERATE_WIDTH = 1e-9  # sampled cones narrower than this (gap coordinate) are one ray
 
@@ -103,16 +102,19 @@ class GrowthForm:
     h: float                     # exponential growth rate for the norm
 
 
-def _chamber_direction(t) -> np.ndarray:
-    """Unit chamber vectors with gap coordinates t (d = 3) on a new last axis."""
-    t = np.asarray(t, dtype=float)
-    v = np.stack([(1.0 - t) / 2.0, t, (-1.0 - t) / 2.0], axis=-1)
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
-
-
-# orthonormal basis of the sum-zero plane for d = 3
+# orthonormal basis of the sum-zero plane for d = 3; for d = 2 the plane
+# is the line of U = (1, -1)/sqrt 2 and the second axis is zero
 _U1 = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
 _U2 = np.array([1.0, -2.0, 1.0]) / np.sqrt(6.0)
+_PLANE = {2: (np.array([1.0, -1.0]) / np.sqrt(2.0), np.zeros(2)), 3: (_U1, _U2)}
+
+
+def _angle(V) -> np.ndarray:
+    """Angle in the sum-zero plane, from U1 towards U2, of every vector of
+    the stack V (shape (..., d)); for d = 2 it is 0 along U and +-pi
+    against it."""
+    u1, u2 = _PLANE[np.shape(V)[-1]]
+    return np.arctan2(V @ u2, V @ u1)
 
 
 def boundary_point(rep, u, n_max: int = DEFAULT_N_MAX) -> BoundaryPoint:
@@ -173,7 +175,7 @@ def boundary_curve(rep, resolution: int = 16, n_max: int = DEFAULT_N_MAX,
     if resolution < 8:
         raise InvalidParameterError("need resolution >= 8")
     cone = limit_cone(rep, n_max)
-    angles = np.arctan2(cone.hull @ _U2, cone.hull @ _U1)
+    angles = _angle(cone.hull)
     lo, hi = angles.max() - np.pi / 2, angles.min() + np.pi / 2
     if cone.width < _DEGENERATE_WIDTH and not allow_degenerate:
         raise DegenerateConeError(
@@ -208,37 +210,29 @@ def boundary_curve(rep, resolution: int = 16, n_max: int = DEFAULT_N_MAX,
     return DualBody(points, float(h), cone)
 
 
-def _envelope(F, V):
-    """Lower envelope min_i F_i . v of the functional rows F at every
-    direction v of the stack V (shape (..., d)), as one product.
+def _envelope(body: DualBody, V):
+    """Lower envelope min_i F_i . v of the body's functional rows F at
+    every direction v of the stack V (shape (..., d)), as one product.
 
-    Where the minimum sits at a curve endpoint and the values still fall
-    into it faster than _ENDPOINT_SLOPE_FACTOR times the median |second
-    difference| along the curve, the true infimum lies beyond the traced
-    window: the result there is NaN, standing for minus infinity.
+    The result is NaN, standing for minus infinity, wherever the angle of
+    v in the sum-zero plane lies outside the arc of the traced Gibbs
+    directions: there the envelope only bounds psi from above.
     """
     V = np.asarray(V, dtype=float)
-    vals = F @ V.reshape(-1, V.shape[-1]).T              # (m, q)
-    m = len(vals)
-    i, psi = np.argmin(vals, axis=0), np.min(vals, axis=0)
-    if m > 2:
-        slope_in = np.where(i == 0, vals[1] - vals[0], vals[-2] - vals[-1])
-        # the median as np.median forms it, without its NaN check, which
-        # imports numpy.ma (no NaN can arise from finite functionals)
-        mid = [(m - 3) // 2, (m - 2) // 2]
-        part = np.partition(np.abs(np.diff(vals, 2, axis=0)), mid, axis=0)
-        curvature = (part[mid[0]] + part[mid[1]]) / 2
-        falling = slope_in > _ENDPOINT_SLOPE_FACTOR * curvature + 1e-15
-        psi[((i == 0) | (i == m - 1)) & falling] = np.nan
+    psi = (body.functionals() @ V.reshape(-1, V.shape[-1]).T).min(axis=0)
+    arc = _angle(np.stack([bp.gibbs_vector for bp in body.boundary]))
+    theta = _angle(V).ravel()
+    psi[(theta < arc.min()) | (theta > arc.max())] = np.nan
     return psi.reshape(V.shape[:-1])
 
 
 def psi_from_duality(body: DualBody, v):
     """Growth indicator by duality: the lower envelope of the traced
     boundary functionals at v, one row of _envelope.  Exact up to curve
-    resolution inside the traced window; beyond it the minus-infinity
-    marker is returned rather than an extrapolated value."""
-    val = float(_envelope(body.functionals(), v))
+    resolution on the arc of the traced Gibbs directions, and equal to
+    the entropy at each of them; off that arc the minus-infinity marker
+    is returned rather than an upper bound."""
+    val = float(_envelope(body, v))
     return NEG_INFINITY if np.isnan(val) else val
 
 
@@ -265,26 +259,24 @@ class ConcavityReport:
 
 
 def concavity_audit(body: DualBody, samples: int = 32, seed: int = 0) -> ConcavityReport:
-    """Sample direction pairs inside the traced window and check
-    midpoint concavity of the reconstructed indicator.  Every value is
-    read off one envelope evaluation over the traced functionals; a pair
-    counts only when its ends and its three midpoints are all finite.  A
-    pair is concave when its worst margin is at least -_MARGIN_TOL, so
+    """Sample direction pairs on the arc of the traced Gibbs directions,
+    both ends at angles drawn uniformly from it, and check midpoint
+    concavity of the reconstructed indicator.  Every value is read off
+    one envelope evaluation over the traced functionals; a pair counts
+    only when its ends and its three midpoints are all finite.  A pair is
+    concave when its worst margin is at least -_MARGIN_TOL, so
     rounding-level margins count as no violation."""
     if samples < 16:
         raise InvalidParameterError("need at least 16 sample pairs")
     if len(body.boundary) == 1:
         # single-point body: psi is linear, concavity holds with equality
         return ConcavityReport(samples, samples)
-    F = body.functionals()
-    tg = gap_slice_coord(np.stack([bp.gibbs_vector for bp in body.boundary]))
-    lo, hi = tg.min(), tg.max()
-    span = hi - lo
-    lo_i, hi_i = lo + _EDGE_MARGIN * span, hi - _EDGE_MARGIN * span
-    ends = _chamber_direction(np.random.default_rng(seed).uniform(lo_i, hi_i, (samples, 2)))
-    pa, pb = _envelope(F, ends).T
+    arc = _angle(np.stack([bp.gibbs_vector for bp in body.boundary]))
+    theta = np.random.default_rng(seed).uniform(arc.min(), arc.max(), (samples, 2))[..., None]
+    ends = np.cos(theta) * _U1 + np.sin(theta) * _U2
+    pa, pb = _envelope(body, ends).T
     w = np.array([[0.25], [0.5], [0.75]])
-    pm = _envelope(F, w[..., None] * ends[:, 0] + (1 - w[..., None]) * ends[:, 1])
+    pm = _envelope(body, w[..., None] * ends[:, 0] + (1 - w[..., None]) * ends[:, 1])
     worst = (pm - (w * pa + (1 - w) * pb)).min(axis=0)
     worst = worst[~np.isnan(worst)]                    # pairs with all five finite
     return ConcavityReport(len(worst), int((worst >= -_MARGIN_TOL).sum()))
@@ -310,7 +302,7 @@ class ContinuityRow:
 
 def _analysis(rep, n_max, resolution, probes):
     body = boundary_curve(rep, resolution=resolution, n_max=n_max, allow_degenerate=True)
-    return body.cone, growth_form(body), _envelope(body.functionals(), probes)
+    return body.cone, growth_form(body), _envelope(body, probes)
 
 
 def continuity_scan(rep, epsilons, seed: int, probes, n_max: int = DEFAULT_N_MAX,
@@ -319,8 +311,8 @@ def continuity_scan(rep, epsilons, seed: int, probes, n_max: int = DEFAULT_N_MAX
     for each eps and report deltas against the unperturbed baseline.
 
     Every eps must be finite and >= 0 and every probe inside the baseline
-    limit cone with a 10 percent angular margin (a degenerate baseline
-    cone admits only its own ray), checked before anything is traced.
+    limit cone, a tenth of its gap-coordinate width from either end (a
+    degenerate baseline cone admits only its own ray), checked first.
     A failing ladder step is marked and the scan continues.
     """
     if not all(eps >= 0 and np.isfinite(2.0 * eps) for eps in epsilons):

@@ -186,6 +186,14 @@ def test_psi_both_csv_matches_library(tmp_path, reps):
     assert [r[-2] for r in rows[2:]] == ["-inf", "-inf"]
 
 
+def test_psi_against_the_s2_cone_is_minus_infinity(tmp_path, reps):
+    # the limit cone of s2 is the ray of (1, -1): both routes read -inf
+    rc, out = run(tmp_path, reps, "s2", "psi", "--method", "both", "--probe", "-1", "1")
+    assert rc == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [r[-2:] for r in rows] == [["-inf", "duality"], ["-inf", "direct-count"]]
+
+
 def test_entropy_json_matches_library(tmp_path, reps):
     rep = load_rep(reps["p3"])
     phi = boundary_point(rep, np.array([1.0, 0.0, -1.0])).functional
@@ -208,22 +216,23 @@ def test_perturb_scan_csv_matches_library(tmp_path, reps):
 
 
 def test_perturb_scan_one_sided_psi_is_quiet(tmp_path, reps):
-    # at eps = 0.01 psi by duality is minus infinity at this probe, so that
-    # step has no probe finite on both sides: its dpsi_max is NaN, and no
-    # numpy warning reaches stderr
+    # at eps = 0.01 psi by duality is minus infinity at this probe (gap
+    # coordinate 0.0099, past that step's arc of +-0.0052), so that step has
+    # no probe finite on both sides: its dpsi_max is NaN, and no numpy
+    # warning reaches stderr
     out = tmp_path / "scan.csv"
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "limcone.cli", "--seed", "0", "perturb-scan", "--rep", reps["p3"],
-         "--out", str(out), "--epsilons", "0", "0.01", "0.03", "--probe", "1", "0.01", "-1.01"],
+         "--out", str(out), "--epsilons", "0", "0.01", "0.03", "--probe", "1", "0.02", "-1.02"],
         env=env, capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stderr == ""
-    v = np.array([1.0, 0.01, -1.01])
+    v = np.array([1.0, 0.02, -1.02])
     v /= np.linalg.norm(v)
     rows = continuity_scan(load_rep(reps["p3"]), [0.0, 0.01, 0.03], 0, [v])
     np.testing.assert_array_equal(
         read_rows(out), [[r.epsilon, r.hausdorff, r.dpsi_max, r.dh] for r in rows])
-    np.testing.assert_allclose([r.dpsi_max for r in rows], [0.0, np.nan, 0.0355235371487],
+    np.testing.assert_allclose([r.dpsi_max for r in rows], [0.0, np.nan, 0.0291454278104],
                                rtol=1e-9)
 
 

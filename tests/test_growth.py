@@ -24,7 +24,13 @@ from limcone import (
     sym_power_embed,
 )
 from limcone import growth
-from limcone.growth import _U1, _U2, _chamber_direction
+from limcone.growth import _U1, _U2
+
+
+def plain_chamber_direction(t):
+    """Unit d = 3 chamber vector with gap coordinate t."""
+    v = np.array([(1.0 - t) / 2.0, t, (-1.0 - t) / 2.0])
+    return v / np.linalg.norm(v)
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +64,8 @@ def test_psi_at_cone_ends_and_centre(p3, body):
     lo, hi = limit_cone(p3, 12).interval
     assert lo == pytest.approx(-0.0341, abs=1e-4) and hi == pytest.approx(0.0341, abs=1e-4)
     for t in (lo, hi):
-        assert psi_from_duality(body, _chamber_direction(t)) is NEG_INFINITY
-    centre = psi_from_duality(body, _chamber_direction(0.5 * (lo + hi)))
+        assert psi_from_duality(body, plain_chamber_direction(t)) is NEG_INFINITY
+    centre = psi_from_duality(body, plain_chamber_direction(0.5 * (lo + hi)))
     assert centre == pytest.approx(0.55126, abs=1e-5)
 
 
@@ -71,6 +77,14 @@ def test_s2_growth_rate_is_scaled_gap_root(s2):
     assert h == pytest.approx(1.0610332, abs=1e-7)
 
 
+def test_s2_psi_is_minus_infinity_against_the_cone(s2):
+    # the limit cone of s2 is the ray of (1, -1)
+    body = boundary_curve(s2, 16)
+    u = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    assert psi_from_duality(body, u) == pytest.approx(growth_form(body).h, abs=1e-12)
+    assert psi_from_duality(body, -u) is NEG_INFINITY
+
+
 def test_audit_needs_sixteen_pairs(body):
     with pytest.raises(InvalidParameterError):
         concavity_audit(body, samples=8)
@@ -79,9 +93,9 @@ def test_audit_needs_sixteen_pairs(body):
 def test_continuity_scan_probe_preconditions(p3, f3):
     lo, _ = limit_cone(p3, 12).interval
     with pytest.raises(InvalidParameterError, match="margin"):
-        continuity_scan(p3, [0.0], 1, [_chamber_direction(lo)])
+        continuity_scan(p3, [0.0], 1, [plain_chamber_direction(lo)])
     with pytest.raises(InvalidParameterError, match="ray"):
-        continuity_scan(f3, [0.0], 1, [_chamber_direction(0.1)])
+        continuity_scan(f3, [0.0], 1, [plain_chamber_direction(0.1)])
 
 
 def test_continuity_scan_marks_a_failed_step(s2):
@@ -92,7 +106,7 @@ def test_continuity_scan_marks_a_failed_step(s2):
 
 def test_continuity_scan_at_zero_deformation(p3):
     lo, hi = limit_cone(p3, 12).interval
-    (row,) = continuity_scan(p3, [0.0], 1, [_chamber_direction(0.5 * (lo + hi))])
+    (row,) = continuity_scan(p3, [0.0], 1, [plain_chamber_direction(0.5 * (lo + hi))])
     assert not row.failed
     assert row.hausdorff == row.dpsi_max == row.dh == 0.0
 
@@ -181,7 +195,7 @@ def test_psi_is_iota_invariant(mirrored):
     lo, hi = limit_cone(rep, 12).interval
     finite = 0
     for t in 0.5 * (lo + hi) + 0.4 * (hi - lo) * np.linspace(-1.0, 1.0, 9):
-        v = _chamber_direction(t)
+        v = plain_chamber_direction(t)
         a, b = psi_from_duality(body, v), psi_from_duality(body, iota(v))
         if a is NEG_INFINITY:
             assert b is NEG_INFINITY, t
@@ -239,40 +253,34 @@ def test_threads_trace_the_same_half(p3):
 # the envelope product against the per-functional loops it replaced
 # ---------------------------------------------------------------------------
 
-def plain_chamber_direction(t):
-    v = np.array([(1.0 - t) / 2.0, t, (-1.0 - t) / 2.0])
-    return v / np.linalg.norm(v)
+def plain_angle(v):
+    """Angle of v in the sum-zero plane: from U1 towards U2 for d = 3,
+    0 along (1, -1) and pi against it for d = 2."""
+    v = np.asarray(v, dtype=float)
+    if len(v) == 2:
+        return 0.0 if v[0] >= v[1] else np.pi
+    return float(np.arctan2(v @ _U2, v @ _U1))
 
 
 def plain_psi_from_duality(body, v):
-    """One boundary functional at a time, with the endpoint rule inline."""
-    coords = np.asarray(getattr(v, "coords", v), dtype=float)
-    vals = np.array([bp.functional(coords) for bp in body.boundary])
-    m = len(vals)
-    i = int(np.argmin(vals))
-    if m <= 2 or 0 < i < m - 1:
-        return float(vals[i])
-    slope_in = vals[1] - vals[0] if i == 0 else vals[-2] - vals[-1]
-    curvature = np.median(np.abs(np.diff(vals, 2))) if m >= 3 else 0.0
-    if slope_in > 1.5 * curvature + 1e-15:
+    """One boundary functional at a time, finite only on the arc of the
+    traced Gibbs directions."""
+    arc = [plain_angle(bp.gibbs_vector) for bp in body.boundary]
+    if not min(arc) <= plain_angle(v) <= max(arc):
         return NEG_INFINITY
-    return float(vals[i])
+    return float(min(bp.functional(np.asarray(v, dtype=float)) for bp in body.boundary))
 
 
 def plain_concavity_audit(body, samples=32, seed=0, tol=1e-6):
     """One pair and one point at a time: (tested, concave)."""
     if len(body.boundary) == 1:
         return samples, samples
-    tg = np.array([bp.gibbs_vector[1] / (bp.gibbs_vector[0] - bp.gibbs_vector[2])
-                   for bp in body.boundary])
-    lo, hi = tg.min(), tg.max()
-    span = hi - lo
-    lo_i, hi_i = lo + 0.05 * span, hi - 0.05 * span
+    arc = [plain_angle(bp.gibbs_vector) for bp in body.boundary]
     rng = np.random.default_rng(seed)
     tested = concave = 0
     for _ in range(samples):
-        ta, tb = rng.uniform(lo_i, hi_i, 2)
-        va, vb = plain_chamber_direction(ta), plain_chamber_direction(tb)
+        ta, tb = rng.uniform(min(arc), max(arc), 2)
+        va, vb = (np.cos(t) * _U1 + np.sin(t) * _U2 for t in (ta, tb))
         pa, pb = plain_psi_from_duality(body, va), plain_psi_from_duality(body, vb)
         if is_neg_infinity(pa) or is_neg_infinity(pb):
             continue
@@ -323,11 +331,34 @@ def test_envelope_matches_per_functional_loop(traced):
 
 
 def test_audit_matches_looped_audit(traced):
+    # every pair is drawn on the arc, so all five of its values are finite
     _, body = traced
     for seed in range(6):
         report = concavity_audit(body, seed=seed)
         want = plain_concavity_audit(body, seed=seed)
         assert (report.pairs_tested, report.concave_pairs) == want, seed
+        assert report.pairs_tested == 32, seed
+
+
+@pytest.fixture(scope="module", params=[
+    ("p3", 16), ("p3", 64), ("f3-0.03-7", 16), ("f3-0.03-7", 64),
+], ids=lambda p: f"{p[0]}-res{p[1]}")
+def tangent(request, f3, p3):
+    name, resolution = request.param
+    return boundary_curve(p3 if name == "p3" else perturb(f3, 0.03, 7), resolution)
+
+
+def test_each_functional_is_tangent_at_its_gibbs_direction(tangent):
+    # phi_i touches psi at g_i, so the envelope there is the entropy, the
+    # arc's two ends included (measured: within 3.4e-16); just past either
+    # end it is minus infinity.  perturb(f3, 0.08, 3) is left out: near its
+    # cone edge the level-n Gibbs vectors miss tangency by up to 4.6 percent
+    for bp in tangent.boundary:
+        assert psi_from_duality(tangent, bp.gibbs_vector) == pytest.approx(
+            bp.entropy, rel=1e-12, abs=0)
+    arc = [plain_angle(bp.gibbs_vector) for bp in tangent.boundary]
+    for t in (min(arc) - 1e-9, max(arc) + 1e-9):
+        assert psi_from_duality(tangent, np.cos(t) * _U1 + np.sin(t) * _U2) is NEG_INFINITY
 
 
 def test_growth_rate_is_the_root_at_the_iota_fixed_direction(traced):
