@@ -1,8 +1,9 @@
 """Bulk spectral data for a representation.
 
 Two tables feed everything downstream.  Each is cached whole per
-(rep, n_max), four entries per table, so a scan over fresh
-representations keeps at most four of each alive.  Every caller reads
+(rep, n_max), four class tables and two element tables, so a scan over
+fresh representations keeps at most that many alive; an element table
+at n_max = 12 takes 25 MB at d = 3.  Every caller reads
 the table at the depth it asks for; levels 1..m of a deeper class table
 are bitwise those of a table built to m, because each class product
 follows the same prefix path and the kernels act row by row:
@@ -39,7 +40,7 @@ byte-identical with BLAS on one thread or many (tests/test_cli.py).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -67,10 +68,23 @@ class ClassSpectra:
 @dataclass(frozen=True)
 class ElementSpectra:
     """Cartan data over all reduced words of length 1..n_max, level by
-    level: the words of length n are rows starts[n - 1]:starts[n]."""
+    level: the words of length n are rows starts[n - 1]:starts[n].
+    norm_window holds the rows that a norm count can reach, computed
+    once per table."""
 
     cartan: np.ndarray   # (M, d)
     starts: np.ndarray   # (n_max + 1,), starts[0] = 0 and starts[-1] = M
+
+    @cached_property
+    def norm_window(self):
+        """(cap, rows, norms): the completeness cap of the Cartan norms,
+        and the rows with norm below it with their norms, in table order.
+        No row at or above the cap enters a count (see counting)."""
+        from .counting import _completeness_cap, _norms    # counting imports this module
+        norms = _norms(self.cartan)
+        cap = _completeness_cap(norms, self.starts)
+        below = norms < cap
+        return cap, self.cartan.compress(below, axis=0), norms.compress(below)
 
 
 # the engine extends _BLOCK_PARENTS parents at a time by all 2k letters:
@@ -171,7 +185,7 @@ def class_spectra(rep, n_max: int) -> ClassSpectra:
     return ClassSpectra(jor, logm)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=2)
 def element_spectra(rep, n_max: int) -> ElementSpectra:
     """Cartan projections of every reduced word of length 1..n_max."""
     products = word_products(rep, n_max)

@@ -4,20 +4,31 @@ evaluation, parse_word as the inverse of format_word), prefix-tree
 products with one multiply per child, the split-spectrum assembly by
 concatenation and np.mean, the Cartan and Jordan projections of a
 single matrix from LAPACK on it and on its LU inverse, the two
-errors only these raise, and dual_rep.  The library itself works on
-whole levels and stacks."""
+errors only these raise, dual_rep, and the counting estimators that
+sort every value and read the whole element table.  The library itself
+works on whole levels and stacks, and counts only below the
+completeness cap."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from limcone import (
+    InsufficientDataError,
     InvalidInputError,
     InvalidParameterError,
     LimconeError,
     PreconditionError,
     Representation,
     Word,
+)
+from limcone.bulk import element_spectra
+from limcone.counting import (
+    _DROP_FRACTION,
+    _GRID_POINTS,
+    NEG_INFINITY,
+    _completeness_cap,
+    _threshold_grid,
 )
 from limcone.spectra import _top_log_eigmods, _top_log_svals
 
@@ -270,3 +281,42 @@ def dual_rep(rep: Representation) -> Representation:
     """Contragredient representation: each generator replaced by its
     inverse transpose.  An involution."""
     return Representation(rep.dim, np.swapaxes(np.linalg.inv(rep.generators), 1, 2), rep.labels)
+
+
+def slope_fit(values, cap):
+    """Least-squares slope of log #{value <= s} below cap, counted by a
+    sort of every value: (slope, std_error, thresholds, counts)."""
+    grid = _threshold_grid(float(values.min()), cap, _GRID_POINTS)
+    grid = grid[int(_DROP_FRACTION * _GRID_POINTS):]
+    counts = np.searchsorted(np.sort(values), grid, side="right")
+    ok = counts > 0
+    grid, counts = grid[ok], counts[ok]
+    if len(grid) < 8:
+        raise InsufficientDataError(f"only {len(grid)} usable thresholds")
+    x = grid - grid.mean()
+    y = np.log(counts)
+    sxx = float(x @ x)
+    if not sxx > 0:
+        raise InsufficientDataError("the threshold grid collapses to one point")
+    slope = float(x @ y) / sxx
+    resid = y - y.mean() - slope * x
+    dof = max(len(grid) - 2, 1)
+    se = float(np.sqrt(resid @ resid / dof / sxx))
+    return slope, se, grid, counts
+
+
+def growth_indicator(rep, v, half_angle, N):
+    """Slope of log counts of Cartan norms in the round cone of
+    half_angle around v, over every row of the element table."""
+    es = element_spectra(rep, N)
+    norms = np.sqrt(np.einsum("ij,ij->i", es.cartan, es.cartan))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cosang = (es.cartan @ v) / norms
+    inside = cosang >= np.cos(half_angle)
+    if not inside.any():
+        return NEG_INFINITY
+    try:
+        slope, _, _, counts = slope_fit(norms[inside], _completeness_cap(norms, es.starts))
+    except InsufficientDataError:
+        return NEG_INFINITY
+    return NEG_INFINITY if counts[0] == counts[-1] else slope

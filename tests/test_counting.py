@@ -1,11 +1,17 @@
 """Definition-level counting: the complete-threshold window, cone hulls,
 the direct growth indicator and the precise-counting ratio table.
 
+The estimators count only below the completeness cap; the oracles in
+reference.py sort every value and read the whole element table, and the
+two must agree bit for bit.
+
 The word-length weight is the exact seam: on F_2 there are 2 * 3^m - 2
 reduced words of length 1..m, so the element count at threshold s is
 2 * 3^floor(s) - 2 at every threshold the window admits, and the slope
 tends to log 3.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,11 +27,13 @@ from limcone import (
     growth_indicator_direct,
     limit_cone,
     orbit_count_ratio,
+    perturb,
     sym_power_embed,
     words,
 )
 from limcone import counting
-from limcone.bulk import class_spectra
+from limcone.bulk import class_spectra, element_spectra
+from reference import growth_indicator, slope_fit
 
 LOG3 = np.log(3.0)
 
@@ -184,3 +192,123 @@ class TestOrbitCountRatio:
 
     def test_short_table_has_no_trend(self):
         assert OrbitCountTable(np.arange(2.0), np.ones(2), 1.0).trend_toward_one() is False
+
+
+U1 = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
+U2 = np.array([-1.0, 2.0, -1.0]) / np.sqrt(6.0)
+
+
+def plane_direction(theta):
+    return np.cos(theta) * U1 + np.sin(theta) * U2
+
+
+@pytest.fixture(scope="module", params=[(name, N) for name in ("s2", "p3", "f3_0.03_7", "f3_0.08_3")
+                                        for N in (8, 12)], ids=lambda p: f"{p[0]}-N{p[1]}")
+def window_case(request):
+    """(rep, N); f3_eps_seed stands for perturb(f3, eps, seed)."""
+    name, N = request.param
+    if name.startswith("f3_"):
+        _, eps, seed = name.split("_")
+        rep = perturb(request.getfixturevalue("f3"), float(eps), int(seed))
+    else:
+        rep = request.getfixturevalue(name)
+    return rep, N
+
+
+def lonely_cone(es):
+    """(v, half_angle): a cone around a row at or above the cap that holds
+    no row below it, so every row it holds is past the complete window."""
+    norms = np.sqrt(np.einsum("ij,ij->i", es.cartan, es.cartan))
+    cap = counting._completeness_cap(norms, es.starts)
+    angle = np.arctan2(es.cartan @ U2, es.cartan @ U1)
+    window = np.sort(angle[norms < cap])
+    above = np.flatnonzero(norms >= cap)
+    i = np.searchsorted(window, angle[above]).clip(1, len(window) - 1)
+    gap = np.minimum(np.abs(window[i] - angle[above]), np.abs(window[i - 1] - angle[above]))
+    j = int(np.argmax(gap))
+    return plane_direction(angle[above[j]]), gap[j] / 4
+
+
+class TestWindowMatchesFullTable:
+    @pytest.mark.parametrize("mode", ["conjugacy", "element"])
+    def test_exponent(self, window_case, mode):
+        rep, N = window_case
+        # lambda_1 - lambda_d: the middle gaps vanish on a class of (0.08, 3)
+        phi = Functional(np.eye(rep.dim)[0] - np.eye(rep.dim)[-1])
+        est = critical_exponent_direct(rep, phi, N, mode)
+        vectors, starts = counting._table(rep, N, mode)
+        values = vectors @ phi.coeffs
+        value, std_error, thresholds, counts = slope_fit(
+            values, counting._completeness_cap(values, starts))
+        assert est.value == value and est.std_error == std_error
+        assert np.array_equal(est.thresholds, thresholds) and np.array_equal(est.counts, counts)
+
+    def test_indicator(self, window_case):
+        rep, N = window_case
+        if rep.dim == 2:
+            u = np.array([1.0, -1.0]) / np.sqrt(2.0)
+            counted, empty = [(u, 0.15), (u, 1e-4)], [(-u, 0.15)]
+        else:
+            counted = [(plane_direction(t), a) for t in (0.0, -0.05, 0.05) for a in (0.15, 0.05, 1e-4)]
+            empty = [(-U1, 0.15), lonely_cone(element_spectra(rep, N))]
+        cones = counted + empty
+        got = [growth_indicator_direct(rep, v, a, N).value for v, a in cones]
+        assert got == [growth_indicator(rep, v, a, N) for v, a in cones]
+        assert isinstance(got[0], float)
+        # no row below the cap lies in these cones: nothing to count
+        assert all(g is counting.NEG_INFINITY for g in got[len(counted):])
+        if rep.dim == 3:        # the lonely cone holds rows, all at or above the cap
+            v, a = empty[-1]
+            cartan = element_spectra(rep, N).cartan
+            assert (cartan @ v >= np.cos(a) * np.linalg.norm(cartan, axis=1)).any()
+
+    def test_orbit_count_ratio(self, window_case):
+        rep, N = window_case
+        lam, starts = counting._table(rep, N, "conjugacy")
+        gaps = lam[:, 0] - lam[:, 1]
+        if gaps.min() <= 0:
+            with pytest.raises(NotInDualConeError):
+                orbit_count_ratio(rep, 1, N)
+            return
+        table = orbit_count_ratio(rep, 1, N)
+        ts = counting._threshold_grid(float(gaps.min()), counting._completeness_cap(gaps, starts),
+                                      counting._RATIO_POINTS)
+        counts = np.searchsorted(np.sort(gaps), ts, side="right")
+        assert np.array_equal(table.thresholds, ts)
+        assert np.array_equal(table.ratios, table.h * ts * np.exp(-table.h * ts) * counts)
+
+    def test_norm_window(self, window_case):
+        rep, N = window_case
+        es = element_spectra(rep, N)
+        cap, rows, norms = es.norm_window
+        full = np.sqrt(np.einsum("ij,ij->i", es.cartan, es.cartan))
+        below = full < counting._completeness_cap(full, es.starts)
+        assert cap == counting._completeness_cap(full, es.starts)
+        assert np.array_equal(rows, es.cartan[below]) and np.array_equal(norms, full[below])
+        assert 0 < len(rows) < len(es.cartan)
+        assert es.norm_window is es.norm_window
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWindowMemory:
+    def test_warm_indicator(self, p3):
+        # tracemalloc peak of a second indicator call at N = 12: 35.1 MB
+        # over the whole table, 0.29 MB on the window (17.0 MB for the
+        # first call, which builds the window)
+        growth_indicator_direct(p3, U1, 0.15, 12)
+        peak = traced_peak(lambda: growth_indicator_direct(p3, U1, 0.15, 12))
+        assert peak < 2e6, peak / 1e6
+
+    def test_element_exponent(self, p3):
+        # 17.0 MB sorting every value, 9.6 MB sorting those up to the top threshold
+        element_spectra(p3, 12)
+        peak = traced_peak(lambda: critical_exponent_direct(p3, Functional.gap(3, 1), 12, "element"))
+        assert peak < 12e6, peak / 1e6
