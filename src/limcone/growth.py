@@ -33,7 +33,6 @@ an upper bound (and psi is minus infinity outside the limit cone), so
 there the explicit minus-infinity marker is returned instead.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,8 +156,10 @@ def boundary_curve(rep, resolution: int = 16, n_max: int = DEFAULT_N_MAX,
     is half the polar's): the ceil(resolution / 2) angles >= 0 are traced,
     and the points below 0 are their mirror images under iota, with the
     same s* and entropy.  `threads` workers share the traced half.  The
-    body also holds the growth rate, the pressure root at U1 (d = 2: the
-    s* of the one traced point); an error there is raised.
+    body also holds the growth rate, the pressure root at U1: the s* of
+    the traced angle 0 at odd resolution (d = 2: of the one traced
+    point).  At even resolution, or when that point fails, the root at U1
+    is found on its own, and an error there is raised.
 
     A failed direction is left out, a failed angle together with its
     mirror, so the body then holds fewer than `resolution` points; more
@@ -182,7 +183,6 @@ def boundary_curve(rep, resolution: int = 16, n_max: int = DEFAULT_N_MAX,
             "sampled limit cone is a single ray; dual body boundary is flat"
             " (pass allow_degenerate=True to trace it anyway)"
         )
-    h = pressure_root(rep, Functional(_U1), n_max=n_max)
     # the cone is iota-invariant, so its polar is symmetric about 0: the
     # window is [-a, a], and upper holds the angles >= 0 of resolution
     # evenly spaced ones across it
@@ -197,10 +197,15 @@ def boundary_curve(rep, resolution: int = 16, n_max: int = DEFAULT_N_MAX,
             return None
 
     if threads > 1:
+        # imported here: it loads logging, which a single-threaded run never needs
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             traced = list(pool.map(trace, upper))
     else:
         traced = [trace(th) for th in upper]
+    centre = traced[0] if resolution % 2 else None  # upper[0] = 0, direction U1
+    h = centre.s_star if centre is not None else pressure_root(rep, Functional(_U1), n_max=n_max)
     lower = resolution // 2                       # theta = 0 is traced once
     results = [None if bp is None else _mirror(bp) for bp in traced[::-1][:lower]] + traced
     points = tuple(bp for bp in results if bp is not None)

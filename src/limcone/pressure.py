@@ -27,7 +27,10 @@ the non-backtracking matrix, so the expansion is exact from N = 2k.
 The critical exponent of a positive weight is the root of t -> P(-t r).
 The level pressures and the truncated pressure decrease in t with slope
 minus the Gibbs mean of the weight, so each root is found by Newton
-steps kept inside the bracket found so far.
+steps kept inside the bracket found so far.  The root of the truncated
+pressure starts from the level root r_(N-3), itself found from t = 0;
+the level roots r_(N-2), ..., r_N, each started from the one before,
+are found only when that iteration fails and r_N is the fallback.
 
 Weights come either from a representation and a functional, r(w) =
 phi(lambda(rho w)), or from an injected weight hook (an exact test
@@ -194,9 +197,11 @@ class RootResult:
     """Pressure root with its diagnostics.
 
     value is the root of the truncated cycle-expansion pressure at
-    N = n_max.  fallback is True when the expansion has no positive real
-    zero along the Newton iteration or the iteration does not converge;
-    value is then the root r_(n_max) of the level pressure P_(n_max).
+    N = n_max, found by Newton steps from the level root r_(N-3).
+    fallback is True when the expansion has no positive real zero along
+    the Newton iteration or the iteration does not converge; value is
+    then the root r_(n_max) of the level pressure P_(n_max), reached by
+    the chain r_(N-3) -> r_(N-2) -> r_(N-1) -> r_N.
     """
 
     value: float
@@ -225,6 +230,15 @@ def pressure_table(rep, phi, t, n_max=DEFAULT_N_MAX, weight_hook=None) -> Pressu
 
 
 def pressure_root_detail(rep, phi, n_max=DEFAULT_N_MAX, weight_hook=None) -> RootResult:
+    """Root of the truncated cycle-expansion pressure at N = n_max, started
+    from the level root r_(N-3); the level roots r_(N-2), ..., r_N are
+    built only for the fallback (see RootResult).
+
+    BracketFailureError is raised when a level root that is built lies
+    beyond _T_MAX: r_(N-3) always, r_(N-2), ..., r_N only on the fallback
+    path.  A weight whose cycle root converges is returned even when one
+    of those higher level roots has no bracket.
+    """
     _require_levels(n_max, lo=4)
     w = _Weights(rep, phi, n_max, weight_hook)
     worst = min(v.min() for v in w.values.values())
@@ -233,14 +247,14 @@ def pressure_root_detail(rep, phi, n_max=DEFAULT_N_MAX, weight_hook=None) -> Roo
             f"weight takes non-positive value {worst:.3e} on an enumerated class;"
             " functional is not in the interior of the dual cone"
         )
-    top = 0.0
-    for n in range(n_max - 3, n_max + 1):  # each level root r_n starts from r_(n-1)
-        top = w.level_root(n, top)
+    top = w.level_root(n_max - 3)
     value = _decreasing_root(
         lambda t: _cycle_pressure([w.level_sum(n, t) for n in range(1, n_max + 1)]), top)
-    if value is None:
-        return RootResult(top, True)
-    return RootResult(float(value), False)
+    if value is not None:
+        return RootResult(float(value), False)
+    for n in range(n_max - 2, n_max + 1):  # each level root r_n starts from r_(n-1)
+        top = w.level_root(n, top)
+    return RootResult(top, True)
 
 
 def pressure_root(rep, phi, n_max=DEFAULT_N_MAX, weight_hook=None) -> float:

@@ -4,10 +4,11 @@ evaluation, parse_word as the inverse of format_word), prefix-tree
 products with one multiply per child, the split-spectrum assembly by
 concatenation and np.mean, the Cartan and Jordan projections of a
 single matrix from LAPACK on it and on its LU inverse, the two
-errors only these raise, dual_rep, and the counting estimators that
-sort every value and read the whole element table.  The library itself
-works on whole levels and stacks, and counts only below the
-completeness cap."""
+errors only these raise, dual_rep, the counting estimators that sort
+every value and read the whole element table, and the pressure root
+started from the chained level roots r_(N-3) -> r_N.  The library
+itself works on whole levels and stacks, counts only below the
+completeness cap, and builds r_(N-2), ..., r_N only for the fallback."""
 
 from dataclasses import dataclass
 
@@ -29,6 +30,14 @@ from limcone.counting import (
     NEG_INFINITY,
     _completeness_cap,
     _threshold_grid,
+)
+from limcone.errors import NotInDualConeError
+from limcone.pressure import (
+    DEFAULT_N_MAX,
+    RootResult,
+    _cycle_pressure,
+    _decreasing_root,
+    _Weights,
 )
 from limcone.spectra import _top_log_eigmods, _top_log_svals
 
@@ -320,3 +329,21 @@ def growth_indicator(rep, v, half_angle, N):
     except InsufficientDataError:
         return NEG_INFINITY
     return NEG_INFINITY if counts[0] == counts[-1] else slope
+
+
+def chained_root_detail(rep, phi, n_max=DEFAULT_N_MAX, weight_hook=None) -> RootResult:
+    """pressure_root_detail with every level root built: r_(N-3) from
+    t = 0, each r_n from r_(n-1) up to r_N, then the cycle-expansion
+    Newton from r_N, falling back to r_N."""
+    w = _Weights(rep, phi, n_max, weight_hook)
+    worst = min(v.min() for v in w.values.values())
+    if worst <= 0:
+        raise NotInDualConeError(f"weight takes non-positive value {worst:.3e}")
+    top = 0.0
+    for n in range(n_max - 3, n_max + 1):
+        top = w.level_root(n, top)
+    value = _decreasing_root(
+        lambda t: _cycle_pressure([w.level_sum(n, t) for n in range(1, n_max + 1)]), top)
+    if value is None:
+        return RootResult(top, True)
+    return RootResult(float(value), False)

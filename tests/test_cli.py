@@ -382,3 +382,14 @@ def test_cold_start_skips_unused_numpy_subpackages():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
     assert proc.stdout.split() == []
+
+
+def test_cold_start_skips_the_thread_pool():
+    # only boundary_curve with threads > 1 needs concurrent.futures, which
+    # also loads logging; a cold start imports neither
+    code = ("import sys, limcone.cli; "
+            "print(*(m for m in ('concurrent.futures', 'logging') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.split() == []

@@ -387,3 +387,43 @@ def test_body_carries_the_limit_cone(traced):
     cone = limit_cone(rep, 12)
     assert np.array_equal(body.cone.hull, cone.hull) and body.cone.interval == cone.interval
     assert (body.functionals() @ body.cone.hull.T).min() > 0.1
+
+
+@pytest.mark.parametrize("resolution, roots", [(16, 9), (17, 9)])
+def test_growth_rate_reads_the_traced_centre_at_odd_resolution(p3, monkeypatch, resolution, roots):
+    # at odd resolution the traced angle 0 is U1, so its s* is the growth
+    # rate and no second root is found there; at even resolution the root
+    # at U1 is found on its own
+    calls = []
+    root = growth.pressure_root
+
+    def counted(rep, phi, n_max):
+        calls.append(phi)
+        return root(rep, phi, n_max=n_max)
+
+    monkeypatch.setattr(growth, "pressure_root", counted)
+    body = boundary_curve(p3, resolution=resolution)
+    assert len(calls) == roots
+    assert body.growth_rate == pytest.approx(pressure_root(p3, Functional(_U1)), rel=1e-12, abs=0)
+
+
+def test_failed_centre_finds_the_growth_rate_on_its_own(p3, monkeypatch):
+    # the traced angle 0 fails, so the root at U1 is found on its own; when
+    # every root fails, its error is raised, not a count of failed angles
+    trace = growth.boundary_point
+
+    def fail_centre(rep, u, n_max):
+        if np.array_equal(u.coeffs, _U1):
+            raise BracketFailureError("injected")
+        return trace(rep, u, n_max=n_max)
+
+    monkeypatch.setattr(growth, "boundary_point", fail_centre)
+    body = boundary_curve(p3, resolution=17)
+    assert len(body) == 16 and body.growth_rate == pressure_root(p3, Functional(_U1))
+
+    def unbracketed(rep, phi, n_max):
+        raise BracketFailureError("injected")
+
+    monkeypatch.setattr(growth, "pressure_root", unbracketed)
+    with pytest.raises(BracketFailureError):
+        boundary_curve(p3, resolution=17)

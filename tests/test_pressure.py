@@ -16,6 +16,7 @@ from limcone import (
     BracketFailureError,
     Functional,
     InvalidParameterError,
+    LimconeError,
     NotInDualConeError,
     NotOnBoundaryError,
     entropy_of_state,
@@ -28,8 +29,9 @@ from limcone import (
 )
 from limcone import pressure, words
 from limcone.bulk import class_spectra
+from limcone.growth import _U1, _U2
 from limcone.pressure import pressure_root_detail
-from reference import evaluate
+from reference import chained_root_detail, evaluate
 
 LOG3 = np.log(3.0)
 
@@ -363,3 +365,110 @@ class TestCycleExpansion:
         detail = pressure_root_detail(s2, None, n_max=4, weight_hook=hook)
         assert detail.fallback
         assert abs(pressure_table(s2, None, detail.value, 4, weight_hook=hook).levels[4]) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the root started from one level root against the chained level roots
+# ---------------------------------------------------------------------------
+
+_PERTURBED = [(0.08, 3), (0.2, 11)] + [
+    (round(float(eps), 4), 200 + i) for i, eps in enumerate(np.linspace(0.02, 0.2, 20))]
+
+
+def _outcome(root_detail, rep, phi):
+    """(error type, value, fallback) of one root, the error None on success."""
+    try:
+        detail = root_detail(rep, phi)
+    except LimconeError as exc:
+        return type(exc), None, None
+    return None, detail.value, detail.fallback
+
+
+def _functionals(d):
+    """gap_1, gap_2, U1 and five chamber directions (d = 3); for d = 2 the
+    one gap, a multiple of it and its negative (not in the dual cone)."""
+    if d == 2:
+        gap = Functional.gap(2, 1)
+        return [gap, 2.5 * gap, -1.0 * gap]
+    chamber = [Functional(np.cos(th) * _U1 + np.sin(th) * _U2)
+               for th in np.deg2rad([-50.0, -30.0, -10.0, 20.0, 45.0])]
+    return [Functional.gap(3, 1), Functional.gap(3, 2), Functional(_U1)] + chamber
+
+
+def _no_positive_zero(n, lam):
+    """The hook of test_no_positive_zero_falls_back_to_top_level: at
+    n_max = 4 the cycle expansion has no real zero, so the root falls back."""
+    return np.full(len(lam), 1.0 if n == 1 else 50.0 * n)
+
+
+@pytest.mark.parametrize("spec", ["s2", "f3", "p3"] + _PERTURBED,
+                         ids=lambda s: s if isinstance(s, str) else f"f3-{s[0]:g}-{s[1]}")
+def test_agrees_with_chained_level_roots(request, f3, spec):
+    # the cycle Newton from r_(N-3) lands where it lands from r_N
+    # (measured: within 8.8e-13 relative); fallbacks and errors are the same
+    rep = request.getfixturevalue(spec) if isinstance(spec, str) else perturb(f3, *spec)
+    found = 0
+    for phi in _functionals(rep.dim):
+        err, value, fallback = _outcome(pressure_root_detail, rep, phi)
+        want_err, want, want_fallback = _outcome(chained_root_detail, rep, phi)
+        assert (err, fallback) == (want_err, want_fallback), phi.coeffs
+        if err is None:
+            assert value == pytest.approx(want, rel=1e-10, abs=0), phi.coeffs
+            found += 1
+    assert found >= 1
+
+
+def test_fallback_is_the_chained_top_level_root(s2):
+    # the fallback is r_N of the same chain, to the bit
+    detail = pressure_root_detail(s2, None, n_max=4, weight_hook=_no_positive_zero)
+    want = chained_root_detail(s2, None, n_max=4, weight_hook=_no_positive_zero)
+    assert detail.fallback and want.fallback
+    assert detail.value == want.value
+
+
+@pytest.mark.parametrize("rep_name, coeffs", [("s2", [1.0, -1.0]), ("p3", [1.0, 0.0, -1.0])])
+def test_top_level_summed_at_most_three_times(request, monkeypatch, rep_name, coeffs):
+    # a root that does not fall back reads level N only in the cycle
+    # Newton (measured: twice); building r_N as its start took 4
+    rep = request.getfixturevalue(rep_name)
+    summed = []
+    level_sum = pressure._Weights.level_sum
+    monkeypatch.setattr(pressure._Weights, "level_sum",
+                        lambda w, n, t: summed.append(n) or level_sum(w, n, t))
+    detail = pressure_root_detail(rep, Functional(coeffs), n_max=12)
+    assert not detail.fallback
+    assert 1 <= summed.count(12) <= 3
+
+
+def test_higher_level_roots_built_only_for_the_fallback(s2, monkeypatch):
+    solved = []
+    level_root = pressure._Weights.level_root
+
+    def recorded(w, n, start=0.0):
+        solved.append(n)
+        return level_root(w, n, start)
+
+    monkeypatch.setattr(pressure._Weights, "level_root", recorded)
+    assert not pressure_root_detail(s2, Functional([1.0, -1.0]), n_max=12).fallback
+    assert solved == [9]
+    solved.clear()
+    assert pressure_root_detail(s2, None, n_max=4, weight_hook=_no_positive_zero).fallback
+    assert solved == [1, 2, 3, 4]
+
+
+def test_unbracketed_higher_level_root_does_not_stop_a_cycle_root(s2, monkeypatch):
+    # r_(N-2), ..., r_N are not needed when the cycle Newton converges, so
+    # their failing no longer raises; the chained roots did raise
+    level_root = pressure._Weights.level_root
+
+    def unbracketed_above(w, n, start=0.0):
+        if n > 9:
+            raise BracketFailureError(f"level-{n} injected")
+        return level_root(w, n, start)
+
+    phi = Functional([1.0, -1.0])
+    want = pressure_root_detail(s2, phi)
+    monkeypatch.setattr(pressure._Weights, "level_root", unbracketed_above)
+    assert pressure_root_detail(s2, phi) == want
+    with pytest.raises(BracketFailureError):
+        chained_root_detail(s2, phi)
