@@ -16,7 +16,8 @@ follows the same prefix path and the kernels act row by row:
 
 * element spectra: Cartan projections of every reduced word up to a cap,
   level after level, with the row offset of each level, for the
-  definition-level counting estimators.
+  definition-level counting estimators; what they derive from it, such
+  as the complete window of a norm count, they build in counting.
 
 Every product comes with the reversed inverse product that the
 split-spectrum rule needs.  All products come from one engine,
@@ -40,7 +41,7 @@ byte-identical with BLAS on one thread or many (tests/test_cli.py).
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,23 +69,10 @@ class ClassSpectra:
 @dataclass(frozen=True)
 class ElementSpectra:
     """Cartan data over all reduced words of length 1..n_max, level by
-    level: the words of length n are rows starts[n - 1]:starts[n].
-    norm_window holds the rows that a norm count can reach, computed
-    once per table."""
+    level: the words of length n are rows starts[n - 1]:starts[n]."""
 
     cartan: np.ndarray   # (M, d)
     starts: np.ndarray   # (n_max + 1,), starts[0] = 0 and starts[-1] = M
-
-    @cached_property
-    def norm_window(self):
-        """(cap, rows, norms): the completeness cap of the Cartan norms,
-        and the rows with norm below it with their norms, in table order.
-        No row at or above the cap enters a count (see counting)."""
-        from .counting import _completeness_cap, _norms    # counting imports this module
-        norms = _norms(self.cartan)
-        cap = _completeness_cap(norms, self.starts)
-        below = norms < cap
-        return cap, self.cartan.compress(below, axis=0), norms.compress(below)
 
 
 # the engine extends _BLOCK_PARENTS parents at a time by all 2k letters:

@@ -25,9 +25,9 @@ of the cone's own, so thinning the population does not loosen it.
 Counts therefore read only the complete window: no value at or above
 the cap enters a count, since every threshold lies below it.
 _counts_at sorts only the values up to the top threshold, and the
-growth indicator reads ElementSpectra.norm_window, the cap of the
-Cartan norms with the rows below it (0.6 to 1.5 percent of the table
-at N = 12 on the test fixtures), built once per table.  The indicator's
+growth indicator reads _norm_window, the cap of the Cartan norms with
+the rows below it (0.6 to 1.5 percent of the table at N = 12 on the
+test fixtures), built once per element table.  The indicator's
 grid starts at the least norm inside the cone; when that norm is not
 below the cap, the window holds no row inside the cone, and the result
 is NEG_INFINITY either way.
@@ -41,6 +41,7 @@ speed of t -> ((1 - t)/2, t, (-1 - t)/2).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -186,9 +187,9 @@ def critical_exponent_direct(rep, phi, N, mode, weight_hook=None) -> ExponentEst
         values = np.asarray(weight_hook(lengths, vectors), dtype=float)
     else:
         values = vectors @ phi.coeffs
-    if mode == "conjugacy" and values.min() <= 0:
+    if mode == "conjugacy" and not values.min() > 0:
         raise NotInDualConeError("functional is non-positive on an enumerated class")
-    if mode == "element" and values[starts[-2]:].min() <= 0:
+    if mode == "element" and not values[starts[-2]:].min() > 0:
         raise NotInDualConeError("functional is non-positive on a length-N Cartan projection")
     slope, se, grid, counts = _slope_fit(values, _completeness_cap(values, starts))
     return ExponentEstimate(slope, se, grid, counts)
@@ -269,7 +270,7 @@ def asymptotic_cone(rep, N: int, norm_floor: float) -> ConeHull:
     length N with norm at least norm_floor."""
     if N < 4:
         raise InvalidParameterError("need N >= 4")
-    if norm_floor <= 0:
+    if not norm_floor > 0:
         raise InvalidParameterError("norm_floor must be positive")
     if rep.dim > 3:
         raise InvalidParameterError("cone hulls implemented for d <= 3")
@@ -289,6 +290,18 @@ class GrowthIndicatorSample:
     value: object               # float or NEG_INFINITY
 
 
+@lru_cache(maxsize=2)          # as element_spectra: one window per cached table
+def _norm_window(rep, N):
+    """(cap, rows, norms): the completeness cap of the Cartan norms of
+    element_spectra(rep, N), and the rows with norm below it with their
+    norms, in table order.  No row at or above the cap enters a count."""
+    es = element_spectra(rep, N)
+    norms = _norms(es.cartan)
+    cap = _completeness_cap(norms, es.starts)
+    below = norms < cap
+    return cap, es.cartan.compress(below, axis=0), norms.compress(below)
+
+
 def growth_indicator_direct(rep, v, half_angle: float, N: int) -> GrowthIndicatorSample:
     """Growth rate of #{w : a(rho w) in the cone of half_angle around v,
     |a(rho w)| <= s}; since |v| = 1 the slope is the indicator value.
@@ -297,13 +310,13 @@ def growth_indicator_direct(rep, v, half_angle: float, N: int) -> GrowthIndicato
     if N < 6:
         raise InvalidParameterError("need N >= 6")
     coords = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(coords) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(coords) - 1.0) <= 1e-9:
         raise InvalidParameterError("direction must be a unit vector")
-    if abs(coords.sum()) > 1e-9 * len(coords):
+    if not abs(coords.sum()) <= 1e-9 * len(coords):
         raise InvalidParameterError("direction must be sum-zero")
     if not 0 < half_angle <= np.pi / 4:
         raise InvalidParameterError("half_angle must lie in (0, pi/4]")
-    cap, rows, norms = element_spectra(rep, N).norm_window
+    cap, rows, norms = _norm_window(rep, N)
     with np.errstate(invalid="ignore", divide="ignore"):
         cosang = (rows @ coords) / norms
     inside = cosang >= np.cos(half_angle)

@@ -123,6 +123,8 @@ def boundary_point(rep, u, n_max: int = DEFAULT_N_MAX) -> BoundaryPoint:
     its own root is 1 by homogeneity; input scale does not matter.
     """
     u = u if isinstance(u, Functional) else Functional(np.asarray(u, dtype=float))
+    if not u.norm() > 0:
+        raise InvalidParameterError("direction must be nonzero")
     un = Functional(u.coeffs / u.norm())
     s_star = pressure_root(rep, un, n_max=n_max)
     phi = s_star * un
@@ -236,7 +238,11 @@ def psi_from_duality(body: DualBody, v):
     boundary functionals at v, one row of _envelope.  Exact up to curve
     resolution on the arc of the traced Gibbs directions, and equal to
     the entropy at each of them; off that arc the minus-infinity marker
-    is returned rather than an upper bound."""
+    is returned rather than an upper bound.  v need not be a unit vector:
+    psi is homogeneous."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != body.boundary[0].functional.coeffs.shape or not np.isfinite(v).all():
+        raise InvalidParameterError("v must be a finite vector of the body's dimension")
     val = float(_envelope(body, v))
     return NEG_INFINITY if np.isnan(val) else val
 

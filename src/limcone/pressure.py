@@ -29,8 +29,8 @@ The level pressures and the truncated pressure decrease in t with slope
 minus the Gibbs mean of the weight, so each root is found by Newton
 steps kept inside the bracket found so far.  The root of the truncated
 pressure starts from the level root r_(N-3), itself found from t = 0;
-the level roots r_(N-2), ..., r_N, each started from the one before,
-are found only when that iteration fails and r_N is the fallback.
+when that iteration fails the level root r_N, started from r_(N-3)
+too, is the fallback.
 
 Weights come either from a representation and a functional, r(w) =
 phi(lambda(rho w)), or from an injected weight hook (an exact test
@@ -200,8 +200,8 @@ class RootResult:
     N = n_max, found by Newton steps from the level root r_(N-3).
     fallback is True when the expansion has no positive real zero along
     the Newton iteration or the iteration does not converge; value is
-    then the root r_(n_max) of the level pressure P_(n_max), reached by
-    the chain r_(N-3) -> r_(N-2) -> r_(N-1) -> r_N.
+    then the root r_(n_max) of the level pressure P_(n_max), started
+    from r_(N-3) as well.
     """
 
     value: float
@@ -231,30 +231,25 @@ def pressure_table(rep, phi, t, n_max=DEFAULT_N_MAX, weight_hook=None) -> Pressu
 
 def pressure_root_detail(rep, phi, n_max=DEFAULT_N_MAX, weight_hook=None) -> RootResult:
     """Root of the truncated cycle-expansion pressure at N = n_max, started
-    from the level root r_(N-3); the level roots r_(N-2), ..., r_N are
-    built only for the fallback (see RootResult).
+    from the level root r_(N-3), with r_N as the fallback (see RootResult).
 
-    BracketFailureError is raised when a level root that is built lies
-    beyond _T_MAX: r_(N-3) always, r_(N-2), ..., r_N only on the fallback
-    path.  A weight whose cycle root converges is returned even when one
-    of those higher level roots has no bracket.
+    BracketFailureError is raised when r_(N-3), or r_N on the fallback
+    path, lies beyond _T_MAX.
     """
     _require_levels(n_max, lo=4)
     w = _Weights(rep, phi, n_max, weight_hook)
-    worst = min(v.min() for v in w.values.values())
-    if worst <= 0:
+    worst = np.min([v.min() for v in w.values.values()])    # a NaN value stays NaN
+    if not worst > 0:
         raise NotInDualConeError(
             f"weight takes non-positive value {worst:.3e} on an enumerated class;"
             " functional is not in the interior of the dual cone"
         )
-    top = w.level_root(n_max - 3)
+    start = w.level_root(n_max - 3)
     value = _decreasing_root(
-        lambda t: _cycle_pressure([w.level_sum(n, t) for n in range(1, n_max + 1)]), top)
+        lambda t: _cycle_pressure([w.level_sum(n, t) for n in range(1, n_max + 1)]), start)
     if value is not None:
         return RootResult(float(value), False)
-    for n in range(n_max - 2, n_max + 1):  # each level root r_n starts from r_(n-1)
-        top = w.level_root(n, top)
-    return RootResult(top, True)
+    return RootResult(w.level_root(n_max, start), True)
 
 
 def pressure_root(rep, phi, n_max=DEFAULT_N_MAX, weight_hook=None) -> float:

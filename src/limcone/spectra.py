@@ -75,6 +75,8 @@ class Functional:
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
+        if not np.isfinite(c).all():
+            raise InvalidParameterError("functional coefficients must be finite")
         c = c - c.mean()                      # canonical representative
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)

@@ -17,7 +17,9 @@ class is raised in the package or is a base of one that is.  Every defaulted par
 function or method is passed, by keyword or by position, by some call in
 the package or perfbench/; a call in tests/ counts only for the
 exact-oracle seam weight_hook, which tests alone set.  Every name the
-traced benchmark run patches exists."""
+traced benchmark run patches exists.  Every package-internal import sits
+at module level and reaches only modules ranked below its own
+(_LAYERS)."""
 
 import ast
 import importlib
@@ -28,6 +30,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _TEST_SEAMS = {"weight_hook"}       # defaulted parameters only tests pass
+# a module imports only from modules ranked below it; __init__ is exempt
+_LAYERS = {"errors": 0, "words": 1, "spectra": 1, "reps": 1, "bulk": 2,
+           "counting": 3, "pressure": 3, "growth": 4, "cli": 5}
 
 
 def load_tracing(root):
@@ -342,3 +347,48 @@ def test_trace_attach_points_resolve():
     missing = [f"{mod}.{attr}" for mod, attr, _ in load_tracing(ROOT).ATTACH_POINTS
                if getattr(importlib.import_module("limcone." + mod), attr, None) is None]
     assert not missing, f"attach points the traced run cannot patch: {missing}"
+
+
+def layering_violations(root):
+    """Package-internal imports of root/src/limcone, __init__ aside, that
+    sit below module level or reach a module not ranked below their own
+    in _LAYERS, as sorted "module.py:line" strings."""
+    out = []
+    for path in sorted((root / "src" / "limcone").glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+                targets = [n.split(".")[1] for n in names if n.startswith("limcone.")]
+            else:
+                continue
+            rank = _LAYERS.get(path.stem, -1)
+            if targets and (node not in tree.body
+                            or any(_LAYERS.get(t.split(".")[0], rank) >= rank for t in targets)):
+                out.append(f"{path.name}:{node.lineno}")
+    return sorted(out)
+
+
+def test_imports_follow_the_layers():
+    wrong = layering_violations(ROOT)
+    assert not wrong, f"imports below module level or up a layer: {wrong}"
+
+
+def test_layer_lint_flags_late_and_upward_imports(tmp_path):
+    files = {
+        "words.py": "from .errors import InvalidParameterError\n",
+        "bulk.py": "from . import words\n\ndef f():\n    from .errors import InvalidParameterError\n",
+        "spectra.py": "from .reps import load_rep\n",
+        "counting.py": "import limcone.growth\nfrom .pressure import DEFAULT_N_MAX\n",
+        "extra.py": "from . import words\n",
+    }
+    package = tmp_path / "src" / "limcone"
+    package.mkdir(parents=True)
+    for name, text in files.items():
+        (package / name).write_text(text)
+    assert layering_violations(tmp_path) == [
+        "bulk.py:4", "counting.py:1", "counting.py:2", "extra.py:1", "spectra.py:1"]

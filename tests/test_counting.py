@@ -70,6 +70,15 @@ class TestCompleteWindow:
             critical_exponent_direct(p3, Functional([-1, 0, 1]), 8, mode)
 
     @pytest.mark.parametrize("mode", ["conjugacy", "element"])
+    def test_nan_hook_weight_refused(self, s2, mode):
+        def hook(lengths, spectra):
+            values = lengths.copy()
+            values[-1] = np.nan
+            return values
+        with pytest.raises(NotInDualConeError):
+            critical_exponent_direct(s2, None, 8, mode, weight_hook=hook)
+
+    @pytest.mark.parametrize("mode", ["conjugacy", "element"])
     def test_collapsed_grid_refused(self, p3, mode):
         # subnormal values put every threshold on one float: no slope to fit
         with pytest.raises(InsufficientDataError):
@@ -129,6 +138,7 @@ class TestCones:
     @pytest.mark.parametrize("cone, rep_name, args", [
         (limit_cone, "p3", (3,)), (limit_cone, "d4", (6,)), (asymptotic_cone, "p3", (3, 1.0)),
         (asymptotic_cone, "p3", (8, 0.0)), (asymptotic_cone, "d4", (6, 1.0)),
+        (asymptotic_cone, "p3", (8, np.nan)),
     ])
     def test_preconditions(self, s2, p3, cone, rep_name, args):
         rep = p3 if rep_name == "p3" else sym_power_embed(s2, 4)
@@ -142,7 +152,8 @@ class TestCones:
 
 
 class TestDirectIndicator:
-    @pytest.mark.parametrize("v", [[2.0, 0.0, -2.0], [1.0, 0.0, 0.0]])
+    @pytest.mark.parametrize("v", [[2.0, 0.0, -2.0], [1.0, 0.0, 0.0], [np.nan] * 3,
+                                   [np.nan, 1.0, 0.0]])
     def test_rejects_bad_direction(self, p3, v):
         with pytest.raises(InvalidParameterError):
             growth_indicator_direct(p3, np.array(v), 0.1, 8)
@@ -280,13 +291,13 @@ class TestWindowMatchesFullTable:
     def test_norm_window(self, window_case):
         rep, N = window_case
         es = element_spectra(rep, N)
-        cap, rows, norms = es.norm_window
+        cap, rows, norms = counting._norm_window(rep, N)
         full = np.sqrt(np.einsum("ij,ij->i", es.cartan, es.cartan))
         below = full < counting._completeness_cap(full, es.starts)
         assert cap == counting._completeness_cap(full, es.starts)
         assert np.array_equal(rows, es.cartan[below]) and np.array_equal(norms, full[below])
         assert 0 < len(rows) < len(es.cartan)
-        assert es.norm_window is es.norm_window
+        assert counting._norm_window(rep, N) is counting._norm_window(rep, N)
 
 
 def traced_peak(fn):

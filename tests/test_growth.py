@@ -85,6 +85,24 @@ def test_s2_psi_is_minus_infinity_against_the_cone(s2):
     assert psi_from_duality(body, -u) is NEG_INFINITY
 
 
+@pytest.mark.parametrize("v", [[np.nan, 0.0, 0.0], [1.0, -1.0], [[1.0, 0.0, -1.0]]])
+def test_psi_refuses_a_bad_direction(body, v):
+    with pytest.raises(InvalidParameterError):
+        psi_from_duality(body, v)
+
+
+def test_psi_takes_any_scale(body):
+    # psi is homogeneous of degree one; v need not be a unit vector
+    assert psi_from_duality(body, 3.0 * _U1) == pytest.approx(3.0 * psi_from_duality(body, _U1))
+
+
+@pytest.mark.parametrize("u", [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [np.nan, 0.0, 0.0]])
+def test_boundary_point_refuses_a_zero_or_non_finite_direction(p3, u):
+    # [1, 1, 1] is zero on sum-zero vectors
+    with pytest.raises(InvalidParameterError):
+        growth.boundary_point(p3, u, 8)
+
+
 def test_audit_needs_sixteen_pairs(body):
     with pytest.raises(InvalidParameterError):
         concavity_audit(body, samples=8)

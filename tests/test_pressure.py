@@ -123,6 +123,12 @@ class TestPressureRoot:
         with pytest.raises(NotInDualConeError):
             pressure_root(s2, Functional([-1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, 0.0])
+    def test_nan_or_zero_hook_weight_not_in_dual_cone(self, s2, bad):
+        hook = lambda n, lam: np.where(np.arange(len(lam)) == 1, bad, float(n))
+        with pytest.raises(NotInDualConeError):
+            pressure_root(s2, None, n_max=8, weight_hook=hook)
+
     def test_agrees_with_direct_count(self, s2):
         from limcone import critical_exponent_direct
 
@@ -453,7 +459,7 @@ def test_higher_level_roots_built_only_for_the_fallback(s2, monkeypatch):
     assert solved == [9]
     solved.clear()
     assert pressure_root_detail(s2, None, n_max=4, weight_hook=_no_positive_zero).fallback
-    assert solved == [1, 2, 3, 4]
+    assert solved == [1, 4]
 
 
 def test_unbracketed_higher_level_root_does_not_stop_a_cycle_root(s2, monkeypatch):

@@ -6,6 +6,8 @@ The Cartan oracle diagonalizes m^T m with hand-rolled Jacobi rotations;
 the extreme-conditioning reference is a 60-digit mpmath eigensolve.
 """
 
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -79,6 +81,14 @@ class TestTypes:
         assert abs(Functional.gap(3, 1)([4.0, 1.0, -5.0]) - 3.0) < 1e-12
         with pytest.raises(InvalidParameterError):
             Functional.gap(3, 3)
+
+    @pytest.mark.parametrize("coeffs", [[np.nan, 0.0, 0.0], [np.inf, 0.0, -1.0]])
+    def test_functional_refuses_non_finite_coefficients(self, coeffs):
+        # refused before centring, which would warn on inf - inf first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError):
+                Functional(coeffs)
 
     def test_evaluation_no_hidden_sorting(self):
         phi = Functional([1.0, -1.0, 0.0])
