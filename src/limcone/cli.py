@@ -23,10 +23,10 @@ import sys
 
 import numpy as np
 
-from . import bulk, counting, growth, pressure, words
-from .errors import InvalidParameterError, LimconeError, PreconditionError
+from . import bulk, counting, growth, pressure, spectra, words
+from .errors import InvalidInputError, InvalidParameterError, LimconeError, PreconditionError
 from .reps import load_rep
-from .spectra import Functional, batched_cartan, batched_jordan
+from .spectra import Functional
 
 EXIT_FILE = 2
 EXIT_PRECONDITION = 3
@@ -83,13 +83,16 @@ def _probes(values, dim):
 # ---------------------------------------------------------------------------
 
 def _cmd_spectra(rep, args):
+    letters = [words.format_word([l], rep.labels) for l in range(2 * rep.num_generators)]
+    if len(set(letters)) < len(letters) or not all(re.fullmatch(r'[^\s,"]+', s) for s in letters):
+        raise InvalidInputError(f"labels print letters {letters}: not distinct, or not CSV-safe")
     d = rep.dim
     header = ["word", "len"] + [f"a{i+1}" for i in range(d)] + [f"l{i+1}" for i in range(d)]
     rows = []
     for n, lo, fwd, bwd in bulk.word_products(rep, args.max_len):
         W = words.word_level_array(rep.num_generators, n)[lo:lo + len(fwd)]
-        a = batched_cartan(fwd, bwd)
-        l = batched_jordan(fwd, bwd)
+        a = spectra.batched_cartan(fwd, bwd)
+        l = spectra.batched_jordan(fwd, bwd)
         for j, row in enumerate(W.tolist()):
             rows.append([words.format_word(row, rep.labels), n] + list(a[j]) + list(l[j]))
     return [_csv(args.out, header, rows)], f"spectra: {len(rows)} words up to length {args.max_len}"

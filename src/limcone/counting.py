@@ -7,13 +7,15 @@ projections for "conjugacy", word Cartan projections for "element",
 level after level.
 
 Exponents are least-squares slopes of log N(s) against s on a uniform
-threshold grid.  Only complete thresholds enter.  Every item of length
-n has value at least n * r_min, with r_min the smallest observed
-value-per-letter rate, so no item longer than the enumeration cap N
-has value below the completeness cap (N + 1) * r_min (_completeness_cap).
-r_min is read level by level, as the smallest of min(level n) / n: a
-correctly rounded division by a positive n is monotone, so this is
-bitwise the smallest rate over the items.
+threshold grid below the completeness cap (N + 1) * r_min
+(_completeness_cap), with r_min the smallest observed value-per-letter
+rate.  The cap is empirical.  For element words it fails: eight words
+of length N + 1 lie below it for lambda_1 - lambda_2 on s2 at N = 8, 10
+and 12.  The class cap held against one deeper level in every case
+measured (lambda_1 - lambda_2 on s2, both gaps and lambda_1 - lambda_3
+on p3, N = 8, 10 and 12).  r_min is read level by level, as the smallest
+of min(level n) / n: a correctly rounded division by a positive n is
+monotone, so this is bitwise the smallest rate over the items.
 The grid stops strictly below the cap: a word of length N + 1 can take
 the cap itself, and a threshold there would miss it.  Capping instead
 at "max value minus one letter increment" leaves the top of the grid
@@ -128,8 +130,8 @@ def _norms(vectors):
 
 
 def _completeness_cap(values, starts):
-    """(N + 1) * r_min over the N levels that starts delimits: no item
-    longer than N has a value below it (see the module docstring)."""
+    """(N + 1) * r_min over the N levels that starts delimits, below which
+    a count is taken as complete (see the module docstring)."""
     N = len(starts) - 1
     level_min = np.minimum.reduceat(values, starts[:-1])
     return (N + 1) * float((level_min / np.arange(1, N + 1)).min())

@@ -158,10 +158,9 @@ def boundary_curve(rep, resolution: int = 16, n_max: int = DEFAULT_N_MAX,
     is half the polar's): the ceil(resolution / 2) angles >= 0 are traced,
     and the points below 0 are their mirror images under iota, with the
     same s* and entropy.  `threads` workers share the traced half.  The
-    body also holds the growth rate, the pressure root at U1: the s* of
-    the traced angle 0 at odd resolution (d = 2: of the one traced
-    point).  At even resolution, or when that point fails, the root at U1
-    is found on its own, and an error there is raised.
+    body also holds the growth rate, the pressure root at U1, found on
+    its own (d = 2: the s* of the one traced point, which is U); an error
+    there is raised.
 
     A failed direction is left out, a failed angle together with its
     mirror, so the body then holds fewer than `resolution` points; more
@@ -206,8 +205,7 @@ def boundary_curve(rep, resolution: int = 16, n_max: int = DEFAULT_N_MAX,
             traced = list(pool.map(trace, upper))
     else:
         traced = [trace(th) for th in upper]
-    centre = traced[0] if resolution % 2 else None  # upper[0] = 0, direction U1
-    h = centre.s_star if centre is not None else pressure_root(rep, Functional(_U1), n_max=n_max)
+    h = pressure_root(rep, Functional(_U1), n_max)
     lower = resolution // 2                       # theta = 0 is traced once
     results = [None if bp is None else _mirror(bp) for bp in traced[::-1][:lower]] + traced
     points = tuple(bp for bp in results if bp is not None)
@@ -279,12 +277,10 @@ def concavity_audit(body: DualBody, samples: int = 32, seed: int = 0) -> Concavi
     rounding-level margins count as no violation."""
     if samples < 16:
         raise InvalidParameterError("need at least 16 sample pairs")
-    if len(body.boundary) == 1:
-        # single-point body: psi is linear, concavity holds with equality
-        return ConcavityReport(samples, samples)
+    u1, u2 = _PLANE[len(body.boundary[0].gibbs_vector)]
     arc = _angle(np.stack([bp.gibbs_vector for bp in body.boundary]))
     theta = np.random.default_rng(seed).uniform(arc.min(), arc.max(), (samples, 2))[..., None]
-    ends = np.cos(theta) * _U1 + np.sin(theta) * _U2
+    ends = np.cos(theta) * u1 + np.sin(theta) * u2
     pa, pb = _envelope(body, ends).T
     w = np.array([[0.25], [0.5], [0.75]])
     pm = _envelope(body, w[..., None] * ends[:, 0] + (1 - w[..., None]) * ends[:, 1])

@@ -271,18 +271,16 @@ def gibbs_direction(rep, phi0, n) -> np.ndarray:
     return (g @ jordan) / (n * g.sum())
 
 
-def entropy_of_state(rep, phi0, n=DEFAULT_N_MAX, weight_hook=None) -> float:
-    """Metric-entropy value attached to a boundary functional: the Gibbs
-    mean of the weight per unit symbolic time, which for a matrix weight
-    equals phi0(gibbs_direction).
+def entropy_of_state(rep, phi0, n=DEFAULT_N_MAX) -> float:
+    """Metric-entropy value attached to a boundary functional: phi0 of its
+    Gibbs direction, where phi0 touches psi (Quint's duality).
 
     Requires phi0 certified on the unit-exponent boundary: the pressure
     root along its ray must equal 1 within _BOUNDARY_TOL.
     """
-    _require_levels(n, lo=4)
-    root = pressure_root(rep, phi0, n_max=n, weight_hook=weight_hook)
+    root = pressure_root(rep, phi0, n_max=n)
     if abs(root - 1.0) > _BOUNDARY_TOL:
         raise NotOnBoundaryError(
             f"pressure root along the ray is {root:.6f}, not 1: functional not on the boundary"
         )
-    return _Weights(rep, phi0, n, weight_hook).level_sum(n, 1.0)[1] / n
+    return float(phi0.coeffs @ gibbs_direction(rep, phi0, n))

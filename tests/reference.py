@@ -5,9 +5,10 @@ products with one multiply per child, the split-spectrum assembly by
 concatenation and np.mean, the Cartan and Jordan projections of a
 single matrix from LAPACK on it and on its LU inverse, the two
 errors only these raise, dual_rep, the counting estimators that sort
-every value and read the whole element table, and the pressure root
-started from the chained level roots r_(N-3) -> r_N.  The library
-itself works on whole levels and stacks, counts only below the
+every value and read the whole element table, the pressure root
+started from the chained level roots r_(N-3) -> r_N, and rebase, the
+representation in another free basis or another basis of R^d.  The
+library itself works on whole levels and stacks, counts only below the
 completeness cap, and builds r_(N-2), ..., r_N only for the fallback."""
 
 from dataclasses import dataclass
@@ -290,6 +291,30 @@ def dual_rep(rep: Representation) -> Representation:
     """Contragredient representation: each generator replaced by its
     inverse transpose.  An involution."""
     return Representation(rep.dim, np.swapaxes(np.linalg.inv(rep.generators), 1, 2), rep.labels)
+
+
+def rebase(rep: Representation, move) -> Representation:
+    """rep in another free basis or another basis of R^d.  "swap"
+    exchanges the first two generators and "invert" replaces the first
+    by its inverse: both permute the words and the classes of each
+    length.  "inner" conjugates every other generator by the first
+    (b -> a b a^-1), and a matrix g of SL(d, R) conjugates every
+    generator (rho -> g rho g^-1): both keep each class and its Jordan
+    projection but move word lengths or Cartan projections."""
+    gens = np.array(rep.generators)
+    if isinstance(move, str):
+        if move == "swap":
+            gens[[0, 1]] = gens[[1, 0]]
+        elif move == "invert":
+            gens[0] = np.linalg.inv(gens[0])
+        elif move == "inner":
+            gens[1:] = gens[0] @ gens[1:] @ np.linalg.inv(gens[0])
+        else:
+            raise InvalidParameterError(f"unknown move {move!r}")
+    else:
+        g = np.asarray(move, dtype=float)
+        gens = g @ gens @ np.linalg.inv(g)
+    return Representation(rep.dim, gens, rep.labels)
 
 
 def slope_fit(values, cap):

@@ -17,7 +17,8 @@ class is raised in the package or is a base of one that is.  Every defaulted par
 function or method is passed, by keyword or by position, by some call in
 the package or perfbench/; a call in tests/ counts only for the
 exact-oracle seam weight_hook, which tests alone set.  Every name the
-traced benchmark run patches exists.  Every package-internal import sits
+traced benchmark run patches exists, and a module that imports a
+patched name by name is patched too.  Every package-internal import sits
 at module level and reaches only modules ranked below its own
 (_LAYERS)."""
 
@@ -347,6 +348,24 @@ def test_trace_attach_points_resolve():
     missing = [f"{mod}.{attr}" for mod, attr, _ in load_tracing(ROOT).ATTACH_POINTS
                if getattr(importlib.import_module("limcone." + mod), attr, None) is None]
     assert not missing, f"attach points the traced run cannot patch: {missing}"
+
+
+def untraced_bindings(root):
+    """Names a module of root/src/limcone binds by `from .x import y`
+    where (x, y) is a traced attach point and (module, y) is not, as
+    sorted "module.y" strings.  The traced run patches the attribute y of
+    x after the package is imported, so a call through such a binding
+    escapes its span and is booked as the caller's own time."""
+    files = {p.stem: p for p in (root / "src" / "limcone").glob("*.py") if p.stem != "__init__"}
+    points = {(mod, attr) for mod, attr, _ in load_tracing(root).ATTACH_POINTS}
+    return sorted(f"{m}.{name}" for m, path in files.items()
+                  for name, b in bindings(ast.parse(path.read_text()), files).items()
+                  if b[0] == "name" and b[1:] in points and (m, name) not in points)
+
+
+def test_traced_names_are_bound_where_they_are_patched():
+    untraced = untraced_bindings(ROOT)
+    assert not untraced, f"imported by name past the traced attach points: {untraced}"
 
 
 def layering_violations(root):

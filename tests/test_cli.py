@@ -74,6 +74,17 @@ def test_malformed_rep_file_exit(tmp_path, text):
     assert rc == cli.EXIT_PRECONDITION and not out.exists()
 
 
+@pytest.mark.parametrize("labels", [["a", "A"], ["a", "b,c"]], ids=["case-clash", "comma"])
+def test_spectra_refuses_labels_a_word_cell_cannot_separate(tmp_path, s2, labels):
+    # with labels a and A both a^-1 A and AA would print as AA; a comma
+    # in a label splits the CSV word cell
+    rep, out = tmp_path / "rep.json", tmp_path / "out.csv"
+    rep.write_text(json.dumps({"dim": 2, "labels": labels,
+                               "generators": s2.generators.reshape(2, -1).tolist()}))
+    rc = cli.main(["spectra", "--rep", str(rep), "--out", str(out)])
+    assert rc == cli.EXIT_PRECONDITION and not out.exists()
+
+
 @pytest.mark.parametrize("rep,argv", [
     ("p3", ["psi", "--probe", "1", "-1"]),
     ("p3", ["psi", "--probe", "0", "0", "0"]),

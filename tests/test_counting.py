@@ -111,6 +111,19 @@ class TestCompletenessCap:
         for values in (vectors[:, 0] - vectors[:, 1], np.linalg.norm(vectors, axis=1)):
             assert counting._completeness_cap(values, starts) == per_row_cap(values, lengths)
 
+    @pytest.mark.parametrize("N", [8, 10])
+    @pytest.mark.parametrize("name, phi", [
+        ("s2", [1.0, -1.0]), ("p3", [1.0, -1.0, 0.0]), ("p3", [0.0, 1.0, -1.0]),
+        ("p3", [1.0, 0.0, -1.0]),
+    ], ids=["s2-gap", "p3-gap1", "p3-gap2", "p3-l1-l3"])
+    def test_class_cap_holds_one_level_deeper(self, name, phi, N, request):
+        # the class cap is empirical, not proven: no class of length N + 1
+        # lies below the cap of levels 1..N (measured at N = 8, 10 and 12)
+        vectors, starts = counting._table(request.getfixturevalue(name), N + 1, "conjugacy")
+        values = vectors @ np.array(phi)
+        cap = counting._completeness_cap(values[:starts[N]], starts[:N + 1])
+        assert values[starts[N]:].min() >= cap
+
     def test_uneven_levels(self):
         rng = np.random.default_rng(5)
         sizes = rng.integers(1, 300, 11)

@@ -15,6 +15,7 @@ from limcone import (
     boundary_curve,
     concavity_audit,
     continuity_scan,
+    entropy_of_state,
     growth_form,
     is_neg_infinity,
     limit_cone,
@@ -361,9 +362,14 @@ def test_audit_matches_looped_audit(traced):
 @pytest.fixture(scope="module", params=[
     ("p3", 16), ("p3", 64), ("f3-0.03-7", 16), ("f3-0.03-7", 64),
 ], ids=lambda p: f"{p[0]}-res{p[1]}")
-def tangent(request, f3, p3):
+def tangent_rep(request, f3, p3):
     name, resolution = request.param
-    return boundary_curve(p3 if name == "p3" else perturb(f3, 0.03, 7), resolution)
+    return (p3 if name == "p3" else perturb(f3, 0.03, 7)), resolution
+
+
+@pytest.fixture(scope="module")
+def tangent(tangent_rep):
+    return boundary_curve(*tangent_rep)
 
 
 def test_each_functional_is_tangent_at_its_gibbs_direction(tangent):
@@ -377,6 +383,19 @@ def test_each_functional_is_tangent_at_its_gibbs_direction(tangent):
     arc = [plain_angle(bp.gibbs_vector) for bp in tangent.boundary]
     for t in (min(arc) - 1e-9, max(arc) + 1e-9):
         assert psi_from_duality(tangent, np.cos(t) * _U1 + np.sin(t) * _U2) is NEG_INFINITY
+
+
+def test_entropy_is_phi_of_the_gibbs_direction(tangent_rep, tangent):
+    # one entropy formula: a traced point (angle >= 0) carries bit for bit
+    # what entropy_of_state returns for its functional, and a mirrored one
+    # its partner's value (measured: within 2.5e-14)
+    rep, _ = tangent_rep
+    for bp in tangent.boundary:
+        value = entropy_of_state(rep, bp.functional, 12)
+        if plain_angle(bp.direction.coeffs) >= 0:
+            assert value == bp.entropy
+        else:
+            assert value == pytest.approx(bp.entropy, rel=0, abs=1e-13)
 
 
 def test_growth_rate_is_the_root_at_the_iota_fixed_direction(traced):
@@ -407,11 +426,10 @@ def test_body_carries_the_limit_cone(traced):
     assert (body.functionals() @ body.cone.hull.T).min() > 0.1
 
 
-@pytest.mark.parametrize("resolution, roots", [(16, 9), (17, 9)])
+@pytest.mark.parametrize("resolution, roots", [(16, 9), (17, 10)])
 def test_growth_rate_reads_the_traced_centre_at_odd_resolution(p3, monkeypatch, resolution, roots):
-    # at odd resolution the traced angle 0 is U1, so its s* is the growth
-    # rate and no second root is found there; at even resolution the root
-    # at U1 is found on its own
+    # the root at U1 is found on its own at every resolution, so at odd
+    # resolution, where the traced angle 0 is U1, it is found twice
     calls = []
     root = growth.pressure_root
 

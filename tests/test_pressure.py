@@ -268,16 +268,11 @@ class TestDerivative:
 
 
 class TestEntropy:
-    def test_word_length_maximal_entropy(self, s2):
-        # weight log3 * n sits on the boundary; its entropy is log 3
-        hook = lambda n, lam: np.full(len(lam), LOG3 * n)
-        val = entropy_of_state(s2, None, 12, weight_hook=hook)
-        assert abs(val - LOG3) < 1e-4
-
     def test_off_boundary_rejected(self, s2):
-        hook = lambda n, lam: np.full(len(lam), 0.5 * LOG3 * n)
+        # half the boundary functional has pressure root 2
+        phi = Functional([1.0, -1.0])
         with pytest.raises(NotOnBoundaryError):
-            entropy_of_state(s2, None, 12, weight_hook=hook)
+            entropy_of_state(s2, 0.5 * pressure_root(s2, phi) * phi, 12)
 
     def test_schottky_boundary_entropy_bounded(self, s2):
         phi = Functional([1.0, -1.0])
