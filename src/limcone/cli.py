@@ -177,8 +177,7 @@ def _cmd_psi(rep, args):
 
 def _cmd_entropy(rep, args):
     phi = Functional(_vector(args.phi, rep.dim, "phi"))
-    value = pressure.entropy_of_state(rep, phi, args.n_max)
-    root = pressure.pressure_root(rep, phi, n_max=args.n_max)
+    root, value = pressure._root_and_entropy(rep, phi, args.n_max)
     record = {"phi": [float(x) for x in phi.coeffs], "root": root, "entropy": value,
               "n": args.n_max}
     return [_json(args.out, record)], f"entropy = {value:.10g}"

@@ -111,9 +111,11 @@ _PLANE = {2: (np.array([1.0, -1.0]) / np.sqrt(2.0), np.zeros(2)), 3: (_U1, _U2)}
 def _angle(V) -> np.ndarray:
     """Angle in the sum-zero plane, from U1 towards U2, of every vector of
     the stack V (shape (..., d)); for d = 2 it is 0 along U and +-pi
-    against it."""
+    against it.  Each row is summed on its own, so a vector has the same
+    angle alone and inside a stack (a BLAS matvec can round the two
+    differently)."""
     u1, u2 = _PLANE[np.shape(V)[-1]]
-    return np.arctan2(V @ u2, V @ u1)
+    return np.arctan2((V * u2).sum(-1), (V * u1).sum(-1))
 
 
 def boundary_point(rep, u, n_max: int = DEFAULT_N_MAX) -> BoundaryPoint:

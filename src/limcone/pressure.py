@@ -23,6 +23,11 @@ expanded as a polynomial of degree N in z, has its smallest positive
 real zero near exp(-P(t)), and the truncated pressure is minus the log
 of that zero.  For the word-length weight 1/zeta = det(I - zA) with A
 the non-backtracking matrix, so the expansion is exact from N = 2k.
+One evaluation sums each level with numpy, then runs the expansion on
+the N level sums as Python floats: Newton's identities for the
+coefficients, the eigenvalues of the companion matrix for the zero, and
+Horner steps for its polish and the slope.  At N = 12 a numpy call on
+arrays that short costs more than its arithmetic.
 
 The critical exponent of a positive weight is the root of t -> P(-t r).
 The level pressures and the truncated pressure decrease in t with slope
@@ -37,6 +42,7 @@ phi(lambda(rho w)), or from an injected weight hook (an exact test
 seam, e.g. the word-length weight whose root is log(2k - 1)).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,33 +127,54 @@ def _cycle_pressure(sums):
     """
     N = len(sums)
     s = sums[-1][0] / N
-    with np.errstate(over="ignore", invalid="ignore"):
-        Z = np.array([0.0] + [np.exp(log_z - n * s) for n, (log_z, _) in enumerate(sums, 1)])
-        dZ = np.array([0.0] + [-Z[n] * mean for n, (_, mean) in enumerate(sums, 1)])
-    if not (np.isfinite(Z).all() and np.isfinite(dZ).all()):
+    try:
+        Z = [math.exp(log_z - n * s) for n, (log_z, _) in enumerate(sums, 1)]
+    except OverflowError:
+        return None
+    dZ = [-z * mean for z, (_, mean) in zip(Z, sums)]
+    if not all(map(math.isfinite, Z + dZ)):
         return None
     # 1/zeta = sum c_k z^k with k c_k = -sum_(j <= k) Z_j c_(k-j) (Newton's identities)
-    c, dc = np.zeros(N + 1), np.zeros(N + 1)
-    c[0] = 1.0
+    c, dc = [1.0], [0.0]
     for k in range(1, N + 1):
-        c[k] = -(Z[1:k + 1] @ c[k - 1::-1]) / k
-        dc[k] = -(dZ[1:k + 1] @ c[k - 1::-1] + Z[1:k + 1] @ dc[k - 1::-1]) / k
-    zeros = np.roots(c[::-1])
-    real = zeros.real[(np.abs(zeros.imag) <= 1e-9 * np.abs(zeros)) & (zeros.real > 0)]
-    if real.size == 0:
+        zc = dzc = zdc = 0.0
+        for z, dz, cj, dcj in zip(Z, dZ, reversed(c), reversed(dc)):
+            zc += z * cj
+            dzc += dz * cj
+            zdc += z * dcj
+        c.append(-zc / k)
+        dc.append(-(dzc + zdc) / k)
+    # the zeros are the eigenvalues of the companion matrix of the
+    # polynomial with its zero top coefficients dropped, as in np.roots
+    m = N
+    while c[m] == 0.0:      # c_0 = 1 ends the loop
+        m -= 1
+    if m == 0:
         return None
-    x = real.min()
-    k = np.arange(N + 1)
+    companion = np.eye(m, k=-1)
+    companion[0] = [-ck / c[m] for ck in reversed(c[:m])]
+    x = min((z.real for z in np.linalg.eigvals(companion).tolist()
+             if abs(z.imag) <= 1e-9 * abs(z) and z.real > 0), default=None)
+    if x is None:
+        return None
     for _ in range(3):  # Newton polish: a tiny leading c_N spoils the companion zero
-        xk = x ** k
-        f_z = (k[1:] * c[1:]) @ xk[:-1]
+        f, f_z = _horner(c, x)
         if not f_z < 0:
             return None
-        x -= (c @ xk) / f_z
+        x -= f / f_z
     if not x > 0:
         return None
-    slope = (dc @ x ** k) / (f_z * x)
-    return s - float(np.log(x)), float(slope)
+    slope = _horner(dc, x)[0] / (f_z * x)
+    return s - math.log(x), slope
+
+
+def _horner(c, x):
+    """The polynomial sum c_k x^k and its derivative at x."""
+    f, f_z = 0.0, 0.0
+    for ck in reversed(c):
+        f_z = f_z * x + f
+        f = f * x + ck
+    return f, f_z
 
 
 def _decreasing_root(f, t):
@@ -266,8 +293,10 @@ def gibbs_direction(rep, phi0, n) -> np.ndarray:
     _require_levels(n, lo=4)
     cs = class_spectra(rep, n)
     jordan = cs.jordan[n]
-    x = cs.log_mult[n] - jordan @ phi0.coeffs
-    g = np.exp(x - x.max())
+    x = np.matmul(jordan, phi0.coeffs)      # the one level-n array: the rest is in place
+    np.subtract(cs.log_mult[n], x, out=x)
+    x -= x.max()
+    g = np.exp(x, out=x)
     return (g @ jordan) / (n * g.sum())
 
 
@@ -278,9 +307,15 @@ def entropy_of_state(rep, phi0, n=DEFAULT_N_MAX) -> float:
     Requires phi0 certified on the unit-exponent boundary: the pressure
     root along its ray must equal 1 within _BOUNDARY_TOL.
     """
+    return _root_and_entropy(rep, phi0, n)[1]
+
+
+def _root_and_entropy(rep, phi0, n):
+    """The pressure root along the ray of phi0 and entropy_of_state, from
+    one root."""
     root = pressure_root(rep, phi0, n_max=n)
     if abs(root - 1.0) > _BOUNDARY_TOL:
         raise NotOnBoundaryError(
             f"pressure root along the ray is {root:.6f}, not 1: functional not on the boundary"
         )
-    return float(phi0.coeffs @ gibbs_direction(rep, phi0, n))
+    return root, float(phi0.coeffs @ gibbs_direction(rep, phi0, n))

@@ -6,10 +6,13 @@ concatenation and np.mean, the Cartan and Jordan projections of a
 single matrix from LAPACK on it and on its LU inverse, the two
 errors only these raise, dual_rep, the counting estimators that sort
 every value and read the whole element table, the pressure root
-started from the chained level roots r_(N-3) -> r_N, and rebase, the
-representation in another free basis or another basis of R^d.  The
-library itself works on whole levels and stacks, counts only below the
-completeness cap, and builds r_(N-2), ..., r_N only for the fallback."""
+started from the chained level roots r_(N-3) -> r_N, rebase, the
+representation in another free basis or another basis of R^d, the
+cycle-expansion pressure on numpy arrays and the Gibbs direction with a
+new array per step.  The library itself works on whole levels and
+stacks, counts only below the completeness cap, builds r_(N-2), ..., r_N
+only for the fallback, runs the cycle expansion on Python floats and
+takes the Gibbs direction in place."""
 
 from dataclasses import dataclass
 
@@ -24,7 +27,7 @@ from limcone import (
     Representation,
     Word,
 )
-from limcone.bulk import element_spectra
+from limcone.bulk import class_spectra, element_spectra
 from limcone.counting import (
     _DROP_FRACTION,
     _GRID_POINTS,
@@ -372,3 +375,46 @@ def chained_root_detail(rep, phi, n_max=DEFAULT_N_MAX, weight_hook=None) -> Root
     if value is None:
         return RootResult(top, True)
     return RootResult(float(value), False)
+
+
+def array_cycle_pressure(sums):
+    """_cycle_pressure on numpy arrays: Newton's identities as one dot
+    per coefficient, the zero from np.roots, the polish and the slope
+    as dots with the powers of the zero."""
+    N = len(sums)
+    s = sums[-1][0] / N
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z = np.array([0.0] + [np.exp(log_z - n * s) for n, (log_z, _) in enumerate(sums, 1)])
+        dZ = np.array([0.0] + [-Z[n] * mean for n, (_, mean) in enumerate(sums, 1)])
+    if not (np.isfinite(Z).all() and np.isfinite(dZ).all()):
+        return None
+    c, dc = np.zeros(N + 1), np.zeros(N + 1)
+    c[0] = 1.0
+    for k in range(1, N + 1):
+        c[k] = -(Z[1:k + 1] @ c[k - 1::-1]) / k
+        dc[k] = -(dZ[1:k + 1] @ c[k - 1::-1] + Z[1:k + 1] @ dc[k - 1::-1]) / k
+    zeros = np.roots(c[::-1])
+    real = zeros.real[(np.abs(zeros.imag) <= 1e-9 * np.abs(zeros)) & (zeros.real > 0)]
+    if real.size == 0:
+        return None
+    x = real.min()
+    k = np.arange(N + 1)
+    for _ in range(3):
+        xk = x ** k
+        f_z = (k[1:] * c[1:]) @ xk[:-1]
+        if not f_z < 0:
+            return None
+        x -= (c @ xk) / f_z
+    if not x > 0:
+        return None
+    slope = (dc @ x ** k) / (f_z * x)
+    return s - float(np.log(x)), float(slope)
+
+
+def copying_gibbs_direction(rep, phi0, n):
+    """gibbs_direction with a new level-n array for every step."""
+    cs = class_spectra(rep, n)
+    jordan = cs.jordan[n]
+    x = cs.log_mult[n] - jordan @ phi0.coeffs
+    g = np.exp(x - x.max())
+    return (g @ jordan) / (n * g.sum())

@@ -36,6 +36,7 @@ from limcone import (
     save_rep,
     words,
 )
+from limcone import pressure
 from reference import SpectralFailureError, UndefinedGapError
 
 
@@ -213,6 +214,17 @@ def test_entropy_json_matches_library(tmp_path, reps):
     record = json.loads(out.read_text())
     assert record["root"] == pressure_root(rep, phi, n_max=12)
     assert record["entropy"] == entropy_of_state(rep, phi, 12)
+
+
+def test_entropy_finds_its_root_once(tmp_path, reps, monkeypatch):
+    rep = load_rep(reps["p3"])
+    phi = boundary_point(rep, np.array([1.0, 0.0, -1.0])).functional
+    calls = []
+    detail = pressure.pressure_root_detail
+    monkeypatch.setattr(pressure, "pressure_root_detail",
+                        lambda *a, **kw: calls.append(a) or detail(*a, **kw))
+    rc, _ = run(tmp_path, reps, "p3", "entropy", "--phi", *map(repr, phi.coeffs.tolist()))
+    assert rc == 0 and len(calls) == 1
 
 
 def test_perturb_scan_csv_matches_library(tmp_path, reps):

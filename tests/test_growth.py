@@ -26,6 +26,8 @@ from limcone import (
 )
 from limcone import growth
 from limcone.growth import _U1, _U2
+from limcone.pressure import gibbs_direction
+from reference import copying_gibbs_direction
 
 
 def plain_chamber_direction(t):
@@ -349,6 +351,14 @@ def test_envelope_matches_per_functional_loop(traced):
     assert finite > 0
 
 
+def test_gibbs_direction_matches_copying_form(traced):
+    # in place, the same bits
+    rep, body = traced
+    for bp in body.boundary:
+        assert np.array_equal(gibbs_direction(rep, bp.functional, 12),
+                              copying_gibbs_direction(rep, bp.functional, 12))
+
+
 def test_audit_matches_looped_audit(traced):
     # every pair is drawn on the arc, so all five of its values are finite
     _, body = traced
@@ -383,6 +393,16 @@ def test_each_functional_is_tangent_at_its_gibbs_direction(tangent):
     arc = [plain_angle(bp.gibbs_vector) for bp in tangent.boundary]
     for t in (min(arc) - 1e-9, max(arc) + 1e-9):
         assert psi_from_duality(tangent, np.cos(t) * _U1 + np.sin(t) * _U2) is NEG_INFINITY
+
+
+@pytest.mark.parametrize("resolution", [16, 64])
+def test_psi_is_the_entropy_at_every_gibbs_vector(f3, resolution):
+    # an end Gibbs vector alone gets the angle it has inside the arc, so
+    # psi there is the entropy, not minus infinity
+    body = boundary_curve(perturb(f3, 0.03, 2), resolution)
+    for bp in body.boundary:
+        assert psi_from_duality(body, bp.gibbs_vector) == pytest.approx(
+            bp.entropy, rel=1e-12, abs=0)
 
 
 def test_entropy_is_phi_of_the_gibbs_direction(tangent_rep, tangent):

@@ -30,8 +30,8 @@ from limcone import (
 from limcone import pressure, words
 from limcone.bulk import class_spectra
 from limcone.growth import _U1, _U2
-from limcone.pressure import pressure_root_detail
-from reference import chained_root_detail, evaluate
+from limcone.pressure import _cycle_pressure, pressure_root_detail
+from reference import array_cycle_pressure, chained_root_detail, evaluate
 
 LOG3 = np.log(3.0)
 
@@ -473,3 +473,48 @@ def test_unbracketed_higher_level_root_does_not_stop_a_cycle_root(s2, monkeypatc
     assert pressure_root_detail(s2, phi) == want
     with pytest.raises(BracketFailureError):
         chained_root_detail(s2, phi)
+
+
+# ---------------------------------------------------------------------------
+# the cycle expansion on floats against the array form it replaced
+# ---------------------------------------------------------------------------
+
+def _level_sums(rep, phi, t, n_max=12, weight_hook=None):
+    w = pressure._Weights(rep, phi, n_max, weight_hook)
+    return [w.level_sum(n, t) for n in range(1, n_max + 1)]
+
+
+@pytest.mark.parametrize("rep_name, coeffs", [
+    ("s2", [1.0, -1.0]), ("p3", [1.0, -1.0, 0.0]), ("p3", [0.0, 1.0, -1.0]), ("p3", list(_U1)),
+], ids=["s2-gap", "p3-gap1", "p3-gap2", "p3-U1"])
+def test_cycle_pressure_matches_array_form(request, rep_name, coeffs):
+    # value and slope (measured: within 9.7e-16) on t <= 1, where the roots
+    # of these functionals lie; both forms agree with a 50-digit evaluation
+    # there, and from t = 2 both lose up to 1e-12 of the slope to it
+    rep = request.getfixturevalue(rep_name)
+    for t in (0.0, 0.25, 0.5, 0.75, 1.0):
+        sums = _level_sums(rep, Functional(coeffs), t)
+        assert _cycle_pressure(sums) == pytest.approx(array_cycle_pressure(sums), rel=1e-14, abs=0), t
+
+
+@pytest.mark.parametrize("n_max", [5, 8, 12])
+def test_cycle_pressure_with_zero_top_coefficient(s2, n_max):
+    # 1/zeta has degree 4, so c_N = 0 and the companion drops it
+    for t in (0.0, 0.7, 2.0):
+        sums = _level_sums(s2, None, t, n_max, word_length_weight)
+        got = _cycle_pressure(sums)
+        assert got == pytest.approx(array_cycle_pressure(sums), rel=1e-14, abs=0), t
+        assert abs(got[0] - (LOG3 - t)) < 1e-12 and got[1] == pytest.approx(-1.0, rel=1e-12)
+
+
+def test_cycle_pressure_without_positive_zero_is_none(s2):
+    for t in (0.25, 0.5, 1.0):
+        sums = _level_sums(s2, None, t, 4, _no_positive_zero)
+        assert _cycle_pressure(sums) is None and array_cycle_pressure(sums) is None, t
+
+
+@pytest.mark.parametrize("first", [(800.0, 1.0), (700.0, 1e10)], ids=["Z", "dZ"])
+def test_cycle_pressure_overflow_is_none(first):
+    # scaled Z_1 = exp(800) overflows; exp(700) does not, but its dZ_1 does
+    sums = [first] + [(0.0, 1.0)] * 11
+    assert _cycle_pressure(sums) is None and array_cycle_pressure(sums) is None
