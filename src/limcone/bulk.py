@@ -19,25 +19,30 @@ follows the same prefix path and the kernels act row by row:
   definition-level counting estimators; what they derive from it, such
   as the complete window of a norm count, they build in counting.
 
-Every product comes with the reversed inverse product that the
-split-spectrum rule needs.  All products come from one engine,
-`_tree_products`, which walks a prefix tree depth by depth and extends
-each block of parents by every letter at once, one product per block and
-direction: the forward products extend their parents' on the right, the
-inverse products on the left, and each child picks its letter's rows.
-Element products walk the tree of reduced words (`word_products`, shared
-by element_spectra and the CLI `spectra` dump); class products walk the
-tree of reduced pre-necklaces, cut to the class words at the top depth
-(words.class_tree), whose 98,002 nodes at k = 2, N = 12 replace the
-728,868 letter products of multiplying each of the 69,996 class words
-from scratch.  The engine streams the top depth through the kernel in
-row blocks, so at N = 12 the 708,588 top-level element products are
-never held at once and both tables are written into arrays allocated
-up front.  Everything is deterministic: fixed enumeration
-order, fixed association order, and the kernels act row by row, so
-blocking does not change a single bit.  BLAS may split the forward GEMM
-across threads, but each entry stays one d-term sum; the CLI files are
-byte-identical with BLAS on one thread or many (tests/test_cli.py).
+For d >= 3 every product comes with the reversed inverse product that
+the split-spectrum rule needs.  Inverse products exist only there: at
+d = 2, det = 1 makes the top value of m^-1 that of m, so the kernels
+need m alone (limcone.spectra) and both tables build no inverse chain.
+All products come from one engine, `_tree_products`, which walks a
+prefix tree depth by depth and extends each block of parents by every
+letter at once, one product per block and direction: the forward
+products extend their parents' on the right, the inverse products on
+the left, and each child picks its letter's rows.  Element products
+walk the tree of reduced words (`_word_edges`, shared by element_spectra
+and `word_products`, which keeps the inverse at every d for the CLI
+`spectra` dump); class products walk the tree of reduced pre-necklaces,
+cut to the class words at the top depth (words.class_tree), whose
+98,002 nodes at k = 2, N = 12 replace the 728,868 letter products of
+multiplying each of the 69,996 class words from scratch.  The engine
+streams the top depth through the kernel in row blocks, so at N = 12
+the 708,588 top-level element products are never held at once, and it
+lets go of each depth's parents before the caller reads the depth; both
+tables are written into arrays allocated up front.  Everything is
+deterministic: fixed enumeration order, fixed association order, and
+the kernels act row by row, so blocking does not change a single bit.
+BLAS may split the forward GEMM across threads, but each entry stays
+one d-term sum; the CLI files are byte-identical with BLAS on one
+thread or many (tests/test_cli.py).
 """
 
 from dataclasses import dataclass
@@ -82,7 +87,7 @@ class ElementSpectra:
 _BLOCK_PARENTS = 1 << 12
 
 
-def _tree_products(rep, edges, n_max: int):
+def _tree_products(rep, edges, n_max: int, inverse: bool = True):
     """Forward and inverse products of the nodes of a prefix tree.
 
     edges yields, for depth 1..n_max in turn, (parents, last): the row of
@@ -90,7 +95,8 @@ def _tree_products(rep, edges, n_max: int):
     the node's last letter, parents in non-decreasing order.  Yields
     (n, lo, fwd, bwd): the products of rows lo, lo + 1, ... of depth n as
     (rows, d, d) stacks, fwd = fwd[parent] @ letter and bwd = letter^-1 @
-    bwd[parent].  Every depth below n_max comes whole, because it holds the
+    bwd[parent]; with inverse false no inverse product is built and bwd is
+    None.  Every depth below n_max comes whole, because it holds the
     parents of the next; depth n_max comes in row blocks, so its full
     stacks are never held.
 
@@ -101,45 +107,69 @@ def _tree_products(rep, edges, n_max: int):
     fwd[p] @ L_a; the inverse products are [L_0^-1; ...; L_2k-1^-1] @
     bwd_block, whose (p - p0) 2k + a-th d x d block is L_a^-1 @ bwd[p].
     Each child takes its letter's rows, bit for bit the product of its
-    parent and letter alone (tests/test_bulk.py holds it to that).
+    parent and letter alone (tests/test_bulk.py holds it to that).  The d
+    forward row indices of the children are stacked column by column:
+    numpy's broadcast over an inner axis of length d took longer than the
+    GEMM.
     """
     k, d = rep.num_generators, rep.dim
     stack = rep.letter_matrices()
     right = np.ascontiguousarray(stack.transpose(1, 0, 2).reshape(d, 2 * k * d))
     left = stack[np.arange(2 * k) ^ 1].reshape(2 * k * d, d)
-    rows = np.arange(d) * 2 * k                 # offsets of a child's d forward rows
-    fwd = bwd = np.eye(d)[None]
+    fwd = np.eye(d)[None]
+    bwd = fwd if inverse else None
     for n, (parents, last) in enumerate(edges, 1):
         top = n == n_max
         if not top:
             child_fwd = np.empty((len(last), d, d))
-            child_bwd = np.empty_like(child_fwd)
-        p0s = np.arange(0, len(fwd), _BLOCK_PARENTS)
-        cuts = np.searchsorted(parents, np.append(p0s, len(fwd)))
+            child_bwd = np.empty_like(child_fwd) if inverse else None
+        # block bounds in the parents' dtype, so searchsorted copies no parents
+        p0s = list(range(0, len(fwd), _BLOCK_PARENTS))
+        cuts = np.searchsorted(parents, np.array(p0s + [len(fwd)], dtype=parents.dtype)).tolist()
         for p0, lo, hi in zip(p0s, cuts[:-1], cuts[1:]):
             if lo == hi:            # a class-tree parent block without children
                 continue
             up, a = parents[lo:hi] - p0, last[lo:hi]
+            first = up * (2 * k * d) + a
+            fwd_rows = np.stack([first + r * 2 * k for r in range(d)], axis=1)
             ext_fwd = (fwd[p0:p0 + _BLOCK_PARENTS].reshape(-1, d) @ right).reshape(-1, d)
-            ext_bwd = (left @ bwd[p0:p0 + _BLOCK_PARENTS]).reshape(-1, d, d)
-            fwd_rows, bwd_rows = (up * (2 * k * d) + a)[:, None] + rows, up * (2 * k) + a
+            if inverse:
+                ext_bwd = (left @ bwd[p0:p0 + _BLOCK_PARENTS]).reshape(-1, d, d)
+                bwd_rows = up * (2 * k) + a
             if top:
-                yield n, lo, np.take(ext_fwd, fwd_rows, axis=0), np.take(ext_bwd, bwd_rows, axis=0)
+                yield (n, lo, np.take(ext_fwd, fwd_rows, axis=0),
+                       np.take(ext_bwd, bwd_rows, axis=0) if inverse else None)
             else:                   # rows are in range; "clip" writes to out unbuffered
                 np.take(ext_fwd, fwd_rows, axis=0, out=child_fwd[lo:hi], mode="clip")
-                np.take(ext_bwd, bwd_rows, axis=0, out=child_bwd[lo:hi], mode="clip")
-        if not top:
-            yield n, 0, child_fwd, child_bwd
+                if inverse:
+                    np.take(ext_bwd, bwd_rows, axis=0, out=child_bwd[lo:hi], mode="clip")
+        if not top:                 # the parents' stacks go before the caller reads the depth
             fwd, bwd = child_fwd, child_bwd
+            yield n, 0, fwd, bwd
 
 
 def _word_edges(k, n_max):
     """Edges of the reduced-word tree, one depth at a time: row i of
-    level n extends row i // (2k - 1) of level n - 1 (the root, for n = 1)."""
-    for n in range(1, n_max + 1):
-        last = words.word_level_array(k, n)[:, -1]
-        branching = 2 * k if n == 1 else 2 * k - 1      # children per parent
-        yield np.arange(len(last), dtype=np.int32) // branching, last
+    level n extends row i // (2k - 1) of level n - 1 (the root, for
+    n = 1).  Refuses n_max < 1 and over-budget levels before any level
+    is built."""
+    if n_max < 1:
+        raise InvalidParameterError("need n_max >= 1")
+    words._check_level(k, n_max)
+    return ((_word_parents(k, n), words.word_level_array(k, n)[:, -1])
+            for n in range(1, n_max + 1))
+
+
+def _word_parents(k, n):
+    """Row i // (2k - 1) of level n - 1 for each row i of level n (the
+    root, for n = 1), divided in place: an out-of-place // took five
+    times as long at n = 12.  One level at a time, so no parent row array
+    outlives its level."""
+    if n == 1:
+        return np.zeros(2 * k, dtype=np.int32)
+    parents = np.arange(words.count_words(k, n), dtype=np.int32)
+    parents //= 2 * k - 1
+    return parents
 
 
 def word_products(rep, n_max: int):
@@ -150,9 +180,6 @@ def word_products(rep, n_max: int):
     words.word_level_array(k, n), as (rows, d, d) stacks; levels below
     n_max come whole and level n_max in blocks (see _tree_products).
     """
-    if n_max < 1:
-        raise InvalidParameterError("need n_max >= 1")
-    words._check_level(rep.num_generators, n_max)     # before any lower level
     return _tree_products(rep, _word_edges(rep.num_generators, n_max), n_max)
 
 
@@ -165,9 +192,9 @@ def class_spectra(rep, n_max: int) -> ClassSpectra:
     k = rep.num_generators
     edges, index = words.class_tree(k, n_max)
     jor = {n: np.empty((len(index[n - 1]), rep.dim)) for n in range(1, n_max + 1)}
-    for n, lo, fwd, bwd in _tree_products(rep, edges, n_max):
+    for n, lo, fwd, bwd in _tree_products(rep, edges, n_max, inverse=rep.dim > 2):
         if n < n_max:               # a whole depth; the top depth holds only class words
-            fwd, bwd = fwd[index[n - 1]], bwd[index[n - 1]]
+            fwd, bwd = fwd[index[n - 1]], bwd if bwd is None else bwd[index[n - 1]]
         jor[n][lo:lo + len(fwd)] = batched_jordan(fwd, bwd)
     logm = {n: np.log(words.class_level_arrays(k, n)[1].astype(float)) for n in jor}
     return ClassSpectra(jor, logm)
@@ -176,8 +203,9 @@ def class_spectra(rep, n_max: int) -> ClassSpectra:
 @lru_cache(maxsize=2)
 def element_spectra(rep, n_max: int) -> ElementSpectra:
     """Cartan projections of every reduced word of length 1..n_max."""
-    products = word_products(rep, n_max)
-    sizes = [words.count_words(rep.num_generators, n) for n in range(1, n_max + 1)]
+    k = rep.num_generators
+    products = _tree_products(rep, _word_edges(k, n_max), n_max, inverse=rep.dim > 2)
+    sizes = [words.count_words(k, n) for n in range(1, n_max + 1)]
     starts = np.cumsum([0] + sizes)
     cartan = np.empty((starts[-1], rep.dim))
     for n, lo, fwd, bwd in products:

@@ -83,19 +83,20 @@ def _probes(values, dim):
 # ---------------------------------------------------------------------------
 
 def _cmd_spectra(rep, args):
-    letters = [words.format_word([l], rep.labels) for l in range(2 * rep.num_generators)]
+    k, d = rep.num_generators, rep.dim
+    letters = [words.format_word([l], rep.labels) for l in range(2 * k)]
     if len(set(letters)) < len(letters) or not all(re.fullmatch(r'[^\s,"]+', s) for s in letters):
         raise InvalidInputError(f"labels print letters {letters}: not distinct, or not CSV-safe")
-    d = rep.dim
     header = ["word", "len"] + [f"a{i+1}" for i in range(d)] + [f"l{i+1}" for i in range(d)]
-    rows = []
+    lines, levels = [",".join(header)], words.format_levels(k, args.max_len, rep.labels)
     for n, lo, fwd, bwd in bulk.word_products(rep, args.max_len):
-        W = words.word_level_array(rep.num_generators, n)[lo:lo + len(fwd)]
-        a = spectra.batched_cartan(fwd, bwd)
-        l = spectra.batched_jordan(fwd, bwd)
-        for j, row in enumerate(W.tolist()):
-            rows.append([words.format_word(row, rep.labels), n] + list(a[j]) + list(l[j]))
-    return [_csv(args.out, header, rows)], f"spectra: {len(rows)} words up to length {args.max_len}"
+        if lo == 0:
+            names = next(levels)
+        row = f"%s,{n}," + ",".join(["%.17g"] * (2 * d))
+        values = np.hstack([spectra.batched_cartan(fwd, bwd), spectra.batched_jordan(fwd, bwd)])
+        lines += [row % (w, *v) for w, v in zip(names[lo:lo + len(fwd)], values.tolist())]
+    return [(args.out, "\n".join(lines) + "\n")], (
+        f"spectra: {len(lines) - 1} words up to length {args.max_len}")
 
 
 def _cmd_cone(rep, args):

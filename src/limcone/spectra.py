@@ -8,9 +8,15 @@ traceless diagonals).
 
 Word products are violently graded: at word length 12 the condition
 number sits around e^40, where one-sided solvers lose every coordinate
-below the midpoint.  Every product therefore comes with its exact
-inverse, multiplied from the generator inverses (limcone.bulk), so no
-inverse is ever computed here.  Every row takes one path: for d <= 3 a
+below the midpoint.  For d >= 3 every product therefore comes with its
+exact inverse, multiplied from the generator inverses (limcone.bulk), so
+no inverse is ever computed here.  At d = 2, det = 1 makes the top value
+of m^{-1} equal that of m, so the inverse is optional: the closed forms
+read m alone, and a row they do not certify takes m^{-1}'s top value
+from LAPACK when the inverse is given (the CLI `spectra` dump) and m's
+own when it is not (the element and class tables).  The inverse's own
+value is the more accurate one on such ill-conditioned rows, so a dump
+keeps it.  Every row takes one path: for d <= 3 a
 closed form (below) gives the top value of m and of m^{-1}; LAPACK gives
 the top d // 2 values of both on every row the closed form does not
 certify, so on every row for d >= 4; one assembly takes the top half
@@ -31,13 +37,13 @@ solves one polynomial whose coefficients come from both products:
   large roots; the larger z is taken without cancellation, the bottom is
   w = 1/(x z), and a complex bottom pair has modulus exactly x^(-1/2).
 * Jordan, d = 2: det = 1 makes the spectrum (l, -l), with l read from
-  tr(m) alone.
+  tr(m) alone, m^{-1} unread.
 * Cartan, d = 3: sigma_i^2 are the roots of the Gram polynomial
   x^3 - |m|_F^2 x^2 + |m^{-1}|_F^2 x - 1, whose coefficients are sums of
   squares and cannot cancel; sigma_1^2 is solved and sigma_3^2 deflated
   as above, and every root is positive.
 * Cartan, d = 2: sigma_1 = (hypot(a + d, c - b) + hypot(a - d, c + b)) / 2
-  and sigma_2 = 1 / sigma_1.
+  and sigma_2 = 1 / sigma_1, from m alone.
 
 Each cubic is scaled by its leading coefficient, its top root started
 from the trigonometric or Cardano formula and polished by Newton steps.
@@ -295,12 +301,15 @@ def _cartan3_tops(m, minv):
 def _batched(closed, lapack_top, prods, inv_prods):
     """Log spectra of a stack of |det| = 1 matrices and its inverses: the
     closed form closed[d], if d is a key, then LAPACK's top d // 2 values
-    of both products on every row it does not certify, then one assembly."""
+    of both products on every row it does not certify, then one assembly.
+    At d = 2 inv_prods may be None: the fallback then takes m's top value
+    for both ends."""
     prods = np.asarray(prods, dtype=float)
-    inv_prods = np.asarray(inv_prods, dtype=float)
     d = prods.shape[-1]
+    if inv_prods is None and d > 2:
+        raise InvalidParameterError(f"d = {d} needs the inverse products")
     m = prods.reshape(-1, d, d)
-    minv = inv_prods.reshape(-1, d, d)
+    minv = None if inv_prods is None else np.asarray(inv_prods, dtype=float).reshape(-1, d, d)
     fwd = np.empty((len(m), d // 2))
     bwd = np.empty_like(fwd)
     bad = np.ones(len(m), dtype=bool)
@@ -309,26 +318,29 @@ def _batched(closed, lapack_top, prods, inv_prods):
         with np.errstate(all="ignore"):
             for lo in range(0, len(m), _CHUNK_ROWS):
                 rows = slice(lo, lo + _CHUNK_ROWS)
-                fwd[rows, 0], bwd[rows, 0], ok = closed[d](m[rows], minv[rows])
+                inv = None if minv is None else minv[rows]
+                fwd[rows, 0], bwd[rows, 0], ok = closed[d](m[rows], inv)
                 bad[rows] = ~ok
     if bad.any():
         fwd[bad] = lapack_top(m[bad], d // 2)
-        bwd[bad] = lapack_top(minv[bad], d // 2)
+        bwd[bad] = fwd[bad] if minv is None else lapack_top(minv[bad], d // 2)
     return _split_spectrum(fwd, bwd, d).reshape(prods.shape[:-2] + (d,))
 
 
 def batched_cartan(prods, inv_prods):
     """Cartan projections of a stack of |det| = 1 matrices, given the
-    stack and its inverses: for d <= 3 one closed-form solve of the Gram
-    polynomial per row, the bottom by deflation; LAPACK `svd` on the rows
-    the certificate rejects and on every row for d >= 4; one assembly."""
+    stack and its inverses (None allowed at d = 2 only): for d <= 3 one
+    closed-form solve of the Gram polynomial per row, the bottom by
+    deflation; LAPACK `svd` on the rows the certificate rejects and on
+    every row for d >= 4; one assembly."""
     return _batched({2: _cartan2_tops, 3: _cartan3_tops}, _top_log_svals, prods, inv_prods)
 
 
 def batched_jordan(prods, inv_prods):
     """Jordan projections of a stack of det = 1 matrices (SL(d, R) word
-    products), given the stack and its inverses: for d <= 3 one
-    closed-form solve of the characteristic polynomial per row, the bottom
-    by deflation; LAPACK `eigvals` on the rows the certificate rejects and
-    on every row for d >= 4; one assembly."""
+    products), given the stack and its inverses (None allowed at d = 2
+    only): for d <= 3 one closed-form solve of the characteristic
+    polynomial per row, the bottom by deflation; LAPACK `eigvals` on the
+    rows the certificate rejects and on every row for d >= 4; one
+    assembly."""
     return _batched({2: _jordan2_tops, 3: _jordan3_tops}, _top_log_eigmods, prods, inv_prods)

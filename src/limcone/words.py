@@ -217,3 +217,17 @@ def format_word(w, labels) -> str:
     if all(len(lab) == 1 for lab in labels):
         return "".join(parts)
     return " ".join(parts)
+
+
+def format_levels(k: int, n_max: int, labels):
+    """format_word of every reduced word of length 1..n_max, one list per
+    level in word_level_array order: each word's text is its parent's one
+    level up followed by the separator and its last letter's text."""
+    letters = [format_word([l], labels) for l in range(2 * k)]
+    sep = "" if all(len(lab) == 1 for lab in labels) else " "
+    texts = letters
+    yield texts
+    for n in range(2, n_max + 1):
+        last = word_level_array(k, n)[:, -1].tolist()
+        texts = [texts[i // (2 * k - 1)] + sep + letters[l] for i, l in enumerate(last)]
+        yield texts

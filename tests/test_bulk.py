@@ -428,3 +428,139 @@ class TestClassSpectra:
             bulk.class_spectra.cache_clear()
         for n, expect in plain_class_spectra(p3, 8).items():
             assert np.abs(cs.jordan[n] - expect).max() < 1e-13, n
+
+
+# ---------------------------------------------------------------------------
+# tables build only what their kernels read
+# ---------------------------------------------------------------------------
+
+def count_style_pairs(count):
+    """Seeded d = 2 pairs drawn as the count benchmark draws them."""
+    rng = np.random.default_rng(5)
+    return [make_schottky(rng.uniform(1.5, 2.5, 2),
+                          [0.0, float(rng.uniform(np.pi / 3, 2 * np.pi / 3))])
+            for _ in range(count)]
+
+
+def two_direction_tables(rep, n_max):
+    """Element Cartan and class Jordan tables from the reference products,
+    which carry the inverse chain at every d and equal the engine's
+    products bit for bit (TestTreeProducts)."""
+    k = rep.num_generators
+    cart = np.concatenate([batched_cartan(f, b)
+                           for f, b in tree_products(rep, bulk._word_edges(k, n_max))])
+    edges, index = words.class_tree(k, n_max)
+    jor = {n: batched_jordan(f[index[n - 1]], b[index[n - 1]])
+           for n, (f, b) in enumerate(tree_products(rep, edges), 1)}
+    return cart, jor
+
+
+def one_direction_tables(rep, n_max):
+    bulk.element_spectra.cache_clear()
+    bulk.class_spectra.cache_clear()
+    try:
+        return bulk.element_spectra(rep, n_max).cartan, bulk.class_spectra(rep, n_max).jordan
+    finally:
+        bulk.element_spectra.cache_clear()
+        bulk.class_spectra.cache_clear()
+
+
+class TestOneDirectionTables:
+    @pytest.mark.parametrize("which,n_max", [("s2", 12), (0, 12), (1, 12), (2, 12),
+                                             ("f3", 10), ("p3", 10)])
+    def test_tables_equal_the_two_direction_build(self, request, which, n_max):
+        # d = 2 builds no inverse chain; d = 3 keeps it, with new row indices
+        if isinstance(which, str):
+            rep = request.getfixturevalue(which)
+        else:
+            rep = count_style_pairs(3)[which]
+        cart, jor = one_direction_tables(rep, n_max)
+        want_cart, want_jor = two_direction_tables(rep, n_max)
+        assert cart.tobytes() == want_cart.tobytes()
+        for n in range(1, n_max + 1):
+            assert jor[n].tobytes() == want_jor[n].tobytes(), n
+
+    def test_elliptic_pair_fallback_rows(self):
+        # Without the inverse a fallback row takes m's LAPACK top value for
+        # both ends, so every row is exactly (l, -l).  Against the two-direction
+        # build only fallback rows move: by at most 2.85e-15 at N = 12 (3.3e-16
+        # up to N = 9, as the move grows with the entries of near-parabolic
+        # words), and each stays within 3.7e-15 of a 60-digit value (2.5e-15
+        # with the inverse's top value).
+        # short translation lengths: a non-discrete pair with elliptic and
+        # near-parabolic words, whose Jordan rows the closed form sends to LAPACK
+        rep = make_schottky([0.3, 0.3], [0.0, np.pi / 2])
+        cart, jor = one_direction_tables(rep, 12)
+        want_cart, want_jor = two_direction_tables(rep, 12)
+        assert np.array_equal(cart[:, 1], -cart[:, 0])
+        assert cart.tobytes() == want_cart.tobytes()
+        mats = [mp.matrix(m.tolist()) for m in rep.letter_matrices()]
+        edges, index = words.class_tree(2, 12)
+        moved = 0
+        for n, (fwd, bwd) in enumerate(tree_products(rep, edges), 1):
+            assert np.array_equal(jor[n][:, 1], -jor[n][:, 0]), n
+            rows = np.flatnonzero((jor[n] != want_jor[n]).any(axis=1))
+            assert not certified("jordan", fwd[index[n - 1][rows]], bwd[index[n - 1][rows]]).any()
+            assert np.abs(jor[n][rows] - want_jor[n][rows]).max(initial=0.0) <= 4e-15, n
+            W = words.class_level_arrays(2, n)[0]
+            with mp.workdps(60):
+                for i in rows:
+                    acc = mp.eye(2)
+                    for l in W[i]:
+                        acc = acc * mats[l]
+                    top = max(float(mp.log(abs(e))) for e in mp.eig(acc, left=False, right=False))
+                    assert abs(jor[n][i, 0] - top) <= 5e-15, (n, i)
+            moved += len(rows)
+        assert moved > 0
+
+    def test_d2_routes_build_no_inverse(self, monkeypatch):
+        engine, seen = bulk._tree_products, []
+
+        def spy(*args, **kwargs):
+            for n, lo, fwd, bwd in engine(*args, **kwargs):
+                seen.append(bwd is None)
+                yield n, lo, fwd, bwd
+
+        monkeypatch.setattr(bulk, "_tree_products", spy)
+        for d in (2, 3):
+            seen.clear()
+            one_direction_tables(tree_rep(2, d), 6)
+            assert seen and all(s == (d == 2) for s in seen), d
+
+    def test_element_spectra_s2_peak_memory(self, s2):
+        # tracemalloc peak of element_spectra(s2, 12) with its word levels
+        # cached: 50.0 MB with the inverse chain, 37.3 MB without it and with
+        # each depth's parents released before the kernel reads the depth
+        # (p3: 87.8 MB before, 76.4 MB after, on the same box)
+        for n in range(1, 13):
+            words.word_level_array(2, n)
+        bulk.element_spectra.cache_clear()
+        tracemalloc.start()
+        try:
+            bulk.element_spectra(s2, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            bulk.element_spectra.cache_clear()
+        assert peak < 41e6, peak / 1e6
+
+
+class TestKernelInverseArgument:
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("kind", sorted(KERNELS))
+    def test_inverse_needed_above_d2(self, kind, d):
+        with pytest.raises(InvalidParameterError):
+            KERNELS[kind][0](np.eye(d)[None], None)
+
+    @pytest.mark.parametrize("kind", sorted(KERNELS))
+    def test_d2_without_inverse_reads_m_alone(self, kind):
+        # certified rows are bitwise those of a call with the inverse; a
+        # fallback row (the parabolic cases) takes m's top value for both ends
+        cases = [EDGE_CASES[c] for c in sorted(EDGE_CASES) if len(EDGE_CASES[c][0]) == 2]
+        m = np.stack([c[0] for c in cases])
+        minv = np.stack([c[1] for c in cases])
+        kernel, top = KERNELS[kind]
+        got = kernel(m, None)
+        keep = certified(kind, m, minv)
+        assert got[keep].tobytes() == kernel(m, minv)[keep].tobytes()
+        assert np.array_equal(got[~keep], split_spectrum(top(m[~keep], 1), top(m[~keep], 1), 2))

@@ -36,7 +36,8 @@ from limcone import (
     save_rep,
     words,
 )
-from limcone import pressure
+from limcone import bulk, pressure
+from limcone.spectra import batched_cartan, batched_jordan
 from reference import SpectralFailureError, UndefinedGapError
 
 
@@ -84,6 +85,35 @@ def test_spectra_refuses_labels_a_word_cell_cannot_separate(tmp_path, s2, labels
                                "generators": s2.generators.reshape(2, -1).tolist()}))
     rc = cli.main(["spectra", "--rep", str(rep), "--out", str(out)])
     assert rc == cli.EXIT_PRECONDITION and not out.exists()
+
+
+@pytest.mark.parametrize("name,labels", [("p3", None), ("s2", ["g1", "h"])],
+                         ids=["p3", "s2-multi-letter-labels"])
+def test_spectra_rows_equal_word_by_word_formatting(tmp_path, reps, s2, name, labels):
+    # the dump prints each level's words from the parent level's text and each
+    # row with one format string: the same bytes as format_word per word and
+    # one 17-digit format per number
+    path = reps[name]
+    if labels is not None:
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps({"dim": 2, "labels": labels,
+                                    "generators": s2.generators.reshape(2, -1).tolist()}))
+    rep = load_rep(str(path))
+    out = tmp_path / "spectra.csv"
+    assert cli.main(["spectra", "--rep", str(path), "--out", str(out), "--max-len", "6"]) == 0
+    d = rep.dim
+    lines = [",".join(["word", "len"] + [f"a{i+1}" for i in range(d)]
+                      + [f"l{i+1}" for i in range(d)])]
+    for n, lo, fwd, bwd in bulk.word_products(rep, 6):
+        W = words.word_level_array(2, n)[lo:lo + len(fwd)]
+        a, l = batched_cartan(fwd, bwd), batched_jordan(fwd, bwd)
+        for j, w in enumerate(W.tolist()):
+            cells = [words.format_word(w, rep.labels), str(n)]
+            lines.append(",".join(cells + [format(float(x), ".17g") for x in [*a[j], *l[j]]]))
+    got = out.read_text()
+    assert got.endswith("\n") and len(got.splitlines()) == len(lines)
+    # the first differing line, not pytest's quadratic diff of two long texts
+    assert next((pair for pair in zip(got.splitlines(), lines) if pair[0] != pair[1]), None) is None
 
 
 @pytest.mark.parametrize("rep,argv", [

@@ -20,6 +20,7 @@ from limcone import (
 from limcone.words import (
     class_level_arrays,
     class_tree,
+    format_levels,
     word_level_array,
     _class_level,
     _pre_necklaces,
@@ -333,6 +334,14 @@ class TestTextForms:
     def test_multi_character_labels(self):
         # a label of more than one letter marks its inverse with a prime and spaces the word
         assert format_word((0, 1, 2, 3), ("ab", "c")) == "ab ab' c C"
+
+    @pytest.mark.parametrize("k,labels", [(2, ("a", "b")), (3, ("ab", "c", "X"))])
+    def test_level_texts_equal_format_word(self, k, labels):
+        # each level's texts come from the parent level's, not from format_word
+        levels = list(format_levels(k, 5, labels))
+        assert len(levels) == 5
+        for n, texts in enumerate(levels, 1):
+            assert texts == [format_word(row, labels) for row in word_level_array(k, n).tolist()]
 
     def test_parse_unknown(self, s2):
         with pytest.raises(InvalidInputError):
