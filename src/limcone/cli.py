@@ -12,7 +12,7 @@ failures (LimconeError).  A command whose computation fails writes
 nothing, so an existing output file is left as it was; when a write
 fails, the files already written are removed.  All numeric output
 carries 17 significant digits and is bitwise reproducible for a fixed
-seed, independent of the worker-thread count.
+seed.
 """
 
 import argparse
@@ -231,7 +231,7 @@ def _build_parser():
     ap.add_argument("--seed", type=int, default=0,
                     help="seed of the perturbations (read by perturb-scan only)")
     ap.add_argument("--threads", type=int, default=1,
-                    help="worker threads (read by boundary and psi only)")
+                    help="must be 1: boundary and psi trace the dual body on one thread")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kw):
@@ -241,7 +241,8 @@ def _build_parser():
         p.set_defaults(fn=fn)
         return p
 
-    p = add("spectra", _cmd_spectra, help="Cartan/Jordan dump per word")
+    p = add("spectra", _cmd_spectra, help="Cartan/Jordan dump per word (17 digits, but Jordan "
+            "values of words not cyclically reduced are only good to about 1e-10)")
     p.add_argument("--max-len", type=int, default=6)
 
     p = add("cone", _cmd_cone, help="limit or asymptotic cone hull")
@@ -254,7 +255,8 @@ def _build_parser():
     p.add_argument("--max-len", type=int, default=12)
     p.add_argument("--mode", choices=["element", "conjugacy"], default="element")
 
-    p = add("pressure", _cmd_pressure, help="level pressures and pressure root")
+    p = add("pressure", _cmd_pressure, help="level pressures and pressure root (P_ext well "
+            "above the root loses digits to cancellation)")
     p.add_argument("--phi", nargs="+", required=True)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--n-max", type=int, default=pressure.DEFAULT_N_MAX)

@@ -159,10 +159,11 @@ def boundary_curve(rep, resolution: int = 16, n_max: int = DEFAULT_N_MAX,
     The window is symmetric about angle 0 by construction (its half-width
     is half the polar's): the ceil(resolution / 2) angles >= 0 are traced,
     and the points below 0 are their mirror images under iota, with the
-    same s* and entropy.  `threads` workers share the traced half.  The
-    body also holds the growth rate, the pressure root at U1, found on
-    its own (d = 2: the s* of the one traced point, which is U); an error
-    there is raised.
+    same s* and entropy.  The body also holds the growth rate, the
+    pressure root at U1, found on its own (d = 2: the s* of the one
+    traced point, which is U); an error there is raised.  Tracing runs
+    on the calling thread: `threads` accepts only 1 and is kept for the
+    callers in perfbench/.
 
     A failed direction is left out, a failed angle together with its
     mirror, so the body then holds fewer than `resolution` points; more
@@ -171,6 +172,8 @@ def boundary_curve(rep, resolution: int = 16, n_max: int = DEFAULT_N_MAX,
     degenerate case errors out unless allow_degenerate is set
     (deformation scans set it to keep the unperturbed baseline usable).
     """
+    if threads != 1:
+        raise InvalidParameterError("boundary_curve traces on one thread: threads must be 1")
     if rep.dim == 2:
         bp = boundary_point(rep, Functional(np.array([1.0, -1.0])), n_max=n_max)
         return DualBody((bp,), bp.s_star, limit_cone(rep, n_max))
@@ -192,21 +195,13 @@ def boundary_curve(rep, resolution: int = 16, n_max: int = DEFAULT_N_MAX,
     a = (1.0 - 2.0 * _EDGE_MARGIN) * (hi - lo) / 2.0
     upper = a * np.arange(1 - resolution % 2, resolution, 2) / (resolution - 1)
 
-    def trace(theta):
+    traced = []
+    for theta in upper:
         u = Functional(np.cos(theta) * _U1 + np.sin(theta) * _U2)
         try:
-            return boundary_point(rep, u, n_max=n_max)
+            traced.append(boundary_point(rep, u, n_max=n_max))
         except LimconeError:
-            return None
-
-    if threads > 1:
-        # imported here: it loads logging, which a single-threaded run never needs
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            traced = list(pool.map(trace, upper))
-    else:
-        traced = [trace(th) for th in upper]
+            traced.append(None)
     h = pressure_root(rep, Functional(_U1), n_max)
     lower = resolution // 2                       # theta = 0 is traced once
     results = [None if bp is None else _mirror(bp) for bp in traced[::-1][:lower]] + traced

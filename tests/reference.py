@@ -303,7 +303,9 @@ def rebase(rep: Representation, move) -> Representation:
     length.  "inner" conjugates every other generator by the first
     (b -> a b a^-1), and a matrix g of SL(d, R) conjugates every
     generator (rho -> g rho g^-1): both keep each class and its Jordan
-    projection but move word lengths or Cartan projections."""
+    projection but move word lengths or Cartan projections.  The Nielsen
+    moves "a->ab", "a->ab^-1" and "b->ba" keep the group but not the
+    word lengths, so they change each truncation but not its limit."""
     gens = np.array(rep.generators)
     if isinstance(move, str):
         if move == "swap":
@@ -312,6 +314,12 @@ def rebase(rep: Representation, move) -> Representation:
             gens[0] = np.linalg.inv(gens[0])
         elif move == "inner":
             gens[1:] = gens[0] @ gens[1:] @ np.linalg.inv(gens[0])
+        elif move == "a->ab":
+            gens[0] = gens[0] @ gens[1]
+        elif move == "a->ab^-1":
+            gens[0] = gens[0] @ np.linalg.inv(gens[1])
+        elif move == "b->ba":
+            gens[1] = gens[1] @ gens[0]
         else:
             raise InvalidParameterError(f"unknown move {move!r}")
     else:

@@ -18,9 +18,9 @@ function or method is passed, by keyword or by position, by some call in
 the package or perfbench/; a call in tests/ counts only for the
 exact-oracle seam weight_hook, which tests alone set.  Every name the
 traced benchmark run patches exists, and a module that imports a
-patched name by name is patched too.  Every package-internal import sits
-at module level and reaches only modules ranked below its own
-(_LAYERS)."""
+patched name by name is patched too.  Every import, stdlib ones included,
+sits at module level, and every package-internal one reaches only
+modules ranked below its own (_LAYERS)."""
 
 import ast
 import importlib
@@ -369,9 +369,9 @@ def test_traced_names_are_bound_where_they_are_patched():
 
 
 def layering_violations(root):
-    """Package-internal imports of root/src/limcone, __init__ aside, that
-    sit below module level or reach a module not ranked below their own
-    in _LAYERS, as sorted "module.py:line" strings."""
+    """Imports of root/src/limcone, __init__ aside, that sit below module
+    level (stdlib ones too) or reach a package module not ranked below
+    their own in _LAYERS, as sorted "module.py:line" strings."""
     out = []
     for path in sorted((root / "src" / "limcone").glob("*.py")):
         if path.stem == "__init__":
@@ -386,8 +386,8 @@ def layering_violations(root):
             else:
                 continue
             rank = _LAYERS.get(path.stem, -1)
-            if targets and (node not in tree.body
-                            or any(_LAYERS.get(t.split(".")[0], rank) >= rank for t in targets)):
+            if node not in tree.body or any(_LAYERS.get(t.split(".")[0], rank) >= rank
+                                            for t in targets):
                 out.append(f"{path.name}:{node.lineno}")
     return sorted(out)
 
@@ -400,7 +400,8 @@ def test_imports_follow_the_layers():
 def test_layer_lint_flags_late_and_upward_imports(tmp_path):
     files = {
         "words.py": "from .errors import InvalidParameterError\n",
-        "bulk.py": "from . import words\n\ndef f():\n    from .errors import InvalidParameterError\n",
+        "bulk.py": "from . import words\n\ndef f():\n    from .errors import InvalidParameterError\n"
+                   "    import json\n",
         "spectra.py": "from .reps import load_rep\n",
         "counting.py": "import limcone.growth\nfrom .pressure import DEFAULT_N_MAX\n",
         "extra.py": "from . import words\n",
@@ -410,4 +411,4 @@ def test_layer_lint_flags_late_and_upward_imports(tmp_path):
     for name, text in files.items():
         (package / name).write_text(text)
     assert layering_violations(tmp_path) == [
-        "bulk.py:4", "counting.py:1", "counting.py:2", "extra.py:1", "spectra.py:1"]
+        "bulk.py:4", "bulk.py:5", "counting.py:1", "counting.py:2", "extra.py:1", "spectra.py:1"]

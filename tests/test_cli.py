@@ -353,12 +353,15 @@ def test_pressure_files_reproducible(tmp_path, reps):
 
 def test_boundary_reproducible_across_runs_and_threads(tmp_path, reps):
     outs = []
-    for i, threads in enumerate(("1", "1", "2")):
+    for i, threads in enumerate(("1", "1")):
         rc, out = run(tmp_path, reps, "p3", "boundary", out=f"b{i}.json",
                       pre=("--threads", threads))
         assert rc == 0
         outs.append(out.read_bytes())
-    assert outs[0] == outs[1] == outs[2]
+    assert outs[0] == outs[1]
+    # tracing runs on one thread, so any other count is refused, not ignored
+    rc, out = run(tmp_path, reps, "p3", "boundary", out="b2.json", pre=("--threads", "2"))
+    assert rc == cli.EXIT_PRECONDITION and not out.exists()
 
 
 def test_files_do_not_depend_on_the_blas_thread_count(tmp_path, reps):
@@ -438,8 +441,8 @@ def test_cold_start_skips_unused_numpy_subpackages():
 
 
 def test_cold_start_skips_the_thread_pool():
-    # only boundary_curve with threads > 1 needs concurrent.futures, which
-    # also loads logging; a cold start imports neither
+    # nothing in the package imports concurrent.futures, which would also
+    # load logging; a cold start imports neither
     code = ("import sys, limcone.cli; "
             "print(*(m for m in ('concurrent.futures', 'logging') if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))

@@ -262,12 +262,15 @@ def test_failed_angle_is_a_gap_on_both_sides(p3, monkeypatch):
     assert body.functionals().tolist() == np.delete(whole.functionals(), [6, 10], 0).tolist()
 
 
-def test_threads_trace_the_same_half(p3):
-    one, two = boundary_curve(p3, 17), boundary_curve(p3, 17, threads=2)
-    assert np.array_equal(angles(one), angles(two))
-    assert np.array_equal(one.functionals(), two.functionals())
-    assert all(np.array_equal(a.gibbs_vector, b.gibbs_vector)
-               for a, b in zip(one.boundary, two.boundary))
+def test_threads_other_than_one_are_refused(s2, p3, monkeypatch):
+    # tracing runs on the calling thread; the refusal comes before any root
+    calls = []
+    monkeypatch.setattr(growth, "boundary_point", lambda *a, **k: calls.append(a))
+    for rep in (s2, p3):
+        for threads in (0, 2, 4, -1):
+            with pytest.raises(InvalidParameterError, match="threads"):
+                boundary_curve(rep, 17, threads=threads)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -129,13 +129,16 @@ class TestPressureRoot:
         with pytest.raises(NotInDualConeError):
             pressure_root(s2, None, n_max=8, weight_hook=hook)
 
-    def test_agrees_with_direct_count(self, s2):
+    def test_agrees_with_direct_count(self, s2, p3):
+        # element mode at N = 12, measured: s2 +1.82 %; p3 +2.66 %, +1.73 %, +1.74 %
         from limcone import critical_exponent_direct
 
-        phi = Functional([1.0, -1.0])
-        root = pressure_root(s2, phi)
-        est = critical_exponent_direct(s2, phi, 12, "element")
-        assert abs(root - est.value) / root < 0.07
+        for rep, coeffs in ((s2, [1.0, -1.0]), (p3, [1.0, -1.0, 0.0]), (p3, [1.0, 0.0, -1.0]),
+                            (p3, [1.0, 0.3, -1.3])):
+            phi = Functional(coeffs)
+            root = pressure_root(rep, phi)
+            est = critical_exponent_direct(rep, phi, 12, "element")
+            assert abs(root - est.value) / root < 0.03, (coeffs, root, est.value)
 
     def test_level_root_beyond_t_max(self, s2):
         # a weight of 1e-6 per letter puts every level root at log 3 / 1e-6 > _T_MAX

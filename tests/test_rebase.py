@@ -4,7 +4,11 @@ number agrees.  An inner automorphism or a conjugation in SL(d, R)
 keeps each class and its Jordan projection, so the class-route numbers
 agree; the element route is not gated under them, since they move word
 lengths or Cartan projections (measured at N = 10 on s2 and p3: the
-element exponent and direct psi move by 0.5 to 11 percent)."""
+element exponent and direct psi move by 0.5 to 11 percent).  A Nielsen
+move changes each truncation but not its limit, so the pressure roots
+move by less at N = 12 than at N = 10.  The dual representation rho^-T
+maps lambda to iota lambda, so its roots at phi are rho's at phi o iota
+and its cone is the iota-image of rho's."""
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from limcone import (
     psi_from_duality,
 )
 from limcone.growth import _PLANE
-from reference import rebase
+from reference import dual_rep, rebase
 
 N = 10                  # measured: swaps within 3.0e-15, the class route within 7.5e-15
 
@@ -70,3 +74,34 @@ def test_class_route_keeps_its_numbers(base, move):
     rep, (cls, _) = base
     got_cls, _ = numbers(rebase(rep, shear(rep.dim) if move == "conjugation" else move))
     assert got_cls == pytest.approx(cls, rel=1e-12, abs=0)
+
+
+def functionals(rep):
+    """lambda_1 - lambda_2, and for d = 3 also lambda_1 - lambda_3 and
+    (1, 0.3, -1.3)."""
+    if rep.dim == 2:
+        return [Functional([1.0, -1.0])]
+    return [Functional(c) for c in ([1.0, -1.0, 0.0], [1.0, 0.0, -1.0], [1.0, 0.3, -1.3])]
+
+
+# measured: the root moves by at most 1.39e-4 at N = 10 and 1.05e-5 at N = 12
+@pytest.mark.parametrize("move", ["a->ab", "a->ab^-1", "b->ba"])
+@pytest.mark.parametrize("name", ["s2", "p3"])
+def test_nielsen_moves_shrink_the_root_spread(request, name, move):
+    rep = request.getfixturevalue(name)
+    moved = rebase(rep, move)
+    for phi in functionals(rep):
+        d10, d12 = (abs(pressure_root(moved, phi, n) - pressure_root(rep, phi, n))
+                    for n in (10, 12))
+        assert d10 <= 2e-4 and d12 <= 2e-5 and d12 < d10, (phi.coeffs, d10, d12)
+
+
+@pytest.mark.parametrize("name", ["s2", "p3"])
+def test_dual_representation_is_the_iota_image(request, name):
+    rep = request.getfixturevalue(name)
+    dual = dual_rep(rep)
+    for phi in functionals(rep):
+        assert pressure_root(dual, phi, N) == pytest.approx(
+            pressure_root(rep, Functional(-phi.coeffs[::-1]), N), rel=1e-12, abs=0)
+    lo, hi = limit_cone(rep, N).interval
+    assert limit_cone(dual, N).interval == pytest.approx((-hi, -lo), rel=1e-12, abs=0)
