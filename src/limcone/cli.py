@@ -137,9 +137,7 @@ def _cmd_pressure(rep, args):
 
 
 def _cmd_boundary(rep, args):
-    body = growth.boundary_curve(
-        rep, resolution=args.resolution, n_max=args.n_max, threads=args.threads
-    )
+    body = growth.boundary_curve(rep, resolution=args.resolution, n_max=args.n_max)
     records = [
         {
             "direction": [float(x) for x in bp.direction.coeffs],
@@ -156,9 +154,7 @@ def _cmd_boundary(rep, args):
 def _cmd_psi(rep, args):
     probes = _probes(args.probe, rep.dim)
     if args.method in ("duality", "both"):
-        body = growth.boundary_curve(
-            rep, resolution=args.resolution, n_max=args.n_max, threads=args.threads
-        )
+        body = growth.boundary_curve(rep, resolution=args.resolution, n_max=args.n_max)
     rows = []
     for p in probes:
         if args.method in ("duality", "both"):
@@ -231,7 +227,7 @@ def _build_parser():
     ap.add_argument("--seed", type=int, default=0,
                     help="seed of the perturbations (read by perturb-scan only)")
     ap.add_argument("--threads", type=int, default=1,
-                    help="must be 1: boundary and psi trace the dual body on one thread")
+                    help="must be 1: every command runs on one thread")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kw):
@@ -295,6 +291,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     written = []
     try:
+        if args.threads != 1:
+            raise InvalidParameterError("--threads must be 1: every command runs on one thread")
         files, summary = args.fn(load_rep(args.rep), args)
         for path, text in files:
             written.append(path)

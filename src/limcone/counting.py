@@ -253,9 +253,11 @@ def _cone_hull(rep, N, mode, floor, empty):
     lo, hi = float(t[i0]), float(t[i1])
     ends = vectors[[i0]] if hi - lo < 1e-14 else vectors[[i0, i1]]
     hull = ends / np.abs(ends).sum(axis=1, keepdims=True)
+    hull.setflags(write=False)          # a cached limit cone is shared by its callers
     return ConeHull(hull, (lo, hi))
 
 
+@lru_cache(maxsize=4)          # as class_spectra, which it reads
 def limit_cone(rep, N: int) -> ConeHull:
     """Hull of projectivized Jordan projections over classes of cyclic
     length up to N, excluding near-elliptic spectra."""

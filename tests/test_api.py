@@ -20,7 +20,9 @@ exact-oracle seam weight_hook, which tests alone set.  Every name the
 traced benchmark run patches exists, and a module that imports a
 patched name by name is patched too.  Every import, stdlib ones included,
 sits at module level, and every package-internal one reaches only
-modules ranked below its own (_LAYERS)."""
+modules ranked below its own (_LAYERS).  The spectral kernels raise to
+no power but the literal 2: numpy squares on a fast path, but computes
+x ** 3 of a negative x one element at a time."""
 
 import ast
 import importlib
@@ -412,3 +414,23 @@ def test_layer_lint_flags_late_and_upward_imports(tmp_path):
         (package / name).write_text(text)
     assert layering_violations(tmp_path) == [
         "bulk.py:4", "bulk.py:5", "counting.py:1", "counting.py:2", "extra.py:1", "spectra.py:1"]
+
+
+def slow_powers(path):
+    """`**` operations of a file whose exponent is not the literal 2, as
+    sorted "file.py:line" strings."""
+    return sorted(f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                  and not (isinstance(node.right, ast.Constant) and node.right.value == 2))
+
+
+def test_kernels_cube_by_multiplication():
+    slow = slow_powers(ROOT / "src" / "limcone" / "spectra.py")
+    assert not slow, f"powers other than ** 2 in the kernels: {slow}"
+
+
+def test_power_lint_flags_all_but_squares(tmp_path):
+    path = tmp_path / "spectra.py"
+    path.write_text("def f(p, q, m, n):\n    d = (q / 2) ** 2 + (p / 3) ** 3\n"
+                    "    return d, m**3, m ** 2.0, m ** n\n")
+    assert slow_powers(path) == ["spectra.py:2", "spectra.py:3", "spectra.py:3"]

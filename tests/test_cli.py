@@ -364,6 +364,16 @@ def test_boundary_reproducible_across_runs_and_threads(tmp_path, reps):
     assert rc == cli.EXIT_PRECONDITION and not out.exists()
 
 
+@pytest.mark.parametrize("argv", [("cone",), ("psi", "--method", "direct", "--probe", "1", "0", "-1")],
+                         ids=["cone", "psi-direct"])
+def test_threads_other_than_one_are_refused_by_every_command(tmp_path, reps, argv):
+    # every command runs on one thread: another count is refused before it runs
+    rc, out = run(tmp_path, reps, "p3", *argv, pre=("--threads", "2"))
+    assert rc == cli.EXIT_PRECONDITION and not out.exists()
+    rc, out = run(tmp_path, reps, "p3", *argv, pre=("--threads", "1"))
+    assert rc == 0 and out.exists()
+
+
 def test_files_do_not_depend_on_the_blas_thread_count(tmp_path, reps):
     # the prefix-tree engine's forward GEMM is large enough for BLAS to thread
     unset = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}

@@ -449,6 +449,14 @@ def test_body_carries_the_limit_cone(traced):
     assert (body.functionals() @ body.cone.hull.T).min() > 0.1
 
 
+def test_limit_cone_is_computed_once_per_table(p3):
+    # limit_cone is cached per (rep, N), so the body shares the caller's
+    # cone, whose hull is read-only because every caller holds it
+    cone = limit_cone(p3, 12)
+    assert limit_cone(p3, 12) is cone and not cone.hull.flags.writeable
+    assert boundary_curve(p3, 16).cone is limit_cone(p3, 12)
+
+
 @pytest.mark.parametrize("resolution, roots", [(16, 9), (17, 10)])
 def test_growth_rate_reads_the_traced_centre_at_odd_resolution(p3, monkeypatch, resolution, roots):
     # the root at U1 is found on its own at every resolution, so at odd
