@@ -238,7 +238,7 @@ def _build_parser():
         return p
 
     p = add("spectra", _cmd_spectra, help="Cartan/Jordan dump per word (17 digits, but Jordan "
-            "values of words not cyclically reduced are only good to about 1e-10)")
+            "values of words not cyclically reduced can be off by up to about 1e-3)")
     p.add_argument("--max-len", type=int, default=6)
 
     p = add("cone", _cmd_cone, help="limit or asymptotic cone hull")

@@ -172,7 +172,7 @@ def _slope_fit(values, cap):
     return slope, se, grid, counts
 
 
-def critical_exponent_direct(rep, phi, N, mode, weight_hook=None) -> ExponentEstimate:
+def critical_exponent_direct(rep, phi, N, mode) -> ExponentEstimate:
     """Exponential growth rate of #{phi(lambda) <= s} over conjugacy
     classes, or #{phi(a) <= s} over group elements, by log-count
     regression.
@@ -184,11 +184,7 @@ def critical_exponent_direct(rep, phi, N, mode, weight_hook=None) -> ExponentEst
     if N < 6:
         raise InvalidParameterError("need N >= 6")
     vectors, starts = _table(rep, N, mode)
-    if weight_hook is not None:
-        lengths = np.repeat(np.arange(1.0, N + 1), np.diff(starts))
-        values = np.asarray(weight_hook(lengths, vectors), dtype=float)
-    else:
-        values = vectors @ phi.coeffs
+    values = vectors @ phi.coeffs
     if mode == "conjugacy" and not values.min() > 0:
         raise NotInDualConeError("functional is non-positive on an enumerated class")
     if mode == "element" and not values[starts[-2]:].min() > 0:

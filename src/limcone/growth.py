@@ -314,11 +314,12 @@ def continuity_scan(rep, epsilons, seed: int, probes, n_max: int = DEFAULT_N_MAX
     """Rebuild cone, indicator and growth form on perturb(rep, eps, seed)
     for each eps and report deltas against the unperturbed baseline.
 
-    Every eps must be finite and >= 0 and every probe inside the baseline
-    limit cone, a tenth of its gap-coordinate width from either end (a
-    degenerate baseline cone admits only its own ray), checked first.
-    A failing ladder step is marked and the scan continues.
+    The seed must be a non-negative integer, every eps finite and >= 0
+    and every probe inside the baseline limit cone, a tenth of its
+    gap-coordinate width from either end (a degenerate baseline cone
+    admits only its own ray), checked first; a failing step is marked.
     """
+    perturb(rep, 0.0, seed)         # refuses a bad seed; eps = 0 returns rep
     if not all(eps >= 0 and np.isfinite(2.0 * eps) for eps in epsilons):
         raise InvalidParameterError("epsilons must be finite and >= 0")
     probes = [np.asarray(p, dtype=float) for p in probes]

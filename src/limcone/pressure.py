@@ -37,9 +37,8 @@ pressure starts from the level root r_(N-3), itself found from t = 0;
 when that iteration fails the level root r_N, started from r_(N-3)
 too, is the fallback.
 
-Weights come either from a representation and a functional, r(w) =
-phi(lambda(rho w)), or from an injected weight hook (an exact test
-seam, e.g. the word-length weight whose root is log(2k - 1)).
+Weights are r(w) = phi(lambda(rho w)).  Only the benchmark's word-length
+gate passes a weight hook, and only to the roots (exactly log(2k - 1)).
 """
 
 import math
@@ -74,7 +73,7 @@ _BOUNDARY_TOL = 1e-3     # |root - 1| allowed for a functional called on the bou
 
 
 def word_length_weight(n, lam):
-    """Test hook: weight n for every class of cyclic length n."""
+    """Word-length weight hook: weight n for every class of cyclic length n."""
     return np.full(len(lam), float(n))
 
 
@@ -241,11 +240,11 @@ def _require_levels(n, lo):
         raise InvalidParameterError(f"need level n >= {lo}")
 
 
-def pressure_table(rep, phi, t, n_max=DEFAULT_N_MAX, weight_hook=None) -> PressureTable:
+def pressure_table(rep, phi, t, n_max=DEFAULT_N_MAX) -> PressureTable:
     _require_levels(n_max, lo=3)
     if not np.isfinite(t):
         raise InvalidParameterError("t must be finite")
-    w = _Weights(rep, phi, n_max, weight_hook)
+    w = _Weights(rep, phi, n_max)
     with np.errstate(over="ignore", invalid="ignore"):
         sums = [w.level_sum(n, t) for n in range(1, n_max + 1)]
     levels = {n: sums[n - 1][0] / n for n in range(2, n_max + 1)}

@@ -166,9 +166,12 @@ def perturb(rep: Representation, epsilon: float, seed: int) -> Representation:
     unchanged (bit for bit).  Raises PerturbationFailedError when the
     perturbed determinant has no real d-th root of the right sign (even
     d, negative determinant); retry with another seed.  Raises
-    InvalidParameterError for eps that is negative, not finite, or so
-    large that the noise range 2 eps overflows.
+    InvalidParameterError for a seed that is not a non-negative integer,
+    whatever eps, and for eps that is negative, not finite, or so large
+    that the noise range 2 eps overflows.
     """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
     if epsilon < 0:
         raise InvalidParameterError("epsilon must be >= 0")
     if not np.isfinite(2.0 * epsilon):

@@ -62,7 +62,8 @@ the cubic's by _SWITCH_MARGIN, the deflated one by its own rounding
 bound.  Modulus ties, near double roots, parabolic and near-elliptic
 rows, rows near the real/complex switch and rows that are not finite go
 to the full LAPACK solve.  On words not cyclically reduced, such as
-a^n b a^-n, that solve errs by up to 1e-10; the CLI prints 17 digits.
+a^n b a^-n, that solve errs by up to 1.2e-3 (p3, length 10), although
+the CLI prints 17 digits.
 """
 
 from dataclasses import dataclass

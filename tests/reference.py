@@ -8,8 +8,9 @@ errors only these raise, dual_rep, the counting estimators that sort
 every value and read the whole element table, the pressure root
 started from the chained level roots r_(N-3) -> r_N, rebase, the
 representation in another free basis or another basis of R^d, the
-cycle-expansion pressure on numpy arrays and the Gibbs direction with a
-new array per step.  The library itself works on whole levels and
+cycle-expansion pressure on numpy arrays, the Gibbs direction with a
+new array per step, and exact d = 2 tables of a weight given per class
+or word (weight_tables).  The library itself works on whole levels and
 stacks, counts only below the completeness cap, builds r_(N-2), ..., r_N
 only for the fallback, runs the cycle expansion on Python floats and
 takes the Gibbs direction in place."""
@@ -27,7 +28,8 @@ from limcone import (
     Representation,
     Word,
 )
-from limcone.bulk import class_spectra, element_spectra
+from limcone import words
+from limcone.bulk import ClassSpectra, ElementSpectra, class_spectra, element_spectra
 from limcone.counting import (
     _DROP_FRACTION,
     _GRID_POINTS,
@@ -367,11 +369,11 @@ def growth_indicator(rep, v, half_angle, N):
     return NEG_INFINITY if counts[0] == counts[-1] else slope
 
 
-def chained_root_detail(rep, phi, n_max=DEFAULT_N_MAX, weight_hook=None) -> RootResult:
+def chained_root_detail(rep, phi, n_max=DEFAULT_N_MAX) -> RootResult:
     """pressure_root_detail with every level root built: r_(N-3) from
     t = 0, each r_n from r_(n-1) up to r_N, then the cycle-expansion
     Newton from r_N, falling back to r_N."""
-    w = _Weights(rep, phi, n_max, weight_hook)
+    w = _Weights(rep, phi, n_max)
     worst = min(v.min() for v in w.values.values())
     if worst <= 0:
         raise NotInDualConeError(f"weight takes non-positive value {worst:.3e}")
@@ -426,3 +428,22 @@ def copying_gibbs_direction(rep, phi0, n):
     x = cs.log_mult[n] - jordan @ phi0.coeffs
     g = np.exp(x - x.max())
     return (g @ jordan) / (n * g.sum())
+
+
+def weight_tables(k, n_max, weight):
+    """(ClassSpectra, ElementSpectra) of depth n_max at d = 2 for a given
+    weight: each length-n row is weight(n, W) * (1/2, -1/2), W that
+    level's class words (words.class_level_arrays, which also give the
+    log multiplicities) or reduced words.  Under phi = (1, -1) every
+    row's value is exactly its weight, since halving is exact."""
+    half = np.array([0.5, -0.5])
+
+    def rows(n, W):
+        return np.asarray(weight(n, W), dtype=float)[:, None] * half
+
+    classes = [words.class_level_arrays(k, n) for n in range(1, n_max + 1)]
+    jordan = {n: rows(n, W) for n, (W, _) in enumerate(classes, 1)}
+    log_mult = {n: np.log(mult.astype(float)) for n, (_, mult) in enumerate(classes, 1)}
+    cartan = np.concatenate([rows(n, words.word_level_array(k, n)) for n in range(1, n_max + 1)])
+    starts = np.cumsum([0] + [words.count_words(k, n) for n in range(1, n_max + 1)])
+    return ClassSpectra(jordan, log_mult), ElementSpectra(cartan, starts)

@@ -15,8 +15,7 @@ from such a call in the same function.  A read of a name that two public
 dataclasses declare counts only on a resolved receiver.  Every error
 class is raised in the package or is a base of one that is.  Every defaulted parameter of a package
 function or method is passed, by keyword or by position, by some call in
-the package or perfbench/; a call in tests/ counts only for the
-exact-oracle seam weight_hook, which tests alone set.  Every name the
+the package or perfbench/, not in tests/.  Every name the
 traced benchmark run patches exists, and a module that imports a
 patched name by name is patched too.  Every import, stdlib ones included,
 sits at module level, and every package-internal one reaches only
@@ -32,7 +31,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-_TEST_SEAMS = {"weight_hook"}       # defaulted parameters only tests pass
 # a module imports only from modules ranked below it; __init__ is exempt
 _LAYERS = {"errors": 0, "words": 1, "spectra": 1, "reps": 1, "bulk": 2,
            "counting": 3, "pressure": 3, "growth": 4, "cli": 5}
@@ -313,28 +311,23 @@ def defaulted_parameters(tree):
 def unpassed_parameters(root):
     """Defaulted parameters of root/src/limcone that no call in the
     package or perfbench/ passes, by keyword or by position, as sorted
-    "module.function(parameter=)" strings; a call in tests/ passes only
-    the _TEST_SEAMS.  Calls match by the called name alone, so a
-    parameter counts as passed when any function or method of that name
-    is called with it."""
+    "module.function(parameter=)" strings.  Calls match by the called
+    name alone, so a parameter counts as passed when any function or
+    method of that name is called with it."""
     package = sorted((root / "src" / "limcone").glob("*.py"))
-    callers = package + sorted((root / "tests").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
     calls = {}
-    for path in callers:
-        seams_only = path.parent.name == "tests"
+    for path in package + sorted((root / "perfbench").glob("*.py")):
         for sub in ast.walk(ast.parse(path.read_text())):
             if isinstance(sub, ast.Call):
                 func = sub.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 starred = any(isinstance(x, ast.Starred) for x in sub.args)
                 positions = float("inf") if starred else len(sub.args)
-                calls.setdefault(name, []).append(
-                    (positions, {k.arg for k in sub.keywords}, seams_only))
+                calls.setdefault(name, []).append((positions, {k.arg for k in sub.keywords}))
 
     def passed(name, param, pos):
-        return any((param in keywords or None in keywords or (pos is not None and positions > pos))
-                   and (param in _TEST_SEAMS or not seams_only)
-                   for positions, keywords, seams_only in calls.get(name, ()))
+        return any(param in keywords or None in keywords or (pos is not None and positions > pos)
+                   for positions, keywords in calls.get(name, ()))
 
     return [f"{path.stem}.{name}({param}=)" for path in package
             for name, param, pos in defaulted_parameters(ast.parse(path.read_text()))

@@ -163,6 +163,15 @@ def test_precondition_exit(tmp_path, reps, rep, argv):
     assert rc == cli.EXIT_PRECONDITION and not out.exists()
 
 
+@pytest.mark.parametrize("epsilons", [["0.01"], ["0", "0.01"]])
+def test_bad_seed_exit(tmp_path, reps, epsilons):
+    # refused before the ladder: a failed perturbation would only mark its
+    # step and exit 0
+    rc, out = run(tmp_path, reps, "p3", "perturb-scan", "--epsilons", *epsilons,
+                  "--probe", "1", "0", "-1", pre=["--seed", "-1"])
+    assert rc == cli.EXIT_PRECONDITION and not out.exists()
+
+
 def test_negative_e_notation_phi(tmp_path, reps):
     rc, out = run(tmp_path, reps, "p3", "exponent", "--phi", "1", "0", "-1e-3", "--max-len", "8")
     assert rc == 0

@@ -5,8 +5,9 @@ The estimators count only below the completeness cap; the oracles in
 reference.py sort every value and read the whole element table, and the
 two must agree bit for bit.
 
-The word-length weight is the exact seam: on F_2 there are 2 * 3^m - 2
-reduced words of length 1..m, so the element count at threshold s is
+The word-length weight is the exact case, served as exact tables
+(reference.weight_tables): on F_2 there are 2 * 3^m - 2 reduced words
+of length 1..m, so the element count at threshold s is
 2 * 3^floor(s) - 2 at every threshold the window admits, and the slope
 tends to log 3.
 """
@@ -29,6 +30,7 @@ from limcone import (
     orbit_count_ratio,
     perturb,
     sym_power_embed,
+    word_length_weight,
     words,
 )
 from limcone import counting
@@ -38,13 +40,9 @@ from reference import growth_indicator, slope_fit
 LOG3 = np.log(3.0)
 
 
-def word_length(lengths, spectra):
-    return lengths
-
-
-@pytest.fixture(scope="module")
-def element_estimate(s2):
-    return critical_exponent_direct(s2, None, 12, "element", weight_hook=word_length)
+@pytest.fixture
+def element_estimate(s2, serve_weight):
+    return critical_exponent_direct(s2, serve_weight(word_length_weight), 12, "element")
 
 
 class TestCompleteWindow:
@@ -57,7 +55,7 @@ class TestCompleteWindow:
 
     def test_word_length_slope(self, s2, element_estimate):
         assert abs(element_estimate.value - LOG3) < 0.005
-        conj = critical_exponent_direct(s2, None, 12, "conjugacy", weight_hook=word_length)
+        conj = critical_exponent_direct(s2, Functional([1.0, -1.0]), 12, "conjugacy")
         assert conj.value < LOG3
 
     def test_unknown_mode_refused(self, s2):
@@ -70,13 +68,14 @@ class TestCompleteWindow:
             critical_exponent_direct(p3, Functional([-1, 0, 1]), 8, mode)
 
     @pytest.mark.parametrize("mode", ["conjugacy", "element"])
-    def test_nan_hook_weight_refused(self, s2, mode):
-        def hook(lengths, spectra):
-            values = lengths.copy()
-            values[-1] = np.nan
+    def test_nan_hook_weight_refused(self, s2, mode, serve_weight):
+        def weight(n, W):           # NaN on the last item of the depth-8 table
+            values = np.full(len(W), float(n))
+            values[-1] = np.nan if n == 8 else n
             return values
+        phi = serve_weight(weight)
         with pytest.raises(NotInDualConeError):
-            critical_exponent_direct(s2, None, 8, mode, weight_hook=hook)
+            critical_exponent_direct(s2, phi, 8, mode)
 
     @pytest.mark.parametrize("mode", ["conjugacy", "element"])
     def test_collapsed_grid_refused(self, p3, mode):
@@ -85,9 +84,10 @@ class TestCompleteWindow:
             critical_exponent_direct(p3, Functional([1e-320, 0.0, -1e-320]), 8, mode)
 
     @pytest.mark.parametrize("mode", ["conjugacy", "element"])
-    def test_flat_count_has_zero_slope(self, p3, mode):
+    def test_flat_count_has_zero_slope(self, p3, mode, serve_weight):
         # one value for every item: the grid spreads up to the cap, the count stays flat
-        est = critical_exponent_direct(p3, None, 8, mode, weight_hook=lambda n, v: np.ones_like(n))
+        phi = serve_weight(lambda n, W: np.ones(len(W)))
+        est = critical_exponent_direct(p3, phi, 8, mode)
         assert np.ptp(est.thresholds) > 0 and np.ptp(est.counts) == 0
         assert abs(est.value) < 1e-9
 

@@ -1,9 +1,12 @@
 """Periodic-orbit pressure, roots, Gibbs statistics.
 
-The word-length weight is the exact seam: with it the level pressure is
+The word-length weight is the exact case, served as exact tables
+(reference.weight_tables): with it the level pressure is
 (1/n) log c(n) - t, where c(n) counts cyclically reduced words (each
-class weighted by its primitive period), and the root extrapolation
-lands on log 3 for k = 2 to a few parts in 1e-8.
+class weighted by its primitive period), and the cycle expansion lands
+on log 3 for k = 2 from N = 4 on.  A weight summed from letter and
+letter-pair values is exact too: its pressure is the log spectral
+radius of a 4-state transfer matrix.
 """
 
 import itertools
@@ -79,15 +82,16 @@ def brute_class_jordan(rep, n):
 
 class TestLevelPressure:
     @pytest.mark.parametrize("n", [3, 5, 7])
-    def test_word_length_weight_exact(self, s2, n):
+    def test_word_length_weight_exact(self, s2, n, serve_weight):
         # (1/n) log c(n) - t, c(n) counted by brute force
         c_n = brute_cyc_reduced_count(2, n)
+        phi = serve_weight(word_length_weight)
         for t in (0.0, 0.7, 2.0):
-            got = pressure_table(s2, None, t, 7, weight_hook=word_length_weight).levels[n]
+            got = pressure_table(s2, phi, t, 7).levels[n]
             assert abs(got - (np.log(c_n) / n - t)) < 1e-12
 
-    def test_zero_weight_approaches_log3(self, s2):
-        p12 = pressure_table(s2, None, 0.0, 12, weight_hook=word_length_weight).levels[12]
+    def test_zero_weight_approaches_log3(self, s2, serve_weight):
+        p12 = pressure_table(s2, serve_weight(word_length_weight), 0.0, 12).levels[12]
         assert abs(p12 - LOG3) < 1e-4
 
     def test_strictly_decreasing_in_t(self, s2):
@@ -124,10 +128,10 @@ class TestPressureRoot:
             pressure_root(s2, Functional([-1.0, 1.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, 0.0])
-    def test_nan_or_zero_hook_weight_not_in_dual_cone(self, s2, bad):
-        hook = lambda n, lam: np.where(np.arange(len(lam)) == 1, bad, float(n))
+    def test_nan_or_zero_hook_weight_not_in_dual_cone(self, s2, bad, serve_weight):
+        phi = serve_weight(lambda n, W: np.where(np.arange(len(W)) == 1, bad, float(n)))
         with pytest.raises(NotInDualConeError):
-            pressure_root(s2, None, n_max=8, weight_hook=hook)
+            pressure_root(s2, phi, n_max=8)
 
     def test_agrees_with_direct_count(self, s2, p3):
         # element mode at N = 12, measured: s2 +1.82 %; p3 +2.66 %, +1.73 %, +1.74 %
@@ -140,10 +144,11 @@ class TestPressureRoot:
             est = critical_exponent_direct(rep, phi, 12, "element")
             assert abs(root - est.value) / root < 0.03, (coeffs, root, est.value)
 
-    def test_level_root_beyond_t_max(self, s2):
+    def test_level_root_beyond_t_max(self, s2, serve_weight):
         # a weight of 1e-6 per letter puts every level root at log 3 / 1e-6 > _T_MAX
+        phi = serve_weight(lambda n, W: np.full(len(W), 1e-6 * n))
         with pytest.raises(BracketFailureError):
-            pressure_root(s2, None, weight_hook=lambda n, lam: np.full(len(lam), 1e-6 * n))
+            pressure_root(s2, phi)
 
 
 class TestPressureTable:
@@ -237,12 +242,13 @@ class TestDerivative:
         assert a == 0.0
         assert abs(n) < 1e-12
 
-    def test_constant_weight_slope_is_minus_one(self, s2):
+    def test_constant_weight_slope_is_minus_one(self, s2, serve_weight):
         # scaling the word-length weight: P((1+t) r) has slope -1 in t,
         # matching minus the Gibbs mean of the weight per unit time
         h = 1e-4
-        up = pressure_table(s2, None, 1.0 + h, 8, weight_hook=word_length_weight).levels[8]
-        dn = pressure_table(s2, None, 1.0 - h, 8, weight_hook=word_length_weight).levels[8]
+        phi = serve_weight(word_length_weight)
+        up = pressure_table(s2, phi, 1.0 + h, 8).levels[8]
+        dn = pressure_table(s2, phi, 1.0 - h, 8).levels[8]
         assert abs((up - dn) / (2 * h) + 1.0) < 1e-12
 
     def test_matches_finite_difference(self, s2):
@@ -295,9 +301,9 @@ class TestCycleExpansion:
     # the pressure estimate is the truncated cycle expansion of 1/zeta
 
     @pytest.mark.parametrize("n_max", range(4, 13))
-    def test_word_length_root_exact(self, s2, n_max):
+    def test_word_length_root_exact(self, s2, n_max, serve_weight):
         # 1/zeta = det(I - zA) = (1 - 3z)(1 - z)^2(1 + z) from degree 4 on
-        detail = pressure_root_detail(s2, None, n_max=n_max, weight_hook=word_length_weight)
+        detail = pressure_root_detail(s2, serve_weight(word_length_weight), n_max=n_max)
         assert abs(detail.value - LOG3) < 1e-12
         assert not detail.fallback
 
@@ -359,16 +365,63 @@ class TestCycleExpansion:
         assert pressure_table(rep, phi, 1.0, n_max=4).levels[4] == table.levels[4]
         assert np.isfinite(gibbs_direction(rep, phi, 5)).all()
 
-    def test_no_positive_zero_falls_back_to_top_level(self, s2):
+    def test_no_positive_zero_falls_back_to_top_level(self, s2, serve_weight):
         # Z_n is negligible for n >= 2, so 1/zeta_4 is close to the degree-4
         # Taylor polynomial of exp(-Z_1 z), which has no real zero
-        hook = lambda n, lam: np.full(len(lam), 1.0 if n == 1 else 50.0 * n)
-        table = pressure_table(s2, None, 0.5, 4, weight_hook=hook)
+        phi = serve_weight(lambda n, W: np.full(len(W), 1.0 if n == 1 else 50.0 * n))
+        table = pressure_table(s2, phi, 0.5, 4)
         assert table.oscillating
         assert table.extrapolated == table.levels[4]
-        detail = pressure_root_detail(s2, None, n_max=4, weight_hook=hook)
+        detail = pressure_root_detail(s2, phi, n_max=4)
         assert detail.fallback
-        assert abs(pressure_table(s2, None, detail.value, 4, weight_hook=hook).levels[4]) < 1e-9
+        assert abs(pressure_table(s2, phi, detail.value, 4).levels[4]) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# exact pressure of a letter-pair cocycle
+# ---------------------------------------------------------------------------
+
+def pair_cocycle(seed):
+    """(weight, exact pressure) of F(w) = sum_i x_(w_i) + y_(w_i w_(i+1)),
+    indices cyclic, x and y drawn from U[0.5, 2].  Z_n(t) is the trace of
+    A_t^n, with A_t the non-backtracking letter graph whose edge a -> b
+    weighs exp(-t (x_b + y_ab)), so P(t) = log rho(A_t) and 1/zeta is the
+    degree-4 polynomial det(I - z A_t)."""
+    rng = np.random.default_rng(seed)
+    x, y = rng.uniform(0.5, 2.0, 4), rng.uniform(0.5, 2.0, (4, 4))
+    backtrack = np.arange(4)[:, None] == (np.arange(4) ^ 1)[None, :]
+
+    def weight(n, W):
+        return sum(x[W[:, i]] + y[W[:, i], W[:, (i + 1) % n]] for i in range(n))
+
+    def exact(t):
+        A = np.where(backtrack, 0.0, np.exp(-t * (x[None, :] + y)))
+        return float(np.log(np.abs(np.linalg.eigvals(A)).max()))
+
+    return weight, exact
+
+
+def _decreasing_zero(f, lo, hi):
+    """Zero of a decreasing f on [lo, hi] by bisection to the last bit."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        lo, hi = (mid, hi) if f(mid) > 0 else (lo, mid)
+
+
+def test_pair_cocycle_roots_and_pressure_exact(s2, serve_weight):
+    # measured: roots within 3.3e-16 of the exact one, P_ext(0.7) within
+    # 4.4e-16, while the level pressure P_12(0.7) is off by 1.7e-7
+    weight, exact = pair_cocycle(5)
+    phi = serve_weight(weight)
+    root = _decreasing_zero(exact, 0.0, 2.0)     # F >= n, so P(t) <= log 3 - t
+    for n_max in (6, 8, 10, 12):
+        detail = pressure_root_detail(s2, phi, n_max=n_max)
+        assert not detail.fallback and abs(detail.value - root) < 1e-14, n_max
+    table = pressure_table(s2, phi, 0.7)
+    assert not table.oscillating and abs(table.extrapolated - exact(0.7)) < 1e-14
+    assert abs(table.levels[12] - exact(0.7)) > 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +452,10 @@ def _functionals(d):
     return [Functional.gap(3, 1), Functional.gap(3, 2), Functional(_U1)] + chamber
 
 
-def _no_positive_zero(n, lam):
-    """The hook of test_no_positive_zero_falls_back_to_top_level: at
+def _no_positive_zero(n, W):
+    """The weight of test_no_positive_zero_falls_back_to_top_level: at
     n_max = 4 the cycle expansion has no real zero, so the root falls back."""
-    return np.full(len(lam), 1.0 if n == 1 else 50.0 * n)
+    return np.full(len(W), 1.0 if n == 1 else 50.0 * n)
 
 
 @pytest.mark.parametrize("spec", ["s2", "f3", "p3"] + _PERTURBED,
@@ -422,10 +475,11 @@ def test_agrees_with_chained_level_roots(request, f3, spec):
     assert found >= 1
 
 
-def test_fallback_is_the_chained_top_level_root(s2):
+def test_fallback_is_the_chained_top_level_root(s2, serve_weight):
     # the fallback is r_N of the same chain, to the bit
-    detail = pressure_root_detail(s2, None, n_max=4, weight_hook=_no_positive_zero)
-    want = chained_root_detail(s2, None, n_max=4, weight_hook=_no_positive_zero)
+    phi = serve_weight(_no_positive_zero)
+    detail = pressure_root_detail(s2, phi, n_max=4)
+    want = chained_root_detail(s2, phi, n_max=4)
     assert detail.fallback and want.fallback
     assert detail.value == want.value
 
@@ -444,7 +498,7 @@ def test_top_level_summed_at_most_three_times(request, monkeypatch, rep_name, co
     assert 1 <= summed.count(12) <= 3
 
 
-def test_higher_level_roots_built_only_for_the_fallback(s2, monkeypatch):
+def test_higher_level_roots_built_only_for_the_fallback(s2, monkeypatch, serve_weight):
     solved = []
     level_root = pressure._Weights.level_root
 
@@ -456,7 +510,7 @@ def test_higher_level_roots_built_only_for_the_fallback(s2, monkeypatch):
     assert not pressure_root_detail(s2, Functional([1.0, -1.0]), n_max=12).fallback
     assert solved == [9]
     solved.clear()
-    assert pressure_root_detail(s2, None, n_max=4, weight_hook=_no_positive_zero).fallback
+    assert pressure_root_detail(s2, serve_weight(_no_positive_zero), n_max=4).fallback
     assert solved == [1, 4]
 
 
@@ -482,8 +536,8 @@ def test_unbracketed_higher_level_root_does_not_stop_a_cycle_root(s2, monkeypatc
 # the cycle expansion on floats against the array form it replaced
 # ---------------------------------------------------------------------------
 
-def _level_sums(rep, phi, t, n_max=12, weight_hook=None):
-    w = pressure._Weights(rep, phi, n_max, weight_hook)
+def _level_sums(rep, phi, t, n_max=12):
+    w = pressure._Weights(rep, phi, n_max)
     return [w.level_sum(n, t) for n in range(1, n_max + 1)]
 
 
@@ -501,18 +555,20 @@ def test_cycle_pressure_matches_array_form(request, rep_name, coeffs):
 
 
 @pytest.mark.parametrize("n_max", [5, 8, 12])
-def test_cycle_pressure_with_zero_top_coefficient(s2, n_max):
+def test_cycle_pressure_with_zero_top_coefficient(s2, n_max, serve_weight):
     # 1/zeta has degree 4, so c_N = 0 and the companion drops it
+    phi = serve_weight(word_length_weight)
     for t in (0.0, 0.7, 2.0):
-        sums = _level_sums(s2, None, t, n_max, word_length_weight)
+        sums = _level_sums(s2, phi, t, n_max)
         got = _cycle_pressure(sums)
         assert got == pytest.approx(array_cycle_pressure(sums), rel=1e-14, abs=0), t
         assert abs(got[0] - (LOG3 - t)) < 1e-12 and got[1] == pytest.approx(-1.0, rel=1e-12)
 
 
-def test_cycle_pressure_without_positive_zero_is_none(s2):
+def test_cycle_pressure_without_positive_zero_is_none(s2, serve_weight):
+    phi = serve_weight(_no_positive_zero)
     for t in (0.25, 0.5, 1.0):
-        sums = _level_sums(s2, None, t, 4, _no_positive_zero)
+        sums = _level_sums(s2, phi, t, 4)
         assert _cycle_pressure(sums) is None and array_cycle_pressure(sums) is None, t
 
 

@@ -152,6 +152,17 @@ class TestPerturb:
         with pytest.raises(InvalidParameterError):
             perturb(f3, epsilon, 1)
 
+    @pytest.mark.parametrize("epsilon", [0.0, 0.01])
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, "1"])
+    def test_bad_seed_rejected(self, s2, seed, epsilon):
+        # refused before the eps = 0 return, never numpy's ValueError or TypeError
+        with pytest.raises(InvalidParameterError):
+            perturb(s2, epsilon, seed)
+
+    def test_numpy_integer_seed(self, f3):
+        assert np.array_equal(perturb(f3, 1e-3, np.int64(4)).generators,
+                              perturb(f3, 1e-3, 4).generators)
+
     def test_sign_flip_fails_for_even_dim(self, s2):
         # huge noise flips the determinant sign for some seed; even d
         # has no real rescaling then
