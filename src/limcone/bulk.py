@@ -151,11 +151,11 @@ def _tree_products(rep, edges, n_max: int, inverse: bool = True):
 def _word_edges(k, n_max):
     """Edges of the reduced-word tree, one depth at a time: row i of
     level n extends row i // (2k - 1) of level n - 1 (the root, for
-    n = 1).  Refuses n_max < 1 and over-budget levels before any level
-    is built."""
+    n = 1).  Refuses n_max < 1, and over-budget levels before any level
+    is built, by asking for the top level first."""
     if n_max < 1:
         raise InvalidParameterError("need n_max >= 1")
-    words._check_level(k, n_max)
+    words.word_level_array(k, n_max)
     return ((_word_parents(k, n), words.word_level_array(k, n)[:, -1])
             for n in range(1, n_max + 1))
 

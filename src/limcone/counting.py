@@ -238,6 +238,10 @@ class ConeHull:
 def _cone_hull(rep, N, mode, floor, empty):
     """Hull of the rows of the mode table with norm at least floor;
     raises `empty` when no row has."""
+    if N < 4:
+        raise InvalidParameterError("need N >= 4")
+    if rep.dim > 3:
+        raise InvalidParameterError("cone hulls implemented for d <= 3")
     vectors, _ = _table(rep, N, mode)
     keep = _norms(vectors) >= floor
     if not keep.any():
@@ -257,10 +261,6 @@ def _cone_hull(rep, N, mode, floor, empty):
 def limit_cone(rep, N: int) -> ConeHull:
     """Hull of projectivized Jordan projections over classes of cyclic
     length up to N, excluding near-elliptic spectra."""
-    if N < 4:
-        raise InvalidParameterError("need N >= 4")
-    if rep.dim > 3:
-        raise InvalidParameterError("cone hulls implemented for d <= 3")
     return _cone_hull(rep, N, "conjugacy", 1e-6,
                       DegenerateConeError("all sampled spectra are elliptic"))
 
@@ -268,12 +268,8 @@ def limit_cone(rep, N: int) -> ConeHull:
 def asymptotic_cone(rep, N: int, norm_floor: float) -> ConeHull:
     """Hull of projectivized Cartan projections over reduced words up to
     length N with norm at least norm_floor."""
-    if N < 4:
-        raise InvalidParameterError("need N >= 4")
     if not norm_floor > 0:
         raise InvalidParameterError("norm_floor must be positive")
-    if rep.dim > 3:
-        raise InvalidParameterError("cone hulls implemented for d <= 3")
     return _cone_hull(rep, N, "element", norm_floor,
                       InsufficientDataError("norm floor excludes every Cartan projection"))
 

@@ -100,18 +100,17 @@ def _check_level(k, n, n_min=0):
 
 
 @lru_cache(maxsize=64)
-def _word_level(k: int, n: int):
+def word_level_array(k: int, n: int):
     """All reduced words of length n as an int8 array, in lexicographic
-    order.  Level n is built by extending level n-1, so rows stay sorted."""
+    order: each row of level n-1 repeated once per allowed next letter."""
     _check_level(k, n)
     if n == 0:
         return np.zeros((1, 0), dtype=np.int8)
     if n == 1:
         return np.arange(2 * k, dtype=np.int8).reshape(-1, 1)
-    prev = _word_level(k, n - 1)
+    prev = word_level_array(k, n - 1)
     ext = _extension_table(k)[prev[:, -1]]            # (M, 2k-1)
-    parents = np.repeat(np.arange(len(prev)), 2 * k - 1)
-    return np.concatenate([prev[parents], ext.reshape(-1, 1)], axis=1)
+    return np.concatenate([np.repeat(prev, 2 * k - 1, axis=0), ext.reshape(-1, 1)], axis=1)
 
 
 @lru_cache(maxsize=64)
@@ -146,7 +145,7 @@ def _is_class(W, period, n):
 
 
 @lru_cache(maxsize=64)
-def _class_level(k: int, n: int):
+def class_level_arrays(k: int, n: int):
     """Canonical cyclically reduced words of length n, in lexicographic
     order, and their multiplicities (numbers of distinct rotations).  A
     necklace is a power of its longest Lyndon prefix, so its multiplicity
@@ -172,7 +171,7 @@ def class_tree(k: int, n_max: int):
     gives them; depth n_max keeps only the class words.  At k = 2,
     N = 12 that is 98,002 nodes, 2.3 % more than the distinct class-word
     prefixes, bought back by needing no pruning pass.  Refused as
-    _class_level is.
+    class_level_arrays is.
     """
     _check_level(k, n_max, 1)
     edges, index = [], []
@@ -187,15 +186,6 @@ def class_tree(k: int, n_max: int):
             edges.append((parent[cls], W[cls, -1]))
             index.append(np.arange(np.count_nonzero(cls), dtype=np.int32))
     return tuple(edges), tuple(index)
-
-
-def class_level_arrays(k: int, n: int):
-    """Canonical class words and multiplicities as arrays (shared cache)."""
-    return _class_level(k, n)
-
-
-def word_level_array(k: int, n: int):
-    return _word_level(k, n)
 
 
 # ---------------------------------------------------------------------------

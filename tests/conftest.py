@@ -27,22 +27,38 @@ def p3(f3):
 
 
 @pytest.fixture
-def serve_weight(monkeypatch):
-    """serve_weight(weight) makes pressure and counting read, for any
-    representation and depth n, the tables weight_tables(k, n, weight),
-    and returns phi = (1, -1), under which each class or word is worth
-    exactly its weight.  A test that serves tables calls no cached
-    reader (limit_cone, counting._norm_window), since those would keep
-    its results; the caches are cleared afterwards all the same."""
+def serve_tables(monkeypatch):
+    """serve_tables(tables) makes pressure and counting read, for any
+    representation and depth n, the (ClassSpectra, ElementSpectra) pair
+    tables(k, n), k the representation's number of generators.  The
+    cached readers (limit_cone, counting._norm_window) and tables are
+    cleared on serving and afterwards, so what they cache within the test
+    comes from the served tables and stays in it."""
+    cached_readers = (counting.limit_cone, counting._norm_window, bulk.class_spectra,
+                      bulk.element_spectra)
 
-    def serve(weight):
-        tables = cache(lambda k, n: weight_tables(k, n, weight))
+    def serve(tables):
+        for cached in cached_readers:
+            cached.cache_clear()
+        tables = cache(tables)
         classes = lambda rep, n: tables(rep.num_generators, n)[0]
         monkeypatch.setattr(pressure, "class_spectra", classes)
         monkeypatch.setattr(counting, "class_spectra", classes)
         monkeypatch.setattr(counting, "element_spectra", lambda rep, n: tables(rep.num_generators, n)[1])
-        return Functional([1.0, -1.0])
 
     yield serve
-    for cached in (counting.limit_cone, counting._norm_window, bulk.class_spectra, bulk.element_spectra):
+    for cached in cached_readers:
         cached.cache_clear()
+
+
+@pytest.fixture
+def serve_weight(serve_tables):
+    """serve_weight(weight) serves the tables weight_tables(k, n, weight)
+    and returns phi = (1, -1), under which each class or word is worth
+    exactly its weight."""
+
+    def serve(weight):
+        serve_tables(lambda k, n: weight_tables(k, n, weight))
+        return Functional([1.0, -1.0])
+
+    return serve

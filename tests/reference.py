@@ -9,11 +9,13 @@ every value and read the whole element table, the pressure root
 started from the chained level roots r_(N-3) -> r_N, rebase, the
 representation in another free basis or another basis of R^d, the
 cycle-expansion pressure on numpy arrays, the Gibbs direction with a
-new array per step, and exact d = 2 tables of a weight given per class
-or word (weight_tables).  The library itself works on whole levels and
-stacks, counts only below the completeness cap, builds r_(N-2), ..., r_N
-only for the fallback, runs the cycle expansion on Python floats and
-takes the Gibbs direction in place."""
+new array per step, and exact tables whose rows are given per class or
+word (tables_of_rows): those of a d = 2 weight (weight_tables) and
+those of a d = 3 letter-pair cocycle, with its transfer matrix, roots
+and equilibrium means (PairCocycle).  The library itself works on whole
+levels and stacks, counts only below the completeness cap, builds
+r_(N-2), ..., r_N only for the fallback, runs the cycle expansion on
+Python floats and takes the Gibbs direction in place."""
 
 from dataclasses import dataclass
 
@@ -38,6 +40,7 @@ from limcone.counting import (
     _threshold_grid,
 )
 from limcone.errors import NotInDualConeError
+from limcone.growth import _opposition
 from limcone.pressure import (
     DEFAULT_N_MAX,
     RootResult,
@@ -430,20 +433,109 @@ def copying_gibbs_direction(rep, phi0, n):
     return (g @ jordan) / (n * g.sum())
 
 
-def weight_tables(k, n_max, weight):
-    """(ClassSpectra, ElementSpectra) of depth n_max at d = 2 for a given
-    weight: each length-n row is weight(n, W) * (1/2, -1/2), W that
-    level's class words (words.class_level_arrays, which also give the
-    log multiplicities) or reduced words.  Under phi = (1, -1) every
-    row's value is exactly its weight, since halving is exact."""
-    half = np.array([0.5, -0.5])
-
-    def rows(n, W):
-        return np.asarray(weight(n, W), dtype=float)[:, None] * half
-
+def tables_of_rows(k, n_max, rows):
+    """(ClassSpectra, ElementSpectra) of depth n_max whose length-n rows
+    are rows(n, W, cyclic): W that level's class words, cyclic true
+    (words.class_level_arrays, which also give the log multiplicities),
+    or its reduced words, cyclic false."""
     classes = [words.class_level_arrays(k, n) for n in range(1, n_max + 1)]
-    jordan = {n: rows(n, W) for n, (W, _) in enumerate(classes, 1)}
+    jordan = {n: rows(n, W, True) for n, (W, _) in enumerate(classes, 1)}
     log_mult = {n: np.log(mult.astype(float)) for n, (_, mult) in enumerate(classes, 1)}
-    cartan = np.concatenate([rows(n, words.word_level_array(k, n)) for n in range(1, n_max + 1)])
+    cartan = np.concatenate([rows(n, words.word_level_array(k, n), False)
+                             for n in range(1, n_max + 1)])
     starts = np.cumsum([0] + [words.count_words(k, n) for n in range(1, n_max + 1)])
     return ClassSpectra(jordan, log_mult), ElementSpectra(cartan, starts)
+
+
+def weight_tables(k, n_max, weight):
+    """The d = 2 tables_of_rows for a given weight: each length-n row is
+    weight(n, W) * (1/2, -1/2).  Under phi = (1, -1) every row's value
+    is exactly its weight, since halving is exact."""
+    half = np.array([0.5, -0.5])
+    return tables_of_rows(
+        k, n_max, lambda n, W, cyclic: np.asarray(weight(n, W), dtype=float)[:, None] * half)
+
+
+class PairCocycle:
+    """The letter-pair cocycle F(w) = sum_i x_(w_i) + sum_i y_(w_i w_(i+1))
+    on F_2 with values in the open Weyl chamber of R^3, and its exact
+    pressure, roots and equilibrium means.  The pair sum is cyclic over
+    class words and not over reduced words.
+
+    x and y are drawn from the seed as chamber vectors whose two gaps lie
+    in [0.5, 2] (x) and [0.1, 0.5] (y); an inverse letter and a reversed
+    inverse pair take the opposition image, x_(a^-1) = iota x_a and
+    y_(b^-1 a^-1) = iota y_(ab), so that F(w^-1) = iota F(w), as for a
+    Jordan projection.  The sum of p e^(-phi(F)) over the classes of
+    length n is tr A^n, with A the non-backtracking letter graph whose
+    edge a -> b weighs exp(-phi(x_b + y_ab)).  So P(-phi) = log rho(A),
+    1/zeta is det(I - z A), a polynomial of degree 4, and the
+    equilibrium mean of F per letter, -grad P, comes from A's Perron
+    eigenvector pair (Parry & Pollicott, Asterisque 187-188, 1990)."""
+
+    def __init__(self, seed):
+        rng = np.random.default_rng(seed)
+        k = 2
+
+        def chamber(lo, hi):
+            g1, g2 = rng.uniform(lo, hi, 2)
+            return np.array([2 * g1 + g2, g2 - g1, -g1 - 2 * g2]) / 3
+
+        self.x = np.empty((2 * k, 3))
+        for a in range(0, 2 * k, 2):
+            self.x[a] = chamber(0.5, 2.0)
+            self.x[a + 1] = _opposition(self.x[a])
+        self.backtrack = np.arange(2 * k)[:, None] == (np.arange(2 * k) ^ 1)[None, :]
+        self.y = np.zeros((2 * k, 2 * k, 3))
+        drawn = self.backtrack.copy()
+        for a, b in np.argwhere(~self.backtrack):
+            if not drawn[a, b]:
+                self.y[a, b] = chamber(0.1, 0.5)
+                self.y[b ^ 1, a ^ 1] = _opposition(self.y[a, b])
+                drawn[a, b] = drawn[b ^ 1, a ^ 1] = True
+        self.edge_values = self.x[None, :, :] + self.y      # edge a -> b carries x_b + y_ab
+
+    def values(self, W, cyclic):
+        """F of every row of the letter array W."""
+        n = W.shape[1]
+        F = np.zeros((len(W), 3))
+        for i in range(n):
+            F += self.x[W[:, i]]
+        for i in range(n if cyclic else n - 1):
+            F += self.y[W[:, i], W[:, (i + 1) % n]]
+        return F
+
+    def tables(self, k, n_max):
+        """The tables_of_rows of depth n_max whose rows are F."""
+        return tables_of_rows(k, n_max, lambda n, W, cyclic: self.values(W, cyclic))
+
+    def transfer(self, phi):
+        """A for the functional with coefficient vector phi."""
+        return np.where(self.backtrack, 0.0, np.exp(-(self.edge_values @ phi)))
+
+    def pressure(self, phi):
+        """P(-phi) = log rho(A)."""
+        return float(np.log(np.abs(np.linalg.eigvals(self.transfer(phi))).max()))
+
+    def root(self, u):
+        """The s with P(-s u) = 0, by bisection to the last bit; u must be
+        positive on every edge."""
+        lo, hi = 0.0, 1.0
+        while self.pressure(hi * np.asarray(u)) > 0:
+            lo, hi = hi, 2 * hi
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                return mid
+            lo, hi = (mid, hi) if self.pressure(mid * np.asarray(u)) > 0 else (lo, mid)
+
+    def gibbs(self, phi):
+        """The equilibrium mean of F per letter for -phi: l (A o V) r over
+        rho l.r, with l and r the Perron vectors of A and V the edge values."""
+        A = self.transfer(phi)
+        vals, right = np.linalg.eig(A)
+        top = np.argmax(vals.real)
+        r = np.abs(right[:, top].real)
+        vals_t, left = np.linalg.eig(A.T)
+        l = np.abs(left[:, np.argmax(vals_t.real)].real)
+        return np.einsum("a,ab,abk,b->k", l, A, self.edge_values, r) / (vals[top].real * (l @ r))

@@ -405,6 +405,29 @@ class TestWordProducts:
         jor = np.concatenate([batched_jordan(f, b) for _, _, f, b in bulk.word_products(p3, 5)])
         assert np.array_equal(got, np.hstack([cart, jor]))
 
+    def test_s2_dump_fallback_rows_against_60_digits(self, s2):
+        # The spectra dump's d = 2 Jordan rows that the closed form does not
+        # certify (28, 108, 440 and 1,408 at levels 7-10, all conjugates) take
+        # LAPACK's top value of m and of its inverse product.  Against a
+        # 60-digit product of the stored letters their l1 is off by at most
+        # 1.16e-10 (mean 2.5e-12); with m's value for both ends, as the d = 2
+        # tables take it, two level-10 rows reach 2.26e-10.
+        mats = [mp.matrix(m.tolist()) for m in s2.letter_matrices()]
+        sent = 0
+        for n, lo, fwd, bwd in bulk.word_products(s2, 10):
+            rows = np.flatnonzero(~certified("jordan", fwd, bwd))
+            l1 = batched_jordan(fwd, bwd)[rows, 0]
+            with mp.workdps(60):
+                for w, got in zip(words.word_level_array(2, n)[lo + rows].tolist(), l1):
+                    acc = mp.eye(2)
+                    for l in w:
+                        acc = acc * mats[l]
+                    lo_mod, hi_mod = sorted(abs(e) for e in mp.eig(acc, left=False, right=False))
+                    want = float((mp.log(hi_mod) - mp.log(lo_mod)) / 2)
+                    assert abs(got - want) <= 1.5e-10, (n, w)
+            sent += len(rows)
+        assert sent > 0
+
 
 class TestClassSpectra:
     def test_needs_two_levels(self, s2):

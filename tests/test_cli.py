@@ -437,14 +437,14 @@ def test_direct_psi_needs_no_dual_body(tmp_path, reps):
 ], ids=["spectra", "pressure"])
 def test_word_levels_over_budget_exit(tmp_path, reps, monkeypatch, argv):
     # the top level is refused before any lower level is built
-    build = words._word_level
+    build = words.word_level_array
 
     def top_only(k, n):
         if n < 20:
             pytest.fail(f"enumerated words of length {n}")
         return build.__wrapped__(k, n)
 
-    monkeypatch.setattr(words, "_word_level", top_only)
+    monkeypatch.setattr(words, "word_level_array", top_only)
     rc, out = run(tmp_path, reps, "s2", *argv)
     assert rc == cli.EXIT_PRECONDITION and not out.exists()
 

@@ -27,7 +27,7 @@ from limcone import (
 from limcone import growth
 from limcone.growth import _U1, _U2
 from limcone.pressure import gibbs_direction
-from reference import copying_gibbs_direction
+from reference import PairCocycle, copying_gibbs_direction
 
 
 def plain_chamber_direction(t):
@@ -458,7 +458,7 @@ def test_limit_cone_is_computed_once_per_table(p3):
 
 
 @pytest.mark.parametrize("resolution, roots", [(16, 9), (17, 10)])
-def test_growth_rate_reads_the_traced_centre_at_odd_resolution(p3, monkeypatch, resolution, roots):
+def test_growth_rate_is_its_own_root_at_every_resolution(p3, monkeypatch, resolution, roots):
     # the root at U1 is found on its own at every resolution, so at odd
     # resolution, where the traced angle 0 is U1, it is found twice
     calls = []
@@ -494,3 +494,41 @@ def test_failed_centre_finds_the_growth_rate_on_its_own(p3, monkeypatch):
     monkeypatch.setattr(growth, "pressure_root", unbracketed)
     with pytest.raises(BracketFailureError):
         boundary_curve(p3, resolution=17)
+
+
+# ---------------------------------------------------------------------------
+# the dual body of an exact cocycle
+# ---------------------------------------------------------------------------
+
+# The level-12 Gibbs mean's own truncation error on PairCocycle(3),
+# measured 3.27e-5 relative for the Gibbs vectors and the entropies alike.
+# A Gibbs mean taken from the cycle expansion, as the roots are, is to
+# bring it down to 1e-12; until then the bound is the level mean's error,
+# not a tolerance.
+LEVEL_GIBBS_ERROR = 4e-5
+
+
+def test_vector_pair_cocycle_dual_body_exact(p3, serve_tables):
+    # d = 3 tables served to p3.  Measured: every s* within 1.4e-15 of the
+    # exact root, h exactly, and psi by duality within 6.5e-16 relative of
+    # the exact entropy at the 14 of 16 exact Gibbs directions on the arc
+    cocycle = PairCocycle(3)
+    serve_tables(cocycle.tables)
+    body = boundary_curve(p3, 16)
+    assert len(body) == 16
+    assert abs(body.growth_rate - cocycle.root(_U1)) < 1e-13
+    arc = [plain_angle(bp.gibbs_vector) for bp in body.boundary]
+    on_arc = 0
+    for bp in body.boundary:
+        s = cocycle.root(bp.direction.coeffs)
+        assert abs(bp.s_star - s) < 1e-13
+        g = cocycle.gibbs(s * bp.direction.coeffs)
+        entropy = s * float(bp.direction.coeffs @ g)
+        assert np.linalg.norm(bp.gibbs_vector - g) <= LEVEL_GIBBS_ERROR * np.linalg.norm(g)
+        assert abs(bp.entropy - entropy) <= LEVEL_GIBBS_ERROR * entropy
+        if min(arc) <= plain_angle(g) <= max(arc):
+            # every exact boundary functional is at least psi at g, and the
+            # traced one touches it there: the envelope is the exact entropy
+            assert psi_from_duality(body, g) == pytest.approx(entropy, rel=1e-12, abs=0)
+            on_arc += 1
+    assert on_arc > 0

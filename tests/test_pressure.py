@@ -6,7 +6,8 @@ The word-length weight is the exact case, served as exact tables
 class weighted by its primitive period), and the cycle expansion lands
 on log 3 for k = 2 from N = 4 on.  A weight summed from letter and
 letter-pair values is exact too: its pressure is the log spectral
-radius of a 4-state transfer matrix.
+radius of a 4-state transfer matrix, for a scalar weight and for the
+chamber-valued cocycle of reference.PairCocycle alike.
 """
 
 import itertools
@@ -34,7 +35,7 @@ from limcone import pressure, words
 from limcone.bulk import class_spectra
 from limcone.growth import _U1, _U2
 from limcone.pressure import _cycle_pressure, pressure_root_detail
-from reference import array_cycle_pressure, chained_root_detail, evaluate
+from reference import PairCocycle, array_cycle_pressure, chained_root_detail, evaluate
 
 LOG3 = np.log(3.0)
 
@@ -357,7 +358,7 @@ class TestCycleExpansion:
             lengths.append(n)
             return plain(k, n)
 
-        for cached in (plain, words._class_level, words.class_tree, class_spectra):
+        for cached in (plain, words.class_level_arrays, words.class_tree, class_spectra):
             cached.cache_clear()
         monkeypatch.setattr(words, "_pre_necklaces", capped)
         table = pressure_table(rep, phi, 1.0, n_max=5)
@@ -422,6 +423,26 @@ def test_pair_cocycle_roots_and_pressure_exact(s2, serve_weight):
     table = pressure_table(s2, phi, 0.7)
     assert not table.oscillating and abs(table.extrapolated - exact(0.7)) < 1e-14
     assert abs(table.levels[12] - exact(0.7)) > 1e-9
+
+
+def test_vector_pair_cocycle_roots_and_pressure_exact(p3, serve_tables):
+    # d = 3 tables served to p3.  Measured: P_ext(0.7) within 6.4e-16 of
+    # log rho(A_t), while P_12(0.7) is off by 5.9e-6 to 2.2e-5.  The roots
+    # are within 7.8e-16 except at N = 8 on the gaps, 3.5e-14: the root is
+    # the Newton iterate after a step of 6.8e-7, below the 1e-6 stopping
+    # step, and that step is never evaluated, so it keeps an error of the
+    # order of its square.
+    cocycle = PairCocycle(3)
+    serve_tables(cocycle.tables)
+    for phi in (Functional.gap(3, 1), Functional.gap(3, 2), Functional(_U1)):
+        root = cocycle.root(phi.coeffs)
+        for n_max in (6, 8, 10, 12):
+            detail = pressure_root_detail(p3, phi, n_max=n_max)
+            assert not detail.fallback and abs(detail.value - root) < 1e-13, (phi, n_max)
+        table = pressure_table(p3, phi, 0.7)
+        exact = cocycle.pressure(0.7 * phi.coeffs)
+        assert not table.oscillating and abs(table.extrapolated - exact) < 1e-14, phi
+        assert abs(table.levels[12] - exact) > 1e-6
 
 
 # ---------------------------------------------------------------------------

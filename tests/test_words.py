@@ -22,9 +22,7 @@ from limcone.words import (
     class_tree,
     format_levels,
     word_level_array,
-    _class_level,
     _pre_necklaces,
-    _word_level,
 )
 from reference import canonical_conj, evaluate, inverse, jordan, parse_word, reduce, rotate
 
@@ -66,7 +64,7 @@ def brute_classes(k, n):
 def plain_class_level(k, n):
     """Reference rotation scan: compare each cyclically reduced word with
     every rotation letter by letter, at the first differing position."""
-    W = _word_level(k, n)
+    W = word_level_array(k, n)
     W = W[W[:, -1] != (W[:, 0] ^ 1)] if n > 1 else W
     rows = np.arange(len(W))
     keep = np.ones(len(W), dtype=bool)
@@ -183,20 +181,20 @@ class TestEnumeration:
     @pytest.mark.parametrize("k,n_top", [(2, 10), (3, 10)])
     def test_closed_formula(self, k, n_top):
         for n in range(n_top + 1):
-            assert len(_word_level(k, n)) == count_words(k, n)
+            assert len(word_level_array(k, n)) == count_words(k, n)
         if k == 3:
-            _word_level.cache_clear()
-            _class_level.cache_clear()
+            word_level_array.cache_clear()
+            class_level_arrays.cache_clear()
 
     def test_levels_over_row_budget_refused(self, monkeypatch):
         # checked before recursing: k = 2, n = 16 would take over 2 GB
         def refuse(k, n):
             pytest.fail(f"enumerated words of length {n}")
 
-        monkeypatch.setattr("limcone.words._word_level", refuse)
+        monkeypatch.setattr("limcone.words.word_level_array", refuse)
         for k, n in [(2, 15), (2, 16), (3, 11)]:
             with pytest.raises(InvalidParameterError):
-                _word_level.__wrapped__(k, n)
+                word_level_array.__wrapped__(k, n)
 
 
 class TestConjClasses:
@@ -237,7 +235,7 @@ class TestConjClasses:
     @pytest.mark.parametrize("k,n_top", [(2, 12), (3, 7), (4, 5)])
     def test_matches_plain_rotation_scan(self, k, n_top):
         for n in range(1, n_top + 1):
-            W, mult = _class_level(k, n)
+            W, mult = class_level_arrays(k, n)
             W0, mult0 = plain_class_level(k, n)
             assert W.dtype == W0.dtype and mult.dtype == mult0.dtype
             assert np.array_equal(W, W0) and np.array_equal(mult, mult0), n
@@ -248,7 +246,7 @@ class TestConjClasses:
         _pre_necklaces.cache_clear()
         tracemalloc.start()
         try:
-            _class_level.__wrapped__(2, 12)
+            class_level_arrays.__wrapped__(2, 12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -403,7 +401,7 @@ class TestRefusal:
 
         monkeypatch.setattr("limcone.words._pre_necklaces", refuse)
         with pytest.raises(InvalidParameterError):
-            _class_level(k, n)
+            class_level_arrays(k, n)
         with pytest.raises(InvalidParameterError):
             class_tree(k, n)
         with pytest.raises(InvalidParameterError):
