@@ -21,28 +21,28 @@ follows the same prefix path and the kernels act row by row:
 
 For d >= 3 every product comes with the reversed inverse product that
 the split-spectrum rule needs.  Inverse products exist only there: at
-d = 2, det = 1 makes the top value of m^-1 that of m, so the kernels
-need m alone (limcone.spectra) and both tables build no inverse chain.
-All products come from one engine, `_tree_products`, which walks a
-prefix tree depth by depth and extends each block of parents by every
-letter at once, one product per block and direction: the forward
-products extend their parents' on the right, the inverse products on
-the left, and each child picks its letter's rows.  Element products
-walk the tree of reduced words (`_word_edges`, shared by element_spectra
-and `word_products`, which keeps the inverse at every d for the CLI
-`spectra` dump); class products walk the tree of reduced pre-necklaces,
-cut to the class words at the top depth (words.class_tree), whose
-98,002 nodes at k = 2, N = 12 replace the 728,868 letter products of
-multiplying each of the 69,996 class words from scratch.  The engine
-streams the top depth through the kernel in row blocks, so at N = 12
-the 708,588 top-level element products are never held at once, and it
-lets go of each depth's parents before the caller reads the depth; both
-tables are written into arrays allocated up front.  Everything is
-deterministic: fixed enumeration order, fixed association order, and
-the kernels act row by row, so blocking does not change a single bit.
-BLAS may split the forward GEMM across threads, but each entry stays
-one d-term sum; the CLI files are byte-identical with BLAS on one
-thread or many (tests/test_cli.py).
+d = 2, det = 1 makes the top value of m^-1 that of m, so the kernels need
+m alone (limcone.spectra) and both tables build no inverse chain.  All
+products come from one engine, `tree_products`, which walks the prefix
+tree that words hands it depth by depth, knowing no layout of its own,
+and extends each block of parents by every letter at once, one product
+per block and direction: the forward products extend their parents' on
+the right, the inverse products on the left, and each child picks its
+letter's rows.  Element products walk the tree of reduced words
+(words.word_tree, which the CLI `spectra` dump walks too, with the
+inverse at every d); class products walk the tree of reduced
+pre-necklaces, cut to the class words at the top depth
+(words.class_tree), whose 98,002 nodes at k = 2, N = 12 replace the
+728,868 letter products of multiplying each of the 69,996 class words
+from scratch.  The engine streams the top depth through the kernel in
+row blocks, so at N = 12 the 708,588 top-level element products are
+never held at once, and it lets go of each depth's parents before the
+caller reads the depth; both tables are written into arrays allocated up
+front.  Everything is deterministic: fixed enumeration order, fixed
+association order, and the kernels act row by row, so blocking does not
+change a single bit.  BLAS may split the forward GEMM across threads,
+but each entry stays one d-term sum; the CLI files are byte-identical
+with BLAS on one thread or many (tests/test_cli.py).
 """
 
 from dataclasses import dataclass
@@ -59,7 +59,7 @@ __all__ = [
     "ElementSpectra",
     "class_spectra",
     "element_spectra",
-    "word_products",
+    "tree_products",
 ]
 
 
@@ -87,12 +87,13 @@ class ElementSpectra:
 _BLOCK_PARENTS = 1 << 12
 
 
-def _tree_products(rep, edges, n_max: int, inverse: bool = True):
+def tree_products(rep, edges, n_max: int, inverse: bool = True):
     """Forward and inverse products of the nodes of a prefix tree.
 
-    edges yields, for depth 1..n_max in turn, (parents, last): the row of
-    each node's parent one depth up (0, the identity root, at depth 1) and
-    the node's last letter, parents in non-decreasing order.  Yields
+    edges yields, for depth 1..n_max in turn, (parents, last) as
+    words.word_tree and words.class_tree give them: the row of each
+    node's parent one depth up (0, the identity root, at depth 1) and the
+    node's last letter, parents in non-decreasing order.  Yields
     (n, lo, fwd, bwd): the products of rows lo, lo + 1, ... of depth n as
     (rows, d, d) stacks, fwd = fwd[parent] @ letter and bwd = letter^-1 @
     bwd[parent]; with inverse false no inverse product is built and bwd is
@@ -148,41 +149,6 @@ def _tree_products(rep, edges, n_max: int, inverse: bool = True):
             yield n, 0, fwd, bwd
 
 
-def _word_edges(k, n_max):
-    """Edges of the reduced-word tree, one depth at a time: row i of
-    level n extends row i // (2k - 1) of level n - 1 (the root, for
-    n = 1).  Refuses n_max < 1, and over-budget levels before any level
-    is built, by asking for the top level first."""
-    if n_max < 1:
-        raise InvalidParameterError("need n_max >= 1")
-    words.word_level_array(k, n_max)
-    return ((_word_parents(k, n), words.word_level_array(k, n)[:, -1])
-            for n in range(1, n_max + 1))
-
-
-def _word_parents(k, n):
-    """Row i // (2k - 1) of level n - 1 for each row i of level n (the
-    root, for n = 1), divided in place: an out-of-place // took five
-    times as long at n = 12.  One level at a time, so no parent row array
-    outlives its level."""
-    if n == 1:
-        return np.zeros(2 * k, dtype=np.int32)
-    parents = np.arange(words.count_words(k, n), dtype=np.int32)
-    parents //= 2 * k - 1
-    return parents
-
-
-def word_products(rep, n_max: int):
-    """Forward and inverse products of every reduced word of length
-    1..n_max, in enumeration order.
-
-    Yields (n, lo, fwd, bwd): the products of rows lo, lo + 1, ... of
-    words.word_level_array(k, n), as (rows, d, d) stacks; levels below
-    n_max come whole and level n_max in blocks (see _tree_products).
-    """
-    return _tree_products(rep, _word_edges(rep.num_generators, n_max), n_max)
-
-
 @lru_cache(maxsize=4)
 def class_spectra(rep, n_max: int) -> ClassSpectra:
     """Jordan projections and log multiplicities for all classes of
@@ -192,7 +158,7 @@ def class_spectra(rep, n_max: int) -> ClassSpectra:
     k = rep.num_generators
     edges, index = words.class_tree(k, n_max)
     jor = {n: np.empty((len(index[n - 1]), rep.dim)) for n in range(1, n_max + 1)}
-    for n, lo, fwd, bwd in _tree_products(rep, edges, n_max, inverse=rep.dim > 2):
+    for n, lo, fwd, bwd in tree_products(rep, edges, n_max, inverse=rep.dim > 2):
         if n < n_max:               # a whole depth; the top depth holds only class words
             fwd, bwd = fwd[index[n - 1]], bwd if bwd is None else bwd[index[n - 1]]
         jor[n][lo:lo + len(fwd)] = batched_jordan(fwd, bwd)
@@ -204,7 +170,7 @@ def class_spectra(rep, n_max: int) -> ClassSpectra:
 def element_spectra(rep, n_max: int) -> ElementSpectra:
     """Cartan projections of every reduced word of length 1..n_max."""
     k = rep.num_generators
-    products = _tree_products(rep, _word_edges(k, n_max), n_max, inverse=rep.dim > 2)
+    products = tree_products(rep, words.word_tree(k, n_max), n_max, inverse=rep.dim > 2)
     sizes = [words.count_words(k, n) for n in range(1, n_max + 1)]
     starts = np.cumsum([0] + sizes)
     cartan = np.empty((starts[-1], rep.dim))

@@ -89,7 +89,7 @@ def _cmd_spectra(rep, args):
         raise InvalidInputError(f"labels print letters {letters}: not distinct, or not CSV-safe")
     header = ["word", "len"] + [f"a{i+1}" for i in range(d)] + [f"l{i+1}" for i in range(d)]
     lines, levels = [",".join(header)], words.format_levels(k, args.max_len, rep.labels)
-    for n, lo, fwd, bwd in bulk.word_products(rep, args.max_len):
+    for n, lo, fwd, bwd in bulk.tree_products(rep, words.word_tree(k, args.max_len), args.max_len):
         if lo == 0:
             names = next(levels)
         row = f"%s,{n}," + ",".join(["%.17g"] * (2 * d))

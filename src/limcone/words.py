@@ -12,13 +12,14 @@ primitive period p accounts for p distinct periodic sequences of its
 length, and that multiplicity is carried alongside the canonical word.
 
 The module caches pure combinatorics, independent of any
-representation: reduced words by level, reduced pre-necklaces by length,
-the canonical class words with their multiplicities, and the prefix
-tree of the class words (`class_tree`), along which limcone.bulk builds
-one product per tree node.  The canonical words are the
-cyclically reduced necklaces, so class words and their prefixes are
-generated by the pre-necklace extension rule (see _pre_necklaces), in
-lexicographic order, with no rotation ever compared.  A level of more
+representation: reduced words by level, reduced pre-necklaces by length
+and the canonical class words with their multiplicities.  It also owns
+the layout of both prefix trees, the reduced words (`word_tree`) and
+the class words (`class_tree`), handed to limcone.bulk as per-depth
+edges along which it builds one product per node.  The canonical words
+are the cyclically reduced necklaces, so class words and their prefixes
+are generated by the pre-necklace extension rule (see _pre_necklaces),
+in lexicographic order, with no rotation ever compared.  A level of more
 than 2^24 reduced words is refused before any of it is built.
 """
 
@@ -111,6 +112,25 @@ def word_level_array(k: int, n: int):
     prev = word_level_array(k, n - 1)
     ext = _extension_table(k)[prev[:, -1]]            # (M, 2k-1)
     return np.concatenate([np.repeat(prev, 2 * k - 1, axis=0), ext.reshape(-1, 1)], axis=1)
+
+
+def word_tree(k: int, n_max: int):
+    """Prefix tree of the reduced words of length 1..n_max, as class_tree's
+    edges: (parents, last) for depth n = 1, 2, ..., where row i of
+    word_level_array(k, n) extends row i // (2k - 1) one level up (the
+    root, for n = 1) by its last letter.  Refused at call time as level
+    n_max is, before any level is built; the depths come one at a time,
+    so no parent array outlives its depth.  The parents are divided in
+    place: an out-of-place // took five times as long at n = 12."""
+    _check_level(k, n_max, 1)
+
+    def edges():
+        for n in range(1, n_max + 1):
+            parents = np.arange(count_words(k, n), dtype=np.int32)
+            parents //= 2 * k - 1 if n > 1 else 2 * k     # all 0 at n = 1
+            yield parents, word_level_array(k, n)[:, -1]
+
+    return edges()
 
 
 @lru_cache(maxsize=64)

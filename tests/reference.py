@@ -135,7 +135,7 @@ def tree_products(rep, edges):
     """Forward and inverse products of every node of a prefix tree, one
     product per child and a whole depth at a time: fwd[parent] @ letter
     and letter^-1 @ bwd[parent], each a full-depth gather.  edges are
-    (parents, last) per depth, as bulk._tree_products takes them; yields
+    (parents, last) per depth, as bulk.tree_products takes them; yields
     (fwd, bwd) for depth 1, 2, ..."""
     k = rep.num_generators
     stack = rep.letter_matrices()

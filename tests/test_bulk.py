@@ -101,7 +101,7 @@ def rep(request):
 
 class TestAgainstLapack:
     def test_cartan_on_word_levels(self, rep):
-        for n, lo, fwd, bwd in bulk.word_products(rep, 12):
+        for n, lo, fwd, bwd in bulk.tree_products(rep, words.word_tree(2, 12), 12):
             step = max(1, len(fwd) // LEVEL_SAMPLE)
             f, b = fwd[::step], bwd[::step]
             diff = np.abs(batched_cartan(f, b) - lapack("cartan", f, b)).max()
@@ -279,13 +279,15 @@ class TestDeflation:
     @pytest.mark.parametrize("kind", sorted(KERNELS))
     def test_no_more_lapack_rows_than_two_solves(self, request, name, kind):
         bad = 0
-        for n, lo, fwd, bwd in bulk.word_products(request.getfixturevalue(name), 10):
+        rep = request.getfixturevalue(name)
+        for n, lo, fwd, bwd in bulk.tree_products(rep, words.word_tree(2, 10), 10):
             bad += int((~certified(kind, fwd, bwd)).sum())
         assert bad <= LAPACK_ROW_CAPS[kind][name]
 
     @pytest.mark.parametrize("kind", sorted(KERNELS))
     def test_d2_rows_are_exactly_opposite(self, s2, kind):
-        fwd, bwd = next((f, b) for n, lo, f, b in bulk.word_products(s2, 8) if n == 8)
+        fwd, bwd = next((f, b) for n, lo, f, b in bulk.tree_products(s2, words.word_tree(2, 8), 8)
+                        if n == 8)
         keep = certified(kind, fwd, bwd)
         assert keep.mean() > 0.9
         out = KERNELS[kind][0](fwd, bwd)[keep]
@@ -327,14 +329,14 @@ class TestTreeProducts:
         n_max = 8 if k == 2 else 6
         rep = tree_rep(k, d)
         if tree == "words":
-            edges = list(bulk._word_edges(k, n_max))
+            edges = list(words.word_tree(k, n_max))
         else:
             edges = words.class_tree(k, n_max)[0]
             # some top-depth parents have no class-word child
             assert len(np.unique(edges[-1][0])) < len(edges[-2][0])
         monkeypatch.setattr(bulk, "_BLOCK_PARENTS", block)
         got = {}
-        for n, lo, fwd, bwd in bulk._tree_products(rep, edges, n_max):
+        for n, lo, fwd, bwd in bulk.tree_products(rep, edges, n_max):
             assert lo == sum(len(f) for f, _ in got.get(n, []))
             got.setdefault(n, []).append((fwd, bwd))
         assert sorted(got) == list(range(1, n_max + 1))
@@ -360,7 +362,7 @@ class TestTreeProducts:
 
 class TestWordProducts:
     def test_products_match_evaluate(self, p3):
-        for n, lo, fwd, bwd in bulk.word_products(p3, 5):
+        for n, lo, fwd, bwd in bulk.tree_products(p3, words.word_tree(2, 5), 5):
             W = words.word_level_array(2, n)[lo:lo + len(fwd)]
             for j in (0, len(W) // 2, len(W) - 1):
                 w = [int(x) for x in W[j]]
@@ -371,7 +373,7 @@ class TestWordProducts:
     def test_top_level_blocks_cover_the_level(self, s2, monkeypatch):
         monkeypatch.setattr(bulk, "_BLOCK_PARENTS", 7)
         seen = {}
-        for n, lo, fwd, bwd in bulk.word_products(s2, 6):
+        for n, lo, fwd, bwd in bulk.tree_products(s2, words.word_tree(2, 6), 6):
             seen.setdefault(n, []).append((lo, len(fwd)))
         assert all(len(v) == 1 for n, v in seen.items() if n < 6)
         top = seen[6]
@@ -402,7 +404,8 @@ class TestWordProducts:
         rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
         got = np.array([[float(x) for x in r[2:]] for r in rows])
         cart = bulk.element_spectra(p3, 5).cartan
-        jor = np.concatenate([batched_jordan(f, b) for _, _, f, b in bulk.word_products(p3, 5)])
+        jor = np.concatenate([batched_jordan(f, b)
+                              for _, _, f, b in bulk.tree_products(p3, words.word_tree(2, 5), 5)])
         assert np.array_equal(got, np.hstack([cart, jor]))
 
     def test_s2_dump_fallback_rows_against_60_digits(self, s2):
@@ -414,7 +417,7 @@ class TestWordProducts:
         # tables take it, two level-10 rows reach 2.26e-10.
         mats = [mp.matrix(m.tolist()) for m in s2.letter_matrices()]
         sent = 0
-        for n, lo, fwd, bwd in bulk.word_products(s2, 10):
+        for n, lo, fwd, bwd in bulk.tree_products(s2, words.word_tree(2, 10), 10):
             rows = np.flatnonzero(~certified("jordan", fwd, bwd))
             l1 = batched_jordan(fwd, bwd)[rows, 0]
             with mp.workdps(60):
@@ -471,7 +474,7 @@ def two_direction_tables(rep, n_max):
     products bit for bit (TestTreeProducts)."""
     k = rep.num_generators
     cart = np.concatenate([batched_cartan(f, b)
-                           for f, b in tree_products(rep, bulk._word_edges(k, n_max))])
+                           for f, b in tree_products(rep, words.word_tree(k, n_max))])
     edges, index = words.class_tree(k, n_max)
     jor = {n: batched_jordan(f[index[n - 1]], b[index[n - 1]])
            for n, (f, b) in enumerate(tree_products(rep, edges), 1)}
@@ -537,14 +540,14 @@ class TestOneDirectionTables:
         assert moved > 0
 
     def test_d2_routes_build_no_inverse(self, monkeypatch):
-        engine, seen = bulk._tree_products, []
+        engine, seen = bulk.tree_products, []
 
         def spy(*args, **kwargs):
             for n, lo, fwd, bwd in engine(*args, **kwargs):
                 seen.append(bwd is None)
                 yield n, lo, fwd, bwd
 
-        monkeypatch.setattr(bulk, "_tree_products", spy)
+        monkeypatch.setattr(bulk, "tree_products", spy)
         for d in (2, 3):
             seen.clear()
             one_direction_tables(tree_rep(2, d), 6)

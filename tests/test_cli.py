@@ -104,7 +104,7 @@ def test_spectra_rows_equal_word_by_word_formatting(tmp_path, reps, s2, name, la
     d = rep.dim
     lines = [",".join(["word", "len"] + [f"a{i+1}" for i in range(d)]
                       + [f"l{i+1}" for i in range(d)])]
-    for n, lo, fwd, bwd in bulk.word_products(rep, 6):
+    for n, lo, fwd, bwd in bulk.tree_products(rep, words.word_tree(2, 6), 6):
         W = words.word_level_array(2, n)[lo:lo + len(fwd)]
         a, l = batched_cartan(fwd, bwd), batched_jordan(fwd, bwd)
         for j, w in enumerate(W.tolist()):
@@ -114,6 +114,9 @@ def test_spectra_rows_equal_word_by_word_formatting(tmp_path, reps, s2, name, la
     assert got.endswith("\n") and len(got.splitlines()) == len(lines)
     # the first differing line, not pytest's quadratic diff of two long texts
     assert next((pair for pair in zip(got.splitlines(), lines) if pair[0] != pair[1]), None) is None
+    # the dump's Cartan columns are the element table, bit for bit
+    a = np.array([[float(x) for x in ln.split(",")[2:2 + d]] for ln in got.splitlines()[1:]])
+    assert a.tobytes() == bulk.element_spectra(rep, 6).cartan.tobytes()
 
 
 @pytest.mark.parametrize("rep,argv", [

@@ -35,7 +35,7 @@ from limcone import (
 )
 from limcone import counting
 from limcone.bulk import class_spectra, element_spectra
-from reference import growth_indicator, slope_fit
+from reference import PairCocycle, growth_indicator, slope_fit
 
 LOG3 = np.log(3.0)
 
@@ -162,6 +162,59 @@ class TestCones:
         # every d = 2 direction has gap coordinate 0: the interval is (0, 0)
         cone = limit_cone(s2, 8)
         assert cone.interval == (0.0, 0.0) and cone.cone_area() == 0.0
+
+
+def simple_cycles(cocycle):
+    """(F, lengths) of the simple cycles of the 4-state non-backtracking
+    letter graph, one row per rotation: the 20 cyclically reduced words
+    of length 1..4 whose letters are distinct (10 cycles).  A closed walk
+    splits into simple cycles, so every class's F is a positive sum of
+    their F values."""
+    F, lengths = [], []
+    for n in range(1, 5):
+        W = words.word_level_array(2, n)
+        keep = (W[:, -1] != (W[:, 0] ^ 1)) & np.array([len(set(w)) == n for w in W.tolist()])
+        F.append(cocycle.values(W[keep], cyclic=True))
+        lengths += [n] * int(keep.sum())
+    return np.concatenate(F), np.array(lengths, dtype=float)
+
+
+class TestPairCocycleExtremes:
+    # PairCocycle(seed) served to p3.  Its gap coordinate and its mean per
+    # letter along a class are weighted means of the simple cycles' (the
+    # chamber keeps v1 - v3 and phi(F) positive), so the cone's ends and
+    # the least class mean are simple-cycle values, all of length <= N.
+    # Every extreme of seed 3 is a one-letter cycle, every one of seed 6
+    # a two-letter cycle.
+    @pytest.mark.parametrize("seed", [3, 6])
+    @pytest.mark.parametrize("N", [6, 8, 10, 12])
+    def test_limit_cone_is_the_simple_cycle_range(self, p3, serve_tables, N, seed):
+        # measured: within 4.2e-17 (seed 3) and 0 (seed 6)
+        cocycle = PairCocycle(seed)
+        serve_tables(cocycle.tables)
+        F, _ = simple_cycles(cocycle)
+        assert len(F) == 20
+        t = counting.gap_slice_coord(F)
+        err = np.subtract(limit_cone(p3, N).interval, (t.min(), t.max()))
+        assert np.abs(err).max() <= 1e-15, err
+
+    @pytest.mark.parametrize("N", [8, 10])
+    @pytest.mark.parametrize("phi", [[1.0, -1.0, 0.0], [0.0, 1.0, -1.0],
+                                     list(np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0))],
+                             ids=["gap1", "gap2", "U1"])
+    @pytest.mark.parametrize("seed", [3, 6])
+    def test_class_cap_is_the_least_cycle_mean(self, p3, serve_tables, N, phi, seed):
+        # measured: the cap within 2.4e-16 relative (seed 3) and 0 (seed 6)
+        cocycle = PairCocycle(seed)
+        serve_tables(cocycle.tables)
+        F, lengths = simple_cycles(cocycle)
+        want = (N + 1) * float((F @ phi / lengths).min())
+        vectors, starts = counting._table(p3, N + 1, "conjugacy")
+        values = vectors @ np.array(phi)
+        cap = counting._completeness_cap(values[:starts[N]], starts[:N + 1])
+        assert abs(cap - want) <= 1e-14 * want, (cap - want) / want
+        # no class of length N + 1 lies below it
+        assert values[starts[N]:].min() >= want * (1 - 1e-14)
 
 
 class TestDirectIndicator:

@@ -22,6 +22,7 @@ from limcone.words import (
     class_tree,
     format_levels,
     word_level_array,
+    word_tree,
     _pre_necklaces,
 )
 from reference import canonical_conj, evaluate, inverse, jordan, parse_word, reduce, rotate
@@ -392,17 +393,18 @@ class TestClassTree:
 
 class TestRefusal:
     # over 2^24 reduced words of length n, n < 1 or k < 2: refused before
-    # a single pre-necklace is generated
+    # a single pre-necklace or word level is built
     @pytest.mark.parametrize("k,n", [(2, 15), (3, 11), (2, 32), (3, 25), (4, 21), (2, 0), (2, -1),
                                      (1, 4)])
     def test_before_any_pre_necklace(self, monkeypatch, k, n):
         def refuse(k, n):
-            pytest.fail(f"generated pre-necklaces of length {n}")
+            pytest.fail(f"built a level of length {n}")
 
         monkeypatch.setattr("limcone.words._pre_necklaces", refuse)
-        with pytest.raises(InvalidParameterError):
-            class_level_arrays(k, n)
+        monkeypatch.setattr("limcone.words.word_level_array", refuse)
         with pytest.raises(InvalidParameterError):
             class_tree(k, n)
         with pytest.raises(InvalidParameterError):
             class_level_arrays(k, n)
+        with pytest.raises(InvalidParameterError):
+            word_tree(k, n)             # at call time, not when first iterated
