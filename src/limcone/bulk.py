@@ -1,51 +1,50 @@
 """Bulk spectral data for a representation.
 
-Two tables feed everything downstream.  Each is cached whole per
-(rep, n_max), four class tables and two element tables, so a scan over
-fresh representations keeps at most that many alive; an element table
-at n_max = 12 takes 25 MB at d = 3.  Every caller reads
-the table at the depth it asks for; levels 1..m of a deeper class table
-are bitwise those of a table built to m, because each class product
-follows the same prefix path and the kernels act row by row:
+Two tables feed everything downstream, each one array of rows, level
+after level, with the row offset of each level.  Each is cached whole
+per (rep, n_max), four class tables and two element tables, so a scan
+over fresh representations keeps at most that many alive; an element
+table at n_max = 12 takes 25 MB at d = 3.  Every caller reads the table
+at the depth it asks for; levels 1..m of a deeper class table are
+bitwise those of a table built to m, because each class product follows
+the same prefix path and the kernels act row by row:
 
-* class spectra: for each cyclic length n, the Jordan projections of
-  the canonical conjugacy-class words together with their periodic-point
-  multiplicities (primitive periods).  Conjugacy classes index periodic
-  orbits of the symbolic flow, and a class of primitive period p covers
-  p periodic sequences, so partition sums weight each class by p.
+* class spectra: the Jordan projections of the canonical
+  conjugacy-class words and the logs of their periodic-point
+  multiplicities (primitive periods), with per-level views for readers
+  of one level.  Conjugacy classes index periodic orbits of the symbolic
+  flow, and a class of primitive period p covers p periodic sequences,
+  so partition sums weight each class by p.
 
 * element spectra: Cartan projections of every reduced word up to a cap,
-  level after level, with the row offset of each level, for the
-  definition-level counting estimators; what they derive from it, such
-  as the complete window of a norm count, they build in counting.
+  for the definition-level counting estimators; what they derive from
+  it, such as the complete window of a norm count, they build in
+  counting.
 
 For d >= 3 every product comes with the reversed inverse product that
 the split-spectrum rule needs.  Inverse products exist only there: at
 d = 2, det = 1 makes the top value of m^-1 that of m, so the kernels need
 m alone (limcone.spectra) and both tables build no inverse chain.  All
 products come from one engine, `tree_products`, which walks the prefix
-tree that words hands it depth by depth, knowing no layout of its own,
-and extends each block of parents by every letter at once, one product
-per block and direction: the forward products extend their parents' on
-the right, the inverse products on the left, and each child picks its
-letter's rows.  Element products walk the tree of reduced words
-(words.word_tree, which the CLI `spectra` dump walks too, with the
-inverse at every d); class products walk the tree of reduced
-pre-necklaces, cut to the class words at the top depth
-(words.class_tree), whose 98,002 nodes at k = 2, N = 12 replace the
-728,868 letter products of multiplying each of the 69,996 class words
-from scratch.  The engine streams the top depth through the kernel in
-row blocks, so at N = 12 the 708,588 top-level element products are
-never held at once, and it lets go of each depth's parents before the
-caller reads the depth; both tables are written into arrays allocated up
-front.  Everything is deterministic: fixed enumeration order, fixed
-association order, and the kernels act row by row, so blocking does not
-change a single bit.  BLAS may split the forward GEMM across threads,
-but each entry stays one d-term sum; the CLI files are byte-identical
-with BLAS on one thread or many (tests/test_cli.py).
+tree that words hands it depth by depth, knowing no layout of its own.
+Element products walk the tree of reduced words (words.word_tree, which
+the CLI `spectra` dump walks too, with the inverse at every d); class
+products walk the tree of reduced pre-necklaces, cut to the class words
+at the top depth (words.class_tree), whose 98,002 nodes at k = 2,
+N = 12 replace the 728,868 letter products of multiplying each of the
+69,996 class words from scratch.  The engine streams the top depth
+through the kernel in row blocks, so at N = 12 the 708,588 top-level
+element products are never held at once, and it lets go of each depth's
+parents before the caller reads the depth; both tables are written into
+arrays allocated up front.  Everything is deterministic: fixed
+enumeration order, fixed association order, and the kernels act row by
+row, so blocking does not change a single bit.  BLAS may split the
+forward GEMM across threads, but each entry stays one d-term sum; the
+CLI files are byte-identical with BLAS on one thread or many
+(tests/test_cli.py).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -65,10 +64,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ClassSpectra:
-    """Per-level Jordan data over canonical conjugacy classes, levels 1..n_max."""
+    """Jordan data over canonical conjugacy classes of cyclic length
+    1..n_max, laid out as ElementSpectra is: jordan[n] and log_mult[n]
+    are views of rows starts[n - 1]:starts[n], not copies."""
 
-    jordan: dict        # n -> (B_n, d) float array
-    log_mult: dict      # n -> (B_n,) float array
+    jordan_rows: np.ndarray     # (M, d)
+    log_mult_rows: np.ndarray   # (M,)
+    starts: np.ndarray          # (n_max + 1,), starts[0] = 0 and starts[-1] = M
+    jordan: dict = field(init=False, repr=False)      # n -> (B_n, d) view
+    log_mult: dict = field(init=False, repr=False)    # n -> (B_n,) view
+
+    def __post_init__(self):
+        for name, rows in (("jordan", self.jordan_rows), ("log_mult", self.log_mult_rows)):
+            levels = {n: rows[self.starts[n - 1]:self.starts[n]] for n in range(1, len(self.starts))}
+            object.__setattr__(self, name, levels)
 
 
 @dataclass(frozen=True)
@@ -157,13 +166,16 @@ def class_spectra(rep, n_max: int) -> ClassSpectra:
         raise InvalidParameterError("need n_max >= 2")
     k = rep.num_generators
     edges, index = words.class_tree(k, n_max)
-    jor = {n: np.empty((len(index[n - 1]), rep.dim)) for n in range(1, n_max + 1)}
+    starts = np.cumsum([0] + [len(i) for i in index])
+    jor, logm = np.empty((starts[-1], rep.dim)), np.empty(starts[-1])
     for n, lo, fwd, bwd in tree_products(rep, edges, n_max, inverse=rep.dim > 2):
         if n < n_max:               # a whole depth; the top depth holds only class words
             fwd, bwd = fwd[index[n - 1]], bwd if bwd is None else bwd[index[n - 1]]
-        jor[n][lo:lo + len(fwd)] = batched_jordan(fwd, bwd)
-    logm = {n: np.log(words.class_level_arrays(k, n)[1].astype(float)) for n in jor}
-    return ClassSpectra(jor, logm)
+        row = starts[n - 1] + lo
+        jor[row:row + len(fwd)] = batched_jordan(fwd, bwd)
+    for n in range(1, n_max + 1):
+        np.log(words.class_level_arrays(k, n)[1], out=logm[starts[n - 1]:starts[n]])
+    return ClassSpectra(jor, logm, starts)
 
 
 @lru_cache(maxsize=2)

@@ -117,8 +117,7 @@ def _table(rep, N, mode):
     the items of length n are rows starts[n - 1]:starts[n]."""
     if mode == "conjugacy":
         cs = class_spectra(rep, N)
-        levels = [cs.jordan[n] for n in range(1, N + 1)]
-        return np.concatenate(levels), np.cumsum([0] + [len(lam) for lam in levels])
+        return cs.jordan_rows, cs.starts
     if mode == "element":
         es = element_spectra(rep, N)
         return es.cartan, es.starts

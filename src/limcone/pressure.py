@@ -26,8 +26,16 @@ the non-backtracking matrix, so the expansion is exact from N = 2k.
 One evaluation sums each level with numpy, then runs the expansion on
 the N level sums as Python floats: Newton's identities for the
 coefficients, the eigenvalues of the companion matrix for the zero, and
-Horner steps for its polish and the slope.  At N = 12 a numpy call on
-arrays that short costs more than its arithmetic.
+Horner steps for its polish and the slope.  A level keeps its weights
+as offsets u >= 0 from its least value m_n, so log Z_n(t) = -t m_n +
+log S_n with S_n = sum mult exp(-t u) in [1, n B_n] at t >= 0: five
+passes (two for the exponents, exp, the sum, the dot with u) and no max
+to take.  At t < 0 the offsets are taken from the greatest value.  The levels of
+under 2,048 rows together (1-8 at k = 2) are summed as one segment, as
+on arrays that short a numpy call costs more than its arithmetic.  Near
+a level root t m_n cancels log S_n, so it carries its rounding error
+(Dekker's product): a level root then comes out to the same bits from
+any start.
 
 The critical exponent of a positive weight is the root of t -> P(-t r).
 The level pressures and the truncated pressure decrease in t with slope
@@ -70,6 +78,7 @@ _T_MAX = 1e3
 _MAX_STEPS = 50
 _ROOT_TOL = 1e-6         # Newton steps stop once they move t by less
 _BOUNDARY_TOL = 1e-3     # |root - 1| allowed for a functional called on the boundary
+_SEGMENT_ROWS = 1 << 11  # levels this short together are summed as one segment
 
 
 def word_length_weight(n, lam):
@@ -77,31 +86,64 @@ def word_length_weight(n, lam):
     return np.full(len(lam), float(n))
 
 
+def _halves(x):
+    """x = hi + lo, each of at most 26 significant bits (Veltkamp's split
+    by 2^27 + 1), so that products of halves are exact; (x, 0) past 1e300."""
+    c = 134217729.0 * x
+    hi = c - (c - x) if abs(x) < 1e300 else x
+    return hi, x - hi
+
+
 class _Weights:
-    """Weight values and log multiplicities of levels 1..n_max, read off
-    the cached class table of depth n_max; what the pressures sum over."""
+    """Weight values of the classes of length 1..n_max, read off the
+    cached class table of depth n_max by one matvec, as offsets from the
+    least value of their level; what the pressures sum over."""
 
     def __init__(self, rep, phi, n_max, weight_hook=None):
         cs = class_spectra(rep, n_max)
         if weight_hook is None:
-            self.values = {n: cs.jordan[n] @ phi.coeffs for n in range(1, n_max + 1)}
+            u = cs.jordan_rows @ phi.coeffs
         else:
-            self.values = {n: np.asarray(weight_hook(n, cs.jordan[n]), dtype=float)
-                           for n in range(1, n_max + 1)}
-        self.log_mult = cs.log_mult
-        # every level sum writes its exponents here, so a sum allocates nothing
-        self._scratch = np.empty(max(len(v) for v in self.values.values()))
+            u = np.concatenate([weight_hook(n, lam) for n, lam in cs.jordan.items()], dtype=float)
+        self.starts, self.log_mult = cs.starts.tolist(), cs.log_mult_rows
+        self.least = np.minimum.reduceat(u, self.starts[:-1]).tolist()
+        for lo, hi, m in zip(self.starts, self.starts[1:], self.least):
+            u[lo:hi] -= m
+        self.offsets, self._halves = u, [_halves(m) for m in self.least]
+        # levels 1..head, together under _SEGMENT_ROWS rows, are summed as one segment
+        self._head = sum(hi <= _SEGMENT_ROWS for hi in self.starts[1:])
+        self._head_sums = (None, None)      # (t, the head's level sums at t)
+        # every sum writes its exponents here (the top level is the longest)
+        self._scratch = np.empty(max(self.starts[self._head], self.starts[-1] - self.starts[-2]))
 
     def level_sum(self, n, t):
         """log Z_n(t) and the Gibbs mean of the weight at level n."""
-        v = self.values[n]
-        x = np.multiply(v, -t, out=self._scratch[:len(v)])
-        x += self.log_mult[n]
-        m = x.max()
-        x -= m
+        if n > self._head or t < 0:
+            return self._sums(n - 1, n, t)[0]
+        if self._head_sums[0] != t:
+            self._head_sums = (t, self._sums(0, self._head, t))
+        return self._head_sums[1][n - 1]
+
+    def _sums(self, a, b, t):
+        """level_sum of levels a + 1..b in one pass over their rows: one
+        level by sum and dot, or the head as one segment at t >= 0."""
+        lo, hi = self.starts[a], self.starts[b]
+        u, x = self.offsets[lo:hi], self._scratch[:hi - lo]
+        top = float(u.max()) if t < 0 else 0.0     # at t < 0 offsets from the greatest value
+        np.multiply(u - top if top else u, -t, out=x)
+        x += self.log_mult[lo:hi]
         g = np.exp(x, out=x)
-        s = g.sum()
-        return float(m + np.log(s)), float(g @ v / s)
+        if b - a == 1:
+            s, gu = [float(g.sum())], [float(g @ u)]
+        else:
+            s, gu = (np.add.reduceat(y, self.starts[:b]).tolist() for y in (g, g * u))
+        th, tl = _halves(t)
+        sums = []
+        for m, (mh, ml), sn, gun in zip(self.least[a:b], self._halves[a:b], s, gu):
+            p = t * m       # log S - p cancels near a level root: carry the error of p
+            e = ((th * mh - p) + th * ml + tl * mh) + tl * ml
+            sums.append(((math.log(sn) - p) - e - t * top, m + gun / sn))
+        return sums
 
     def level_root(self, n, start=0.0):
         def f(t):
@@ -265,7 +307,7 @@ def pressure_root_detail(rep, phi, n_max=DEFAULT_N_MAX, weight_hook=None) -> Roo
     """
     _require_levels(n_max, lo=4)
     w = _Weights(rep, phi, n_max, weight_hook)
-    worst = np.min([v.min() for v in w.values.values()])    # a NaN value stays NaN
+    worst = np.min(w.least)     # a NaN value stays NaN
     if not worst > 0:
         raise NotInDualConeError(
             f"weight takes non-positive value {worst:.3e} on an enumerated class;"

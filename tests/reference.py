@@ -8,14 +8,16 @@ errors only these raise, dual_rep, the counting estimators that sort
 every value and read the whole element table, the pressure root
 started from the chained level roots r_(N-3) -> r_N, rebase, the
 representation in another free basis or another basis of R^d, the
-cycle-expansion pressure on numpy arrays, the Gibbs direction with a
-new array per step, and exact tables whose rows are given per class or
+cycle-expansion pressure on numpy arrays, the level sum as a plain
+log-sum-exp over one level, the Gibbs direction with a new array per
+step, and exact tables whose rows are given per class or
 word (tables_of_rows): those of a d = 2 weight (weight_tables) and
 those of a d = 3 letter-pair cocycle, with its transfer matrix, roots
 and equilibrium means (PairCocycle).  The library itself works on whole
 levels and stacks, counts only below the completeness cap, builds
 r_(N-2), ..., r_N only for the fallback, runs the cycle expansion on
-Python floats and takes the Gibbs direction in place."""
+Python floats, sums levels from their least weight and takes the Gibbs
+direction in place."""
 
 from dataclasses import dataclass
 
@@ -377,7 +379,7 @@ def chained_root_detail(rep, phi, n_max=DEFAULT_N_MAX) -> RootResult:
     t = 0, each r_n from r_(n-1) up to r_N, then the cycle-expansion
     Newton from r_N, falling back to r_N."""
     w = _Weights(rep, phi, n_max)
-    worst = min(v.min() for v in w.values.values())
+    worst = min(w.least)
     if worst <= 0:
         raise NotInDualConeError(f"weight takes non-positive value {worst:.3e}")
     top = 0.0
@@ -424,6 +426,19 @@ def array_cycle_pressure(sums):
     return s - float(np.log(x)), float(slope)
 
 
+def plain_level_sum(cs, phi, n, t):
+    """log Z_n(t) and the Gibbs mean of phi at level n of the class table
+    cs, by a plain log-sum-exp over the level's own weights: the
+    exponents, their greatest value subtracted, exp, the sum and the dot,
+    seven passes."""
+    v = cs.jordan[n] @ phi.coeffs
+    x = cs.log_mult[n] - t * v
+    top = x.max()
+    g = np.exp(x - top)
+    s = g.sum()
+    return float(top + np.log(s)), float(g @ v / s)
+
+
 def copying_gibbs_direction(rep, phi0, n):
     """gibbs_direction with a new level-n array for every step."""
     cs = class_spectra(rep, n)
@@ -439,12 +454,13 @@ def tables_of_rows(k, n_max, rows):
     (words.class_level_arrays, which also give the log multiplicities),
     or its reduced words, cyclic false."""
     classes = [words.class_level_arrays(k, n) for n in range(1, n_max + 1)]
-    jordan = {n: rows(n, W, True) for n, (W, _) in enumerate(classes, 1)}
-    log_mult = {n: np.log(mult.astype(float)) for n, (_, mult) in enumerate(classes, 1)}
+    jordan = np.concatenate([rows(n, W, True) for n, (W, _) in enumerate(classes, 1)])
+    log_mult = np.log(np.concatenate([mult for _, mult in classes]).astype(float))
+    class_starts = np.cumsum([0] + [len(mult) for _, mult in classes])
     cartan = np.concatenate([rows(n, words.word_level_array(k, n), False)
                              for n in range(1, n_max + 1)])
     starts = np.cumsum([0] + [words.count_words(k, n) for n in range(1, n_max + 1)])
-    return ClassSpectra(jordan, log_mult), ElementSpectra(cartan, starts)
+    return ClassSpectra(jordan, log_mult, class_starts), ElementSpectra(cartan, starts)
 
 
 def weight_tables(k, n_max, weight):

@@ -444,6 +444,21 @@ class TestClassSpectra:
             mult = words.class_level_arrays(rep.num_generators, n)[1]
             assert np.array_equal(cs.log_mult[n], np.log(mult.astype(float)))
 
+    @pytest.mark.parametrize("name, n_max", [("s2", 12), ("p3", 10)])
+    def test_level_views_of_one_table(self, request, name, n_max):
+        # each level is a view of the table's rows, bitwise a per-level build
+        rep = request.getfixturevalue(name)
+        cs = bulk.class_spectra(rep, n_max)
+        _, want = two_direction_tables(rep, n_max)
+        assert cs.starts[0] == 0 and cs.starts[-1] == len(cs.jordan_rows) == len(cs.log_mult_rows)
+        for n in range(1, n_max + 1):
+            lo, hi = cs.starts[n - 1], cs.starts[n]
+            assert np.shares_memory(cs.jordan[n], cs.jordan_rows), n
+            assert np.shares_memory(cs.log_mult[n], cs.log_mult_rows), n
+            assert cs.jordan[n].tobytes() == cs.jordan_rows[lo:hi].tobytes() == want[n].tobytes()
+            mult = words.class_level_arrays(rep.num_generators, n)[1]
+            assert cs.log_mult[n].tobytes() == np.log(mult.astype(float)).tobytes(), n
+
     def test_top_depth_blocks(self, p3, monkeypatch):
         # forced small blocks stream the top depth in many pieces
         monkeypatch.setattr(bulk, "_BLOCK_PARENTS", 7)

@@ -111,6 +111,15 @@ class TestCompletenessCap:
         for values in (vectors[:, 0] - vectors[:, 1], np.linalg.norm(vectors, axis=1)):
             assert counting._completeness_cap(values, starts) == per_row_cap(values, lengths)
 
+    @pytest.mark.parametrize("name", ["s2", "p3"])
+    def test_class_table_read_in_place(self, name, request):
+        # the conjugacy table is the class table's own rows, not a concatenation
+        rep = request.getfixturevalue(name)
+        vectors, starts = counting._table(rep, 8, "conjugacy")
+        cs = class_spectra(rep, 8)
+        assert np.shares_memory(vectors, cs.jordan_rows) and vectors.shape == cs.jordan_rows.shape
+        assert np.array_equal(starts, cs.starts)
+
     @pytest.mark.parametrize("N", [8, 10])
     @pytest.mark.parametrize("name, phi", [
         ("s2", [1.0, -1.0]), ("p3", [1.0, -1.0, 0.0]), ("p3", [0.0, 1.0, -1.0]),

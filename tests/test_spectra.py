@@ -75,6 +75,15 @@ class TestTypes:
         # evaluation agrees with the raw first-coordinate form on sum-zero v
         assert abs(phi(v) - 2.0) < 1e-12
 
+    def test_functional_centring_is_the_mean_form_bitwise(self):
+        # c - c.sum() / len(c) is the add.reduce and true division of c.mean()
+        rng = np.random.default_rng(7)
+        for _ in range(20000):
+            c = rng.normal(size=int(rng.integers(2, 5))) * 10.0 ** rng.uniform(-5, 4)
+            assert Functional(c).coeffs.tobytes() == (c - c.mean()).tobytes(), c
+        for c in ([1, 0, 0], [3, -1], [0.1, 0.2, 0.3, 0.4]):
+            assert Functional(c).coeffs.tobytes() == (np.array(c, float) - np.mean(c)).tobytes()
+
     def test_functional_algebra(self):
         a, b = Functional([1, -1]), Functional([3, -3])
         assert abs((2 * a + b)([1, -1]) - 10.0) < 1e-12
