@@ -185,10 +185,7 @@ def boundary_curve(rep, resolution: int = 16, n_max: int = DEFAULT_N_MAX,
     angles = _angle(cone.hull)
     lo, hi = angles.max() - np.pi / 2, angles.min() + np.pi / 2
     if cone.width < _DEGENERATE_WIDTH and not allow_degenerate:
-        raise DegenerateConeError(
-            "sampled limit cone is a single ray; dual body boundary is flat"
-            " (pass allow_degenerate=True to trace it anyway)"
-        )
+        raise DegenerateConeError("sampled limit cone is a single ray; dual body boundary is flat")
     # the cone is iota-invariant, so its polar is symmetric about 0: the
     # window is [-a, a], and upper holds the angles >= 0 of resolution
     # evenly spaced ones across it

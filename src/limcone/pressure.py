@@ -23,19 +23,19 @@ expanded as a polynomial of degree N in z, has its smallest positive
 real zero near exp(-P(t)), and the truncated pressure is minus the log
 of that zero.  For the word-length weight 1/zeta = det(I - zA) with A
 the non-backtracking matrix, so the expansion is exact from N = 2k.
-One evaluation sums each level with numpy, then runs the expansion on
-the N level sums as Python floats: Newton's identities for the
-coefficients, the eigenvalues of the companion matrix for the zero, and
-Horner steps for its polish and the slope.  A level keeps its weights
-as offsets u >= 0 from its least value m_n, so log Z_n(t) = -t m_n +
-log S_n with S_n = sum mult exp(-t u) in [1, n B_n] at t >= 0: five
-passes (two for the exponents, exp, the sum, the dot with u) and no max
-to take.  At t < 0 the offsets are taken from the greatest value.  The levels of
-under 2,048 rows together (1-8 at k = 2) are summed as one segment, as
-on arrays that short a numpy call costs more than its arithmetic.  Near
-a level root t m_n cancels log S_n, so it carries its rounding error
-(Dekker's product): a level root then comes out to the same bits from
-any start.
+One evaluation sums every level at t with numpy in one call, then runs
+the expansion on the N level sums as Python floats: Newton's identities
+for the coefficients, the eigenvalues of the companion matrix for the
+zero, and Horner steps for its polish and the slope.  A level keeps its
+weights as offsets u >= 0 from its least value m_n, so log Z_n(t) =
+-t m_n + log S_n with S_n = sum mult exp(-t u) in [1, n B_n] at t >= 0:
+five passes (two for the exponents, exp, the sum, the dot with u) and no
+max to take.  Only pressure_table takes t < 0, read from -phi at -t.  The
+levels of under 2,048 rows together (1-8 at k = 2) are summed as one
+segment, as on arrays that short a numpy call costs more than its
+arithmetic.  Near a level root t m_n cancels log S_n, so it carries its
+rounding error (Dekker's product): a level root then comes out to the
+same bits from any start.
 
 The critical exponent of a positive weight is the root of t -> P(-t r).
 The level pressures and the truncated pressure decrease in t with slope
@@ -112,25 +112,22 @@ class _Weights:
         self.offsets, self._halves = u, [_halves(m) for m in self.least]
         # levels 1..head, together under _SEGMENT_ROWS rows, are summed as one segment
         self._head = sum(hi <= _SEGMENT_ROWS for hi in self.starts[1:])
-        self._head_sums = (None, None)      # (t, the head's level sums at t)
         # every sum writes its exponents here (the top level is the longest)
         self._scratch = np.empty(max(self.starts[self._head], self.starts[-1] - self.starts[-2]))
 
-    def level_sum(self, n, t):
-        """log Z_n(t) and the Gibbs mean of the weight at level n."""
-        if n > self._head or t < 0:
-            return self._sums(n - 1, n, t)[0]
-        if self._head_sums[0] != t:
-            self._head_sums = (t, self._sums(0, self._head, t))
-        return self._head_sums[1][n - 1]
+    def sums(self, t):
+        """(log Z_n(t), Gibbs mean of the weight) for n = 1..n_max at t >= 0."""
+        sums = self._sums(0, self._head, t)
+        for n in range(self._head + 1, len(self.starts)):
+            sums += self._sums(n - 1, n, t)
+        return sums
 
     def _sums(self, a, b, t):
-        """level_sum of levels a + 1..b in one pass over their rows: one
-        level by sum and dot, or the head as one segment at t >= 0."""
+        """sums of levels a + 1..b in one pass over their rows: one level
+        by sum and dot, or levels 1..b (a = 0) as one segment."""
         lo, hi = self.starts[a], self.starts[b]
         u, x = self.offsets[lo:hi], self._scratch[:hi - lo]
-        top = float(u.max()) if t < 0 else 0.0     # at t < 0 offsets from the greatest value
-        np.multiply(u - top if top else u, -t, out=x)
+        np.multiply(u, -t, out=x)
         x += self.log_mult[lo:hi]
         g = np.exp(x, out=x)
         if b - a == 1:
@@ -142,12 +139,12 @@ class _Weights:
         for m, (mh, ml), sn, gun in zip(self.least[a:b], self._halves[a:b], s, gu):
             p = t * m       # log S - p cancels near a level root: carry the error of p
             e = ((th * mh - p) + th * ml + tl * mh) + tl * ml
-            sums.append(((math.log(sn) - p) - e - t * top, m + gun / sn))
+            sums.append(((math.log(sn) - p) - e, m + gun / sn))
         return sums
 
     def level_root(self, n, start=0.0):
         def f(t):
-            log_z, mean = self.level_sum(n, t)
+            log_z, mean = self._sums(n - 1, n, t)[0]
             return log_z / n, -mean / n
 
         root = _decreasing_root(f, start)
@@ -221,8 +218,10 @@ def _horner(c, x):
 def _decreasing_root(f, t):
     """Root of a decreasing f(t) -> (value, slope) for t > 0, by Newton
     steps from t kept inside the bracket found so far (bisecting when a
-    step leaves it).  None when f fails, the root lies beyond _T_MAX or
-    the steps do not settle to within _ROOT_TOL."""
+    step leaves it).  The root is the last iterate, never evaluated: after
+    a Newton step its error is of the order of that step squared.  None
+    when f fails, the root lies beyond _T_MAX or the steps do not settle
+    to within _ROOT_TOL."""
     lo, hi = 0.0, np.inf
     for _ in range(_MAX_STEPS):
         fs = f(t)
@@ -286,9 +285,10 @@ def pressure_table(rep, phi, t, n_max=DEFAULT_N_MAX) -> PressureTable:
     _require_levels(n_max, lo=3)
     if not np.isfinite(t):
         raise InvalidParameterError("t must be finite")
-    w = _Weights(rep, phi, n_max)
+    flip = t < 0        # P_n(t) of phi is P_n(-t) of -phi, whose means are negated
+    w = _Weights(rep, -1.0 * phi if flip else phi, n_max)
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = [w.level_sum(n, t) for n in range(1, n_max + 1)]
+        sums = [(log_z, -mean if flip else mean) for log_z, mean in w.sums(abs(t))]
     levels = {n: sums[n - 1][0] / n for n in range(2, n_max + 1)}
     if not np.isfinite(list(levels.values())).all():
         raise InvalidParameterError(f"t = {t:g} overflows the level pressures")
@@ -314,8 +314,7 @@ def pressure_root_detail(rep, phi, n_max=DEFAULT_N_MAX, weight_hook=None) -> Roo
             " functional is not in the interior of the dual cone"
         )
     start = w.level_root(n_max - 3)
-    value = _decreasing_root(
-        lambda t: _cycle_pressure([w.level_sum(n, t) for n in range(1, n_max + 1)]), start)
+    value = _decreasing_root(lambda t: _cycle_pressure(w.sums(t)), start)
     if value is not None:
         return RootResult(float(value), False)
     return RootResult(w.level_root(n_max, start), True)

@@ -385,8 +385,7 @@ def chained_root_detail(rep, phi, n_max=DEFAULT_N_MAX) -> RootResult:
     top = 0.0
     for n in range(n_max - 3, n_max + 1):
         top = w.level_root(n, top)
-    value = _decreasing_root(
-        lambda t: _cycle_pressure([w.level_sum(n, t) for n in range(1, n_max + 1)]), top)
+    value = _decreasing_root(lambda t: _cycle_pressure(w.sums(t)), top)
     if value is None:
         return RootResult(top, True)
     return RootResult(float(value), False)

@@ -306,6 +306,16 @@ def test_degenerate_cone_is_numerical(tmp_path, reps):
     assert rc == cli.EXIT_NUMERICAL and not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["boundary"], ["psi", "--probe", "1", "0", "-1"]],
+                         ids=["boundary", "psi"])
+def test_degenerate_cone_message_names_no_python_keyword(tmp_path, reps, capsys, argv):
+    # allow_degenerate is a keyword of boundary_curve that no option sets
+    rc, out = run(tmp_path, reps, "f3", *argv)
+    assert rc == cli.EXIT_NUMERICAL and not out.exists()
+    assert capsys.readouterr().err == (
+        "numerical failure: sampled limit cone is a single ray; dual body boundary is flat\n")
+
+
 @pytest.mark.parametrize("error", [BracketFailureError, SpectralFailureError,
                                    PerturbationFailedError])
 def test_numerical_failures_exit_4(tmp_path, reps, monkeypatch, error):

@@ -153,6 +153,21 @@ class TestCones:
         assert len(cone.hull) == 2
         assert cone.width > 0.01
 
+    @pytest.mark.parametrize("floor, dropped", [(5.0, 12), (10.0, 184), (15.0, 2818)])
+    def test_floor_drops_rows_from_the_hull(self, p3, floor, dropped):
+        # the hull of the rows at or above the floor, read off the table
+        # by a plain mask; the short rows it drops hold the outer ends
+        lam = element_spectra(p3, 8).cartan
+        kept = lam[np.sqrt((lam ** 2).sum(axis=1)) >= floor]
+        t = counting.gap_slice_coord(kept)
+        ends = kept[[np.argmin(t), np.argmax(t)]]
+        cone = asymptotic_cone(p3, 8, floor)
+        assert len(lam) - len(kept) == dropped
+        assert cone.interval == (t.min(), t.max())
+        assert np.array_equal(cone.hull, ends / np.abs(ends).sum(axis=1, keepdims=True))
+        whole = asymptotic_cone(p3, 8, 1.0).interval
+        assert whole[0] < cone.interval[0] and cone.interval[1] < whole[1]
+
     def test_floor_above_every_norm(self, p3):
         with pytest.raises(InsufficientDataError):
             asymptotic_cone(p3, 6, 1e6)

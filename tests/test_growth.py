@@ -10,6 +10,7 @@ from limcone import (
     BracketFailureError,
     DegenerateConeError,
     Functional,
+    InsufficientDataError,
     InvalidParameterError,
     NEG_INFINITY,
     boundary_curve,
@@ -260,6 +261,28 @@ def test_failed_angle_is_a_gap_on_both_sides(p3, monkeypatch):
     assert len(calls) == 9 and len(body) == 15 and abs(th[6] + th[10]) <= 1e-15
     assert np.array_equal(angles(body), np.delete(th, [6, 10]))
     assert body.functionals().tolist() == np.delete(whole.functionals(), [6, 10], 0).tolist()
+
+
+@pytest.mark.parametrize("failing", [1, 2])
+def test_tracing_aborts_past_a_fifth_failed(p3, monkeypatch, failing):
+    # a failed angle drops its mirror too: of the 8 traced angles one
+    # failing leaves 14 of 16 points, two leave 12, past the 20 percent allowed
+    trace = growth.boundary_point
+    calls = []
+
+    def fail_first(rep, u, n_max):
+        calls.append(u)
+        if len(calls) <= failing:
+            raise BracketFailureError("injected")
+        return trace(rep, u, n_max=n_max)
+
+    monkeypatch.setattr(growth, "boundary_point", fail_first)
+    if failing == 1:
+        assert len(boundary_curve(p3, 16, 8)) == 14
+    else:
+        with pytest.raises(InsufficientDataError, match="^4 of 16 boundary directions failed$"):
+            boundary_curve(p3, 16, 8)
+    assert len(calls) == 8
 
 
 def test_threads_other_than_one_are_refused(s2, p3, monkeypatch):

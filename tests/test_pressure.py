@@ -162,9 +162,9 @@ class TestPressureTable:
     def test_each_level_summed_once(self, s2, monkeypatch):
         # the levels and the cycle expansion read one list of level sums
         summed = []
-        level_sum = pressure._Weights.level_sum
-        monkeypatch.setattr(pressure._Weights, "level_sum",
-                            lambda w, n, t: summed.append(n) or level_sum(w, n, t))
+        sums = pressure._Weights._sums
+        monkeypatch.setattr(pressure._Weights, "_sums", lambda w, a, b, t:
+                            summed.extend(range(a + 1, b + 1)) or sums(w, a, b, t))
         pressure_table(s2, Functional([1, -1]), 0.7, 12)
         assert sorted(summed) == list(range(1, 13))
 
@@ -517,9 +517,9 @@ def test_top_level_summed_at_most_three_times(request, monkeypatch, rep_name, co
     # Newton (measured: twice); building r_N as its start took 4
     rep = request.getfixturevalue(rep_name)
     summed = []
-    level_sum = pressure._Weights.level_sum
-    monkeypatch.setattr(pressure._Weights, "level_sum",
-                        lambda w, n, t: summed.append(n) or level_sum(w, n, t))
+    sums = pressure._Weights._sums
+    monkeypatch.setattr(pressure._Weights, "_sums", lambda w, a, b, t:
+                        summed.extend(range(a + 1, b + 1)) or sums(w, a, b, t))
     detail = pressure_root_detail(rep, Functional(coeffs), n_max=12)
     assert not detail.fallback
     assert 1 <= summed.count(12) <= 3
@@ -560,12 +560,44 @@ def test_unbracketed_higher_level_root_does_not_stop_a_cycle_root(s2, monkeypatc
 
 
 # ---------------------------------------------------------------------------
+# the safeguards of the Newton root finder
+# ---------------------------------------------------------------------------
+
+def _traced(f):
+    """f, and the list of the t it is evaluated at."""
+    ts = []
+    return (lambda t: ts.append(t) or f(t)), ts
+
+
+def test_newton_step_out_of_the_bracket_bisects():
+    # from t = 0 raw Newton jumps to 35.7 and then below 0; the safeguard
+    # halves the bracket [0, 35.7] three times, then Newton converges
+    f, ts = _traced(lambda t: (-np.arctan(t - 5.0), -1.0 / (1.0 + (t - 5.0) ** 2)))
+    root = pressure._decreasing_root(f, 0.0)
+    assert abs(root - 5.0) < 1e-12 and len(ts) == 8
+    assert ts[1] == pytest.approx(35.7084199, rel=1e-8)
+    assert ts[2:5] == [ts[1] / 2, ts[1] / 4, ts[1] / 8]
+
+
+def test_flat_start_expands_the_bracket():
+    # no Newton step where the slope is 0 and no upper bracket: t -> 2t + 1
+    f, ts = _traced(lambda t: (3.0 - t, 0.0 if t < 1.0 else -1.0))
+    assert pressure._decreasing_root(f, 0.0) == 3.0 and ts == [0.0, 1.0, 3.0]
+
+
+def test_steps_that_never_settle_give_none():
+    # f stays positive: each Newton step moves t by 1, for every step allowed
+    f, ts = _traced(lambda t: (1.0, -1.0))
+    assert pressure._decreasing_root(f, 0.0) is None
+    assert len(ts) == pressure._MAX_STEPS and ts[-1] < pressure._T_MAX
+
+
+# ---------------------------------------------------------------------------
 # the cycle expansion on floats against the array form it replaced
 # ---------------------------------------------------------------------------
 
 def _level_sums(rep, phi, t, n_max=12):
-    w = pressure._Weights(rep, phi, n_max)
-    return [w.level_sum(n, t) for n in range(1, n_max + 1)]
+    return pressure._Weights(rep, phi, n_max).sums(t)
 
 
 @pytest.mark.parametrize("rep_name, coeffs", [
@@ -616,10 +648,12 @@ _SUM_CASES = {"s2": [[1.0, -1.0]], "p3": [list(_U1), [1.0, -1.0, 0.0]],
 
 @pytest.mark.parametrize("case", list(_SUM_CASES))
 def test_level_sums_match_plain_log_sum_exp(request, p3, serve_tables, case):
-    # every level, segment and single levels alike, on both signs of t.
-    # log Z_n is held relative to the exponents it sums, |t| max |phi|:
-    # near a level root it is their difference and can lie close to 0.
-    # Measured: log Z_n within 2.1e-16 of that scale, the mean 4.3e-15
+    # every level, segment and single levels alike, on both signs of t:
+    # a negative t reads, as pressure_table does, the table of -phi at -t
+    # with the means negated.  log Z_n is held relative to the exponents
+    # it sums, |t| max |phi|: near a level root it is their difference
+    # and can lie close to 0.  Measured: log Z_n within 2.1e-16 of that
+    # scale, the mean 4.3e-15
     if case == "cocycle":
         serve_tables(PairCocycle(3).tables)
         rep = p3
@@ -628,10 +662,12 @@ def test_level_sums_match_plain_log_sum_exp(request, p3, serve_tables, case):
     cs = pressure.class_spectra(rep, 12)        # the served table for the cocycle
     for coeffs in _SUM_CASES[case]:
         phi = Functional(coeffs)
-        w = pressure._Weights(rep, phi, 12)
+        w, reflected = pressure._Weights(rep, phi, 12), pressure._Weights(rep, -1.0 * phi, 12)
         for t in (-3.0, 0.0, 0.7, pressure_root(rep, phi), 40.0, 1e3):
-            for n in range(1, 13):
-                (log_z, mean), (want_z, want_mean) = w.level_sum(n, t), plain_level_sum(cs, phi, n, t)
+            sums = w.sums(t) if t >= 0 else [(z, -mean) for z, mean in reflected.sums(-t)]
+            assert len(sums) == 12, t
+            for n, (log_z, mean) in enumerate(sums, 1):
+                want_z, want_mean = plain_level_sum(cs, phi, n, t)
                 scale = max(abs(want_z), abs(t) * np.abs(cs.jordan[n] @ phi.coeffs).max())
                 assert abs(log_z - want_z) <= 1e-14 * scale, (coeffs, t, n)
                 assert mean == pytest.approx(want_mean, rel=1e-14, abs=0), (coeffs, t, n)

@@ -21,6 +21,10 @@ output file stays where the command wrote it, beside <name>.stdout,
 parent commit and a change, then compare with
 
     diff -r OUT_A OUT_B
+
+for byte identity, or with tools/snapshot_diff.py OUT_A OUT_B, which
+says of each file whether it is identical, differs in numbers only (and
+by how much) or differs in structure.
 """
 
 import json
